@@ -10,6 +10,7 @@
 
 use pipesched_ir::TupleId;
 
+use crate::bounds::Frontier;
 use crate::context::SchedContext;
 use crate::timing::TimingEngine;
 
@@ -116,31 +117,19 @@ fn enumerate(
 /// fast but not optimal.
 pub fn greedy_schedule(ctx: &SchedContext<'_>) -> (Vec<TupleId>, u32) {
     let n = ctx.len();
-    let mut pending: Vec<u32> = (0..n).map(|i| ctx.preds[i].len() as u32).collect();
-    let mut placed = vec![false; n];
+    let mut frontier = Frontier::new(ctx, false);
     let mut engine = TimingEngine::new(ctx);
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut best: Option<(i64, std::cmp::Reverse<u32>, u32)> = None;
-        let mut pick = None;
-        for i in 0..n {
-            if placed[i] || pending[i] > 0 {
-                continue;
-            }
-            let t = TupleId(i as u32);
-            let est = engine.earliest_issue(t, ctx.sigma(t));
-            let key = (est, std::cmp::Reverse(ctx.analysis.height(t)), t.0);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-                pick = Some(t);
-            }
-        }
-        let t = pick.expect("DAG is acyclic, so some instruction is ready");
-        placed[t.index()] = true;
-        for e in ctx.dag.succs(t) {
-            pending[e.to.index()] -= 1;
-        }
+        let (t, _) = frontier
+            .ready()
+            .min_by_key(|&(t, dep)| {
+                let est = engine.pipe_free(ctx.sigma(t)).max(dep);
+                (est, std::cmp::Reverse(ctx.analysis.height(t)), t.0)
+            })
+            .expect("DAG is acyclic, so some instruction is ready");
         engine.push_default(t);
+        frontier.commit(ctx, &engine, t);
         order.push(t);
     }
     let total = engine.total_nops();

@@ -37,17 +37,34 @@
 //! * **[4] curtail point λ** — hard cap on Ω calls; hitting it returns the
 //!   best schedule found with `optimal = false`.
 //!
+//! Each placement costs O(out-degree + |ready|), not a rescan of the block.
+//! The timing engine pushes ξ in O(in-degree) and pops it in O(1).
+//! `bounds::Frontier` holds the unscheduled side of the prefix: the
+//! pending-predecessor counts [5b] reads, the ready set as a bitset, each
+//! ready instruction's dependence-ready cycle (cached when its last
+//! predecessor is placed), and the per-pipe counts of unplaced ops. One
+//! `commit`/`uncommit` pair updates all of it, for every placement the
+//! bound prices (under α-β, every placement descended into) and for
+//! `run_subtree`'s prefix replay. The bound prices each ready ξ as
+//! `max(pipe_free(σ(ξ)), cached dep)`. That is the same integer the engine
+//! would compute from scratch, because ξ's predecessors stay placed for as
+//! long as ξ is ready. The bound is a max over the ready set, so the order
+//! of the set does not matter either. Bounds, prunes, Ω and node counts,
+//! schedules and certificate digests are therefore bit-identical to a
+//! from-scratch scan (`tests/kernel_pin.rs`).
+//!
 //! With [`SearchConfig::pipeline_selection`] enabled the search also chooses
 //! *which* unit executes each instruction when the machine maps an
 //! operation to several pipelines (the feature §4.1 footnote 3 excludes
 //! from the paper's algorithm), with symmetry breaking over units in
-//! identical states.
+//! identical states: same latency, same enqueue time and same last enqueue,
+//! counting the state a preceding block left in the unit.
 
 use pipesched_ir::{analysis::verify_schedule, TupleId};
 use pipesched_machine::PipelineId;
 
 pub use crate::bounds::BoundKind;
-use crate::bounds::LowerBound;
+use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
@@ -529,7 +546,6 @@ fn search_impl<P: SearchPolicy>(
     // exact backend (see `crate::seed`).
     let seed = crate::seed::seed_incumbent(ctx, cfg.initial, boundary, cfg.pipeline_selection);
     let initial_order = seed.order;
-    let initial_etas = seed.etas;
     let initial_nops = seed.nops;
 
     if P::PROOF {
@@ -555,7 +571,7 @@ fn search_impl<P: SearchPolicy>(
             return SearchOutcome {
                 order: initial_order.clone(),
                 assignment: ctx.sigma.clone(),
-                etas: initial_etas,
+                etas: seed.etas,
                 nops: initial_nops,
                 initial_order,
                 initial_nops,
@@ -573,7 +589,6 @@ fn search_impl<P: SearchPolicy>(
         cfg,
         boundary,
         initial_order.clone(),
-        initial_etas,
         initial_nops,
         policy,
     );
@@ -626,7 +641,7 @@ pub(crate) fn run_subtree<P: SearchPolicy>(
     policy: P,
 ) -> SearchStats {
     debug_assert!(depth <= order.len());
-    let mut s = Search::new(ctx, cfg, boundary, order, Vec::new(), best_nops, policy);
+    let mut s = Search::new(ctx, cfg, boundary, order, best_nops, policy);
     s.global_lb = global_lb;
     if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
         s.stats.truncated = true;
@@ -634,17 +649,12 @@ pub(crate) fn run_subtree<P: SearchPolicy>(
         s.policy.stopping(&s.stats);
         return s.stats;
     }
-    // Replay the committed prefix: timing, readiness and resource-bound
-    // state exactly as `place_and_recurse` would have left them.
+    // Replay the committed prefix: timing and frontier state exactly as
+    // `place_and_recurse` would have left them.
     for d in 0..depth {
         let xi = s.order[d];
         s.engine.push(xi, s.ctx.sigma(xi));
-        for e in s.ctx.dag.succs(xi) {
-            s.pending_preds[e.to.index()] -= 1;
-        }
-        if let Some(p) = s.counted_pipe(xi) {
-            s.remaining_per_pipe[p.index()] -= 1;
-        }
+        s.frontier.commit(s.ctx, &s.engine, xi);
     }
     s.dfs(depth);
     s.stats
@@ -674,10 +684,9 @@ struct Search<'c, 'a, P: SearchPolicy> {
     engine: TimingEngine<'c, 'a>,
     /// Current ordering Π; positions < depth are the committed prefix Φ.
     order: Vec<TupleId>,
-    /// Pending (unscheduled) immediate-predecessor counts.
-    pending_preds: Vec<u32>,
-    /// Unscheduled instructions per pipeline (for the resource bound).
-    remaining_per_pipe: Vec<u32>,
+    /// Readiness, cached dependence cycles and per-pipe counts of the
+    /// unscheduled instructions, updated once per placement.
+    frontier: Frontier,
     /// Structural equivalence class per tuple (only when Structural mode).
     equiv_class: Vec<u32>,
     lower_bound: Option<LowerBound>,
@@ -690,31 +699,14 @@ struct Search<'c, 'a, P: SearchPolicy> {
 }
 
 impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         ctx: &'c SchedContext<'a>,
         cfg: &SearchConfig,
         boundary: &BoundaryState,
         initial_order: Vec<TupleId>,
-        _initial_etas: Vec<u32>,
         initial_nops: u32,
         policy: P,
     ) -> Self {
-        let n = ctx.len();
-        let pending_preds: Vec<u32> = (0..n).map(|i| ctx.preds[i].len() as u32).collect();
-        // For the resource bound: ops whose unit is *fixed*. When pipeline
-        // selection is enabled, ops with a choice of units are excluded so
-        // the per-pipe count never overstates the load on any single unit
-        // (which would make the bound inadmissible).
-        let mut remaining_per_pipe = vec![0u32; ctx.machine.pipeline_count()];
-        for i in 0..n {
-            if cfg.pipeline_selection && ctx.allowed[i].len() > 1 {
-                continue;
-            }
-            if let Some(p) = ctx.sigma[i] {
-                remaining_per_pipe[p.index()] += 1;
-            }
-        }
         let equiv_class = if cfg.equivalence == EquivalenceMode::Structural {
             structural_classes(ctx)
         } else {
@@ -731,8 +723,7 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             cfg: *cfg,
             engine: TimingEngine::with_boundary(ctx, boundary),
             order: initial_order.clone(),
-            pending_preds,
-            remaining_per_pipe,
+            frontier: Frontier::new(ctx, cfg.pipeline_selection),
             equiv_class,
             lower_bound,
             global_lb: None,
@@ -829,7 +820,7 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 continue;
             }
             // [5b] real legality: every predecessor already scheduled.
-            if self.pending_preds[xi.index()] > 0 {
+            if !self.frontier.is_ready(xi) {
                 self.stats.pruned_legality += 1;
                 self.prof(depth, |d| d.pruned_legality += 1);
                 self.log(ProofEvent::LegalityPrune { candidate: xi.0 });
@@ -904,14 +895,10 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         // Selection extension: try each distinct unit state. Two units with
         // identical timing parameters and identical last-issue state are
         // interchangeable; trying one preserves optimality.
+        let ctx = self.ctx;
         let mut seen: Vec<(u32, u32, Option<i64>)> = Vec::new();
-        let allowed = self.ctx.allowed[xi.index()].clone();
-        for p in allowed {
-            let key = (
-                self.ctx.latency(p),
-                self.ctx.enqueue(p),
-                last_issue_of(&self.engine, self.ctx, p),
-            );
+        for &p in &ctx.allowed[xi.index()] {
+            let key = (ctx.latency(p), ctx.enqueue(p), self.engine.last_issue(p));
             if seen.contains(&key) {
                 self.stats.pruned_symmetry += 1;
                 continue;
@@ -951,41 +938,21 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         }
 
         self.engine.push(xi, pipe);
+        // The critical-path bound reads the frontier after ξ. The α-β bound
+        // is μ alone, so α-β commits only the placements it descends into:
+        // most of its placements are pruned, and committing them is wasted.
+        let eager = self.lower_bound.is_some();
+        if eager {
+            self.frontier.commit(self.ctx, &self.engine, xi);
+        }
 
-        let counted_pipe = self.counted_pipe(xi);
-        // Chain/resource terms of the bound, captured for the certificate.
-        let mut proof_terms: Option<(i64, i64)> = None;
-        let bound = match (&self.lower_bound, self.cfg.bound) {
-            (Some(lb), BoundKind::CriticalPath) => {
-                // Account for the placement before computing the bound.
-                if let Some(p) = counted_pipe {
-                    self.remaining_per_pipe[p.index()] -= 1;
-                }
-                let ready = self.ready_after(xi);
-                let b = if P::PROOF {
-                    let (chain, resource, b) = lb.terms(
-                        self.ctx,
-                        &self.engine,
-                        ready.into_iter(),
-                        &self.remaining_per_pipe,
-                    );
-                    proof_terms = Some((chain, resource));
-                    b
-                } else {
-                    lb.bound_with_selection(
-                        self.ctx,
-                        &self.engine,
-                        ready.into_iter(),
-                        &self.remaining_per_pipe,
-                        self.cfg.pipeline_selection,
-                    )
-                };
-                if let Some(p) = counted_pipe {
-                    self.remaining_per_pipe[p.index()] += 1;
-                }
-                b
+        // The bound, with the chain/resource terms the certificate records.
+        let (chain, resource, bound) = match &self.lower_bound {
+            Some(lb) => {
+                let (chain, resource, bound) = lb.bound(self.ctx, &self.engine, &self.frontier);
+                (Some(chain), Some(resource), bound)
             }
-            _ => self.engine.total_nops(),
+            None => (None, None, self.engine.total_nops()),
         };
 
         // Under a shared incumbent, pick up improvements published by other
@@ -1000,26 +967,18 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         if !self.stop && self.policy.spawn(&self.order, depth + 1, bound) {
             self.stats.splits += 1;
         } else if bound < self.best_nops && !self.stop {
-            // Commit: update readiness and recurse.
             self.log(ProofEvent::Enter { candidate: xi.0 });
-            for e in self.ctx.dag.succs(xi) {
-                self.pending_preds[e.to.index()] -= 1;
-            }
-            if let Some(p) = counted_pipe {
-                self.remaining_per_pipe[p.index()] -= 1;
+            if !eager {
+                self.frontier.commit(self.ctx, &self.engine, xi);
             }
             self.dfs(depth + 1);
-            if let Some(p) = counted_pipe {
-                self.remaining_per_pipe[p.index()] += 1;
-            }
-            for e in self.ctx.dag.succs(xi) {
-                self.pending_preds[e.to.index()] += 1;
+            if !eager {
+                self.frontier.uncommit(self.ctx, xi);
             }
         } else if !self.stop {
             self.stats.pruned_bound += 1;
             self.prof(depth, |d| d.pruned_bound += 1);
             let mu = self.engine.total_nops();
-            let (chain, resource) = (proof_terms.map(|t| t.0), proof_terms.map(|t| t.1));
             self.log(ProofEvent::BoundPrune {
                 candidate: xi.0,
                 mu,
@@ -1029,41 +988,10 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             });
         }
 
+        if eager {
+            self.frontier.uncommit(self.ctx, xi);
+        }
         self.engine.pop();
-    }
-
-    /// The pipeline `xi` contributes to in `remaining_per_pipe`, mirroring
-    /// the initialization in `Search::new`.
-    fn counted_pipe(&self, xi: TupleId) -> Option<PipelineId> {
-        if self.cfg.pipeline_selection && self.ctx.allowed[xi.index()].len() > 1 {
-            None
-        } else {
-            self.ctx.sigma(xi)
-        }
-    }
-
-    /// Unscheduled-and-ready instructions, assuming `xi` was just placed.
-    fn ready_after(&self, xi: TupleId) -> Vec<TupleId> {
-        let n = self.ctx.len();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let t = TupleId(i as u32);
-            if t == xi || self.engine.issue_time(t).is_some() {
-                continue;
-            }
-            let pending = self.pending_preds[i]
-                - self
-                    .ctx
-                    .dag
-                    .preds(t)
-                    .iter()
-                    .filter(|e| e.from == xi)
-                    .count() as u32;
-            if pending == 0 {
-                out.push(t);
-            }
-        }
-        out
     }
 }
 
@@ -1094,25 +1022,6 @@ pub(crate) fn structural_classes(ctx: &SchedContext<'_>) -> Vec<u32> {
         classes[i] = *table.entry(key).or_insert(next);
     }
     classes
-}
-
-fn last_issue_of(
-    engine: &TimingEngine<'_, '_>,
-    ctx: &SchedContext<'_>,
-    p: PipelineId,
-) -> Option<i64> {
-    // The engine doesn't expose last_in_pipe directly; reconstruct it from
-    // issue times of placed tuples assigned to p.
-    let mut last = None;
-    for i in 0..ctx.len() {
-        let t = TupleId(i as u32);
-        if engine.assigned_pipeline(t) == Some(p) {
-            if let Some(ti) = engine.issue_time(t) {
-                last = Some(last.map_or(ti, |l: i64| l.max(ti)));
-            }
-        }
-    }
-    last
 }
 
 #[cfg(test)]
@@ -1442,6 +1351,186 @@ mod tests {
         } else {
             panic!("profile JSON is an array");
         }
+    }
+
+    /// The ready set with each member's dependence-ready cycle, recomputed
+    /// from scratch off the engine's public state.
+    fn reference_ready(
+        ctx: &SchedContext<'_>,
+        engine: &TimingEngine<'_, '_>,
+    ) -> Vec<(TupleId, i64)> {
+        let placed = |t: TupleId| engine.issue_time(t).is_some();
+        ctx.block
+            .ids()
+            .filter(|&t| !placed(t) && ctx.preds[t.index()].iter().all(|d| placed(TupleId(d.from))))
+            .map(|t| {
+                let dep = ctx.preds[t.index()].iter().map(|d| {
+                    let from = TupleId(d.from);
+                    let delay = match (d.flow, engine.assigned_pipeline(from)) {
+                        (true, Some(p)) => i64::from(ctx.latency(p)),
+                        _ => 1,
+                    };
+                    engine.issue_time(from).unwrap() + delay
+                });
+                (t, dep.max().unwrap_or(0))
+            })
+            .collect()
+    }
+
+    /// The critical-path bound as the kernel computed it before the ready
+    /// set became incremental: a from-scratch ready scan, the one-piece
+    /// earliest-issue formula, and per-pipe counts of unplaced fixed-unit
+    /// ops.
+    fn reference_bound(
+        ctx: &SchedContext<'_>,
+        engine: &TimingEngine<'_, '_>,
+        lb: &LowerBound,
+        selection: bool,
+    ) -> (i64, i64, u32) {
+        let n = ctx.len() as i64;
+        let placed = engine.placed() as i64;
+        let t_prev = i64::from(engine.total_nops()) + placed - 1;
+        if placed == n {
+            return (t_prev, t_prev, engine.total_nops());
+        }
+        let base = t_prev + n - placed;
+        let earliest = |dep: i64, pipe: Option<PipelineId>| {
+            let conflict =
+                pipe.and_then(|p| Some(engine.last_issue(p)? + i64::from(ctx.enqueue(p))));
+            (t_prev + 1).max(dep).max(conflict.unwrap_or(0))
+        };
+        let chain = reference_ready(ctx, engine)
+            .into_iter()
+            .map(|(t, dep)| {
+                let units = &ctx.allowed[t.index()];
+                let est = if selection && units.len() > 1 {
+                    units.iter().map(|&p| earliest(dep, Some(p))).min().unwrap()
+                } else {
+                    earliest(dep, ctx.sigma(t))
+                };
+                est + lb.tail(t)
+            })
+            .fold(base, i64::max);
+        let resource = (0..ctx.machine.pipeline_count())
+            .map(|p| {
+                let k = ctx
+                    .block
+                    .ids()
+                    .filter(|&t| engine.issue_time(t).is_none())
+                    .filter(|&t| !(selection && ctx.allowed[t.index()].len() > 1))
+                    .filter(|&t| ctx.sigma(t).is_some_and(|q| q.index() == p))
+                    .count() as i64;
+                if k == 0 {
+                    base
+                } else {
+                    t_prev + 1 + i64::from(ctx.pipe_enqueue[p]) * (k - 1)
+                }
+            })
+            .fold(base, i64::max);
+        (
+            chain,
+            resource,
+            (chain.max(resource) - (n - 1)).max(0) as u32,
+        )
+    }
+
+    #[test]
+    fn frontier_matches_from_scratch_recomputation_on_random_walks() {
+        use crate::bounds::Frontier;
+        use pipesched_synth::{generate_block, GeneratorConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut blocks: Vec<_> = (0..10u64)
+            .map(|seed| generate_block(&GeneratorConfig::new(3 + 2 * seed as usize, 4, 3, seed)))
+            .collect();
+        let wide = generate_block(&GeneratorConfig::new(60, 40, 6, 7));
+        assert!(
+            wide.len() > 64,
+            "the wide block spans two bitset words: {}",
+            wide.len()
+        );
+        blocks.push(wide);
+
+        let mut rng = StdRng::seed_from_u64(0xf407_7e55);
+        let mut left_ready_by_undo = 0;
+        for block in &blocks {
+            let dag = DepDag::build(block);
+            for machine in presets::all_presets() {
+                let ctx = SchedContext::new(block, &dag, &machine);
+                let lb = LowerBound::new(&ctx);
+                for selection in [false, true] {
+                    let mut engine = TimingEngine::new(&ctx);
+                    let mut frontier = Frontier::new(&ctx, selection);
+                    let mut placed: Vec<TupleId> = Vec::new();
+                    for step in 0..4 * block.len() {
+                        let ready: Vec<TupleId> = frontier.ready().map(|(t, _)| t).collect();
+                        // Undo a third of the time (always once complete),
+                        // so walks climb back below tuples' last preds.
+                        if !placed.is_empty() && (ready.is_empty() || rng.gen_range(0..3) == 0) {
+                            let t = placed.pop().unwrap();
+                            frontier.uncommit(&ctx, t);
+                            engine.pop();
+                            if frontier.ready().count() <= ready.len() {
+                                left_ready_by_undo += 1;
+                            }
+                        } else {
+                            let t = ready[rng.gen_range(0..ready.len())];
+                            let units = &ctx.allowed[t.index()];
+                            let pipe = if selection && units.len() > 1 {
+                                Some(units[rng.gen_range(0..units.len())])
+                            } else {
+                                ctx.sigma(t)
+                            };
+                            engine.push(t, pipe);
+                            frontier.commit(&ctx, &engine, t);
+                            placed.push(t);
+                        }
+                        let tag = format!(
+                            "{} on {}, selection {selection}, step {step}",
+                            block.name, machine.name
+                        );
+                        let got: Vec<(TupleId, i64)> = frontier.ready().collect();
+                        assert_eq!(got, reference_ready(&ctx, &engine), "{tag}: ready set");
+                        assert_eq!(
+                            lb.bound(&ctx, &engine, &frontier),
+                            reference_bound(&ctx, &engine, &lb, selection),
+                            "{tag}: bound"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            left_ready_by_undo > 0,
+            "no undo unplaced a ready tuple's last predecessor"
+        );
+    }
+
+    #[test]
+    fn selection_symmetry_sees_carried_pipe_state() {
+        // Two identical adders, one still busy from the preceding block:
+        // they are not interchangeable, and only the idle one issues the
+        // add without a NOP.
+        let mut b = BlockBuilder::new("carried");
+        let c = b.constant(1);
+        let a = b.add(c, c);
+        b.store("r", a);
+        let block = b.finish().unwrap();
+        let dag = DepDag::build(&block);
+        let machine = presets::table2_example();
+        let ctx = ctx_for(&block, &dag, &machine);
+        let first = ctx.allowed[a.index()][0];
+        let mut boundary = BoundaryState::cold(machine.pipeline_count());
+        boundary.pipe_age[first.index()] = Some(1);
+        let cfg = SearchConfig {
+            pipeline_selection: true,
+            ..SearchConfig::default()
+        };
+        let out = search_with_boundary(&ctx, &cfg, &boundary);
+        assert!(out.optimal);
+        assert_ne!(out.assignment[a.index()], Some(first));
+        assert_eq!(out.nops, 3, "only the store's wait on the add remains");
     }
 
     #[test]

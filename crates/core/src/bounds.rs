@@ -7,9 +7,10 @@
 //! admissible terms computed against the current engine state:
 //!
 //! * **chain term** — every ready instruction ξ cannot issue before
-//!   `earliest_issue(ξ)`, and the final instruction of the block cannot
-//!   issue before `earliest_issue(ξ) + tail(ξ)`, where `tail(ξ)` is the
-//!   minimum issue-to-issue length of the longest dependence chain below ξ;
+//!   `est(ξ) = max(pipe_free(σ(ξ)), dep_ready(ξ))`, and the final
+//!   instruction of the block cannot issue before `est(ξ) + tail(ξ)`,
+//!   where `tail(ξ)` is the minimum issue-to-issue length of the longest
+//!   dependence chain below ξ;
 //! * **resource term** — the `k` unscheduled operations bound to pipeline
 //!   `p` need at least `enqueue(p)` cycles between consecutive issues.
 //!
@@ -17,10 +18,11 @@
 //! schedule, so the optimum is never pruned (verified by the proptest suite
 //! against exhaustive search).
 
-use pipesched_ir::TupleId;
+use pipesched_ir::{BitSet, TupleId};
+use pipesched_machine::PipelineId;
 
 use crate::context::SchedContext;
-use crate::timing::TimingEngine;
+use crate::timing::{BoundaryState, TimingEngine};
 
 /// Serializable choice of pruning bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,117 +78,174 @@ impl LowerBound {
         self.tail[t.index()]
     }
 
-    /// Lower bound on the total NOPs μ of any completion of the engine's
-    /// current partial schedule.
+    /// Lower bound on the total NOPs μ of any completion of `engine`'s
+    /// partial schedule, with its derivation: `(chain, resource, bound)`,
+    /// the chain- and resource-term maxima, both folded over the shared
+    /// base `t_prev + remaining`, so that
+    /// `bound = max(0, max(chain, resource) - (n - 1))`. The proof logger
+    /// records all three; the independent certificate checker re-derives
+    /// them from the analyze crate's timing oracle, term by term.
     ///
-    /// `ready` iterates the unscheduled instructions whose predecessors are
-    /// all placed; `remaining_per_pipe[p]` counts unscheduled instructions
-    /// bound to pipeline `p`.
-    pub fn bound(
+    /// `frontier` must describe the same partial schedule as `engine`. A
+    /// ready instruction is priced at `max(pipe_free(σ), dep_ready)`; under
+    /// pipeline selection, at its cheapest allowed unit, since the default
+    /// unit would overestimate and could prune the optimum.
+    pub(crate) fn bound(
         &self,
         ctx: &SchedContext<'_>,
         engine: &TimingEngine<'_, '_>,
-        ready: impl Iterator<Item = TupleId>,
-        remaining_per_pipe: &[u32],
-    ) -> u32 {
-        self.bound_with_selection(ctx, engine, ready, remaining_per_pipe, false)
-    }
-
-    /// [`LowerBound::bound`] with an explicit pipeline-selection flag: when
-    /// the search may choose among several units, a ready instruction's
-    /// earliest issue is the *minimum* over its allowed units — using the
-    /// default unit would overestimate and could prune the optimum.
-    pub fn bound_with_selection(
-        &self,
-        ctx: &SchedContext<'_>,
-        engine: &TimingEngine<'_, '_>,
-        ready: impl Iterator<Item = TupleId>,
-        remaining_per_pipe: &[u32],
-        selection: bool,
-    ) -> u32 {
+        frontier: &Frontier,
+    ) -> (i64, i64, u32) {
         let n = ctx.len() as i64;
         let placed = engine.placed() as i64;
         let remaining = n - placed;
-        if remaining == 0 {
-            return engine.total_nops();
-        }
         // t_prev reconstructed from μ(Φ) = t_prev - (placed - 1).
         let t_prev = i64::from(engine.total_nops()) + placed - 1;
-
+        if remaining == 0 {
+            // Degenerate (fully placed): bound = μ; record the base alone.
+            return (t_prev, t_prev, engine.total_nops());
+        }
         // Every remaining instruction takes at least one cycle.
-        let mut t_final = t_prev + remaining;
-
-        // Chain term over ready instructions.
-        for t in ready {
-            let est = if selection && ctx.allowed[t.index()].len() > 1 {
-                ctx.allowed[t.index()]
+        let base = t_prev + remaining;
+        let mut chain = base;
+        for (t, dep) in frontier.ready() {
+            let allowed = &ctx.allowed[t.index()];
+            let free = if frontier.selection && allowed.len() > 1 {
+                allowed
                     .iter()
-                    .map(|&p| engine.earliest_issue(t, Some(p)))
+                    .map(|&p| engine.pipe_free(Some(p)))
                     .min()
                     .expect("non-empty allowed set")
             } else {
-                engine.earliest_issue(t, ctx.sigma(t))
+                engine.pipe_free(ctx.sigma(t))
             };
-            t_final = t_final.max(est + self.tail(t));
+            chain = chain.max(free.max(dep) + self.tail(t));
         }
-
-        // Resource term per pipeline.
-        for (p, &k) in remaining_per_pipe.iter().enumerate() {
+        let mut resource = base;
+        for (p, &k) in frontier.remaining_per_pipe.iter().enumerate() {
             if k == 0 {
                 continue;
             }
             let enq = i64::from(ctx.pipe_enqueue[p]);
             // The first of the k issues happens no earlier than the cycle
             // after t_prev (and no earlier than the pipe's own reuse time,
-            // which earliest_issue already captures for ready nodes).
-            t_final = t_final.max(t_prev + 1 + enq * (i64::from(k) - 1));
-        }
-
-        (t_final - (n - 1)).max(0) as u32
-    }
-
-    /// The critical-path bound together with the concrete derivation the
-    /// proof logger records: `(chain, resource, bound)`, where `chain` is
-    /// the chain-term maximum and `resource` the resource-term maximum,
-    /// both folded over the shared base `t_prev + remaining` so that
-    /// `bound = max(0, max(chain, resource) - (n - 1))`.
-    ///
-    /// Mirrors [`LowerBound::bound`] exactly (pipeline selection off —
-    /// proof logging does not support selection); the independent
-    /// certificate checker re-derives the same three values from the
-    /// analyze crate's timing oracle and compares them term by term.
-    pub fn terms(
-        &self,
-        ctx: &SchedContext<'_>,
-        engine: &TimingEngine<'_, '_>,
-        ready: impl Iterator<Item = TupleId>,
-        remaining_per_pipe: &[u32],
-    ) -> (i64, i64, u32) {
-        let n = ctx.len() as i64;
-        let placed = engine.placed() as i64;
-        let remaining = n - placed;
-        let t_prev = i64::from(engine.total_nops()) + placed - 1;
-        if remaining == 0 {
-            // Degenerate (fully placed): bound = μ; record the base alone.
-            return (t_prev, t_prev, engine.total_nops());
-        }
-        let base = t_prev + remaining;
-        let mut chain = base;
-        for t in ready {
-            let est = engine.earliest_issue(t, ctx.sigma(t));
-            chain = chain.max(est + self.tail(t));
-        }
-        let mut resource = base;
-        for (p, &k) in remaining_per_pipe.iter().enumerate() {
-            if k == 0 {
-                continue;
-            }
-            let enq = i64::from(ctx.pipe_enqueue[p]);
+            // which the chain term already captures for ready nodes).
             resource = resource.max(t_prev + 1 + enq * (i64::from(k) - 1));
         }
         let bound = (chain.max(resource) - (n - 1)).max(0) as u32;
         (chain, resource, bound)
     }
+}
+
+/// The unscheduled side of a partial schedule, kept incrementally: the
+/// ready set as a bitset, each ready instruction's
+/// [`TimingEngine::dep_ready`] cycle, and the per-pipe counts the resource
+/// term reads. A [`Frontier::commit`]/[`Frontier::uncommit`] pair costs
+/// O(out-degree) plus one predecessor scan per instruction made ready.
+pub(crate) struct Frontier {
+    /// Unscheduled immediate predecessors per tuple.
+    pending_preds: Vec<u32>,
+    /// Unscheduled tuples whose predecessors are all placed.
+    ready: BitSet,
+    /// `dep[t]` for a ready `t`: its `dep_ready` cycle, taken when `t`
+    /// became ready and valid while it stays ready.
+    dep: Vec<i64>,
+    /// Unscheduled instructions per pipeline whose unit is fixed. Under
+    /// selection, ops with a choice of units are left out so no unit's
+    /// load is overstated (which would make the bound inadmissible).
+    remaining_per_pipe: Vec<u32>,
+    selection: bool,
+}
+
+impl Frontier {
+    /// The frontier of the empty schedule.
+    pub(crate) fn new(ctx: &SchedContext<'_>, selection: bool) -> Self {
+        let n = ctx.len();
+        let mut f = Frontier {
+            pending_preds: ctx.preds.iter().map(|p| p.len() as u32).collect(),
+            ready: BitSet::new(n),
+            dep: vec![0; n],
+            remaining_per_pipe: vec![0; ctx.machine.pipeline_count()],
+            selection,
+        };
+        for i in 0..n {
+            if f.pending_preds[i] == 0 {
+                f.ready.insert(i);
+            }
+            if let Some(p) = f.counted_pipe(ctx, TupleId(i as u32)) {
+                f.remaining_per_pipe[p.index()] += 1;
+            }
+        }
+        f
+    }
+
+    fn counted_pipe(&self, ctx: &SchedContext<'_>, t: TupleId) -> Option<PipelineId> {
+        if self.selection && ctx.allowed[t.index()].len() > 1 {
+            None
+        } else {
+            ctx.sigma(t)
+        }
+    }
+
+    /// True when every predecessor of `t` is placed.
+    pub(crate) fn is_ready(&self, t: TupleId) -> bool {
+        self.pending_preds[t.index()] == 0
+    }
+
+    /// The ready instructions with their cached dependence-ready cycles.
+    pub(crate) fn ready(&self) -> impl Iterator<Item = (TupleId, i64)> + '_ {
+        self.ready.iter().map(|i| (TupleId(i as u32), self.dep[i]))
+    }
+
+    /// Account for `xi`, which `engine` has just pushed.
+    pub(crate) fn commit(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        engine: &TimingEngine<'_, '_>,
+        xi: TupleId,
+    ) {
+        self.ready.remove(xi.index());
+        if let Some(p) = self.counted_pipe(ctx, xi) {
+            self.remaining_per_pipe[p.index()] -= 1;
+        }
+        for e in ctx.dag.succs(xi) {
+            let s = e.to.index();
+            self.pending_preds[s] -= 1;
+            if self.pending_preds[s] == 0 {
+                self.ready.insert(s);
+                self.dep[s] = engine.dep_ready(e.to);
+            }
+        }
+    }
+
+    /// Undo [`Frontier::commit`] of `xi`.
+    pub(crate) fn uncommit(&mut self, ctx: &SchedContext<'_>, xi: TupleId) {
+        for e in ctx.dag.succs(xi) {
+            let s = e.to.index();
+            if self.pending_preds[s] == 0 {
+                self.ready.remove(s);
+            }
+            self.pending_preds[s] += 1;
+        }
+        if let Some(p) = self.counted_pipe(ctx, xi) {
+            self.remaining_per_pipe[p.index()] += 1;
+        }
+        self.ready.insert(xi.index());
+    }
+}
+
+/// Admissible lower bound on μ over every legal schedule of the block from
+/// `boundary`, with ready instructions priced at their cheapest unit when
+/// `selection` is on (see [`crate::seed::seed_incumbent`]).
+pub(crate) fn root_lower_bound(
+    ctx: &SchedContext<'_>,
+    boundary: &BoundaryState,
+    selection: bool,
+) -> u32 {
+    let engine = TimingEngine::with_boundary(ctx, boundary);
+    LowerBound::new(ctx)
+        .bound(ctx, &engine, &Frontier::new(ctx, selection))
+        .2
 }
 
 /// Admissible lower bound on μ for the whole block, scheduled from a cold
@@ -195,22 +254,11 @@ impl LowerBound {
 /// other means (a cache hit, a heuristic tier) can compare against it to
 /// prove optimality without running the branch-and-bound at all.
 pub fn global_lower_bound(ctx: &SchedContext<'_>) -> u32 {
-    let n = ctx.len();
-    if n == 0 {
-        return 0;
-    }
-    let lb = LowerBound::new(ctx);
-    let engine = TimingEngine::new(ctx);
-    let ready = (0..n as u32)
-        .map(TupleId)
-        .filter(|t| ctx.preds[t.index()].is_empty());
-    let mut counts = vec![0u32; ctx.machine.pipeline_count()];
-    for i in 0..n {
-        if let Some(p) = ctx.sigma[i] {
-            counts[p.index()] += 1;
-        }
-    }
-    lb.bound(ctx, &engine, ready, &counts)
+    root_lower_bound(
+        ctx,
+        &BoundaryState::cold(ctx.machine.pipeline_count()),
+        false,
+    )
 }
 
 #[cfg(test)]
@@ -253,9 +301,7 @@ mod tests {
         let ctx = SchedContext::new(&block, &dag, &machine);
         let lb = LowerBound::new(&ctx);
         let engine = TimingEngine::new(&ctx);
-        let remaining = vec![2u32, 0, 1];
-        let ready = [TupleId(0), TupleId(1)];
-        let bound = lb.bound(&ctx, &engine, ready.iter().copied(), &remaining);
+        let (_, _, bound) = lb.bound(&ctx, &engine, &Frontier::new(&ctx, false));
 
         // Optimal schedule: x@0, y@1, mul@3 (waits y latency), store@7.
         // μ = 7 - 3 = 4.
@@ -276,57 +322,13 @@ mod tests {
         let ctx = SchedContext::new(&block, &dag, &machine);
         let lb = LowerBound::new(&ctx);
         let mut engine = TimingEngine::new(&ctx);
-        engine.push_default(TupleId(0));
-        engine.push_default(TupleId(1));
-        let bound = lb.bound(&ctx, &engine, std::iter::empty(), &[0, 0, 0]);
+        let mut frontier = Frontier::new(&ctx, false);
+        for t in block.ids() {
+            engine.push_default(t);
+            frontier.commit(&ctx, &engine, t);
+        }
+        assert_eq!(frontier.ready().count(), 0);
+        let (_, _, bound) = lb.bound(&ctx, &engine, &frontier);
         assert_eq!(bound, engine.total_nops());
-    }
-
-    #[test]
-    fn terms_agree_with_bound() {
-        let mut b = BlockBuilder::new("terms");
-        let x = b.load("x");
-        let y = b.load("y");
-        let m = b.mul(x, y);
-        let a = b.add(m, x);
-        b.store("z", a);
-        let block = b.finish().unwrap();
-        let dag = DepDag::build(&block);
-        let machine = presets::paper_simulation();
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let lb = LowerBound::new(&ctx);
-        let mut engine = TimingEngine::new(&ctx);
-        let mut remaining = vec![0u32; machine.pipeline_count()];
-        for i in 0..ctx.len() {
-            if let Some(p) = ctx.sigma[i] {
-                remaining[p.index()] += 1;
-            }
-        }
-        // Compare on every prefix of program order (it is a legal order).
-        for placed in 0..=ctx.len() {
-            let ready: Vec<TupleId> = (0..ctx.len() as u32)
-                .map(TupleId)
-                .filter(|t| engine.issue_time(*t).is_none())
-                .filter(|t| {
-                    ctx.preds[t.index()]
-                        .iter()
-                        .all(|p| engine.issue_time(TupleId(p.from)).is_some())
-                })
-                .collect();
-            let plain = lb.bound(&ctx, &engine, ready.iter().copied(), &remaining);
-            let (chain, resource, bound) = lb.terms(&ctx, &engine, ready.into_iter(), &remaining);
-            assert_eq!(bound, plain, "terms bound diverges at prefix {placed}");
-            let n = ctx.len() as i64;
-            if placed < ctx.len() {
-                assert_eq!(bound, (chain.max(resource) - (n - 1)).max(0) as u32);
-            }
-            if placed < ctx.len() {
-                let t = TupleId(placed as u32);
-                engine.push_default(t);
-                if let Some(p) = ctx.sigma(t) {
-                    remaining[p.index()] -= 1;
-                }
-            }
-        }
     }
 }

@@ -82,7 +82,7 @@ use crate::bnb::{
     run_subtree, structural_classes, EquivalenceMode, SearchConfig, SearchOutcome, SearchPolicy,
     SearchStats,
 };
-use crate::bounds::{BoundKind, LowerBound};
+use crate::bounds::{BoundKind, Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent};
 use crate::seed::{seed_incumbent, SearchSeed};
@@ -646,12 +646,13 @@ impl ParallelProof {
 
 /// Root-level placement economics for one candidate: `(μ, bound, chain,
 /// resource)` exactly as the serial kernel's `place_and_recurse` would
-/// record them in a `BoundPrune`.
+/// record them in a `BoundPrune`. `frontier` is the empty schedule's, and
+/// is left that way.
 fn root_bound(
     ctx: &SchedContext<'_>,
     boundary: &BoundaryState,
     lower: Option<&LowerBound>,
-    base_remaining: &[u32],
+    frontier: &mut Frontier,
     xi: TupleId,
 ) -> (u32, u32, Option<i64>, Option<i64>) {
     let mut engine = TimingEngine::with_boundary(ctx, boundary);
@@ -660,19 +661,9 @@ fn root_bound(
     let Some(lb) = lower else {
         return (mu, mu, None, None);
     };
-    let mut remaining = base_remaining.to_vec();
-    if let Some(p) = ctx.sigma(xi) {
-        remaining[p.index()] -= 1;
-    }
-    let ready = (0..ctx.len()).filter_map(|i| {
-        let t = TupleId(i as u32);
-        if t == xi {
-            return None;
-        }
-        let pending = ctx.preds[i].len() - ctx.dag.preds(t).iter().filter(|e| e.from == xi).count();
-        (pending == 0).then_some(t)
-    });
-    let (chain, resource, bound) = lb.terms(ctx, &engine, ready, &remaining);
+    frontier.commit(ctx, &engine, xi);
+    let (chain, resource, bound) = lb.bound(ctx, &engine, frontier);
+    frontier.uncommit(ctx, xi);
     (mu, bound, Some(chain), Some(resource))
 }
 
@@ -830,12 +821,7 @@ pub fn parallel_prove(
     let equiv_class =
         (cfg.equivalence == EquivalenceMode::Structural).then(|| structural_classes(ctx));
     let lower = (cfg.bound == BoundKind::CriticalPath).then(|| LowerBound::new(ctx));
-    let mut base_remaining = vec![0u32; ctx.machine.pipeline_count()];
-    for i in 0..n {
-        if let Some(p) = ctx.sigma[i] {
-            base_remaining[p.index()] += 1;
-        }
-    }
+    let mut frontier = Frontier::new(ctx, false);
     let global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
 
     // Root dispositions in merge order: best subtree first, then the other
@@ -902,7 +888,7 @@ pub fn parallel_prove(
         // Step [6] against the replay incumbent, which is μ* from the
         // second part on (the best subtree's Improve precedes these).
         let (mu, bound, chain, resource) =
-            root_bound(ctx, &boundary, lower.as_ref(), &base_remaining, xi);
+            root_bound(ctx, &boundary, lower.as_ref(), &mut frontier, xi);
         if bound < mu_star {
             let mut order = initial_order.clone();
             order.swap(0, j);

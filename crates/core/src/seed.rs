@@ -13,10 +13,9 @@
 use pipesched_ir::TupleId;
 
 use crate::bnb::InitialHeuristic;
-use crate::bounds::LowerBound;
 use crate::context::SchedContext;
 use crate::list_sched::list_schedule;
-use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
+use crate::timing::{evaluate_schedule_from, BoundaryState};
 
 /// The common starting state of an exact search: the heuristic incumbent
 /// and the admissible lower bound it is measured against.
@@ -55,7 +54,6 @@ pub fn seed_incumbent(
     boundary: &BoundaryState,
     pipeline_selection: bool,
 ) -> SearchSeed {
-    let n = ctx.len();
     let order = match initial {
         InitialHeuristic::MaxDistance => list_schedule(ctx.dag, &ctx.analysis),
         InitialHeuristic::SourceOrder => ctx.block.ids().collect(),
@@ -63,23 +61,7 @@ pub fn seed_incumbent(
     };
     let (etas, nops) = evaluate_schedule_from(ctx, boundary, &order);
 
-    let global_lb = {
-        let lb = LowerBound::new(ctx);
-        let engine = TimingEngine::with_boundary(ctx, boundary);
-        let ready = (0..n as u32)
-            .map(TupleId)
-            .filter(|t| ctx.preds[t.index()].is_empty());
-        let mut counts = vec![0u32; ctx.machine.pipeline_count()];
-        for i in 0..n {
-            if pipeline_selection && ctx.allowed[i].len() > 1 {
-                continue;
-            }
-            if let Some(p) = ctx.sigma[i] {
-                counts[p.index()] += 1;
-            }
-        }
-        lb.bound_with_selection(ctx, &engine, ready, &counts, pipeline_selection)
-    };
+    let global_lb = crate::bounds::root_lower_bound(ctx, boundary, pipeline_selection);
 
     SearchSeed {
         order,

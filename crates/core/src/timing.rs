@@ -151,16 +151,32 @@ impl<'c, 'a> TimingEngine<'c, 'a> {
         self.assignment[t.index()]
     }
 
-    /// Earliest cycle `t` could issue *if pushed now* on `pipe`, without
-    /// mutating anything. All of `t`'s predecessors must already be placed.
-    pub fn earliest_issue(&self, t: TupleId, pipe: Option<PipelineId>) -> i64 {
-        let mut earliest = self.t_prev + 1;
+    /// The last cycle an operation was enqueued in `p`, counting the state
+    /// carried in from a preceding block (`None` ⇒ `p` was never used).
+    pub fn last_issue(&self, p: PipelineId) -> Option<i64> {
+        let v = self.last_in_pipe[p.index()];
+        (v != NO_ISSUE).then_some(v)
+    }
+
+    /// Earliest cycle an instruction pushed now on `pipe` could issue as
+    /// far as issue order and the pipe's enqueue time allow.
+    pub fn pipe_free(&self, pipe: Option<PipelineId>) -> i64 {
+        let mut free = self.t_prev + 1;
         if let Some(p) = pipe {
             let last = self.last_in_pipe[p.index()];
             if last != NO_ISSUE {
-                earliest = earliest.max(last + i64::from(self.ctx.enqueue(p)));
+                free = free.max(last + i64::from(self.ctx.enqueue(p)));
             }
         }
+        free
+    }
+
+    /// Earliest cycle `t`'s dependences allow it to issue (0 without
+    /// predecessors). All of `t`'s predecessors must already be placed; the
+    /// value then stays fixed until one of them is popped. `t` issues at
+    /// `max(pipe_free(pipe), dep_ready(t))`.
+    pub fn dep_ready(&self, t: TupleId) -> i64 {
+        let mut ready = 0;
         for dep in &self.ctx.preds[t.index()] {
             let pt = self.issue[dep.from as usize];
             debug_assert!(pt != NO_ISSUE, "predecessor must be placed");
@@ -172,16 +188,16 @@ impl<'c, 'a> TimingEngine<'c, 'a> {
             } else {
                 1
             };
-            earliest = earliest.max(pt + delay);
+            ready = ready.max(pt + delay);
         }
-        earliest
+        ready
     }
 
     /// Place `t` next in the schedule on pipeline `pipe` (normally
     /// `ctx.sigma(t)`; the selection extension passes explicit choices).
     /// Returns η(t), the NOPs inserted immediately before it.
     pub fn push(&mut self, t: TupleId, pipe: Option<PipelineId>) -> u32 {
-        let earliest = self.earliest_issue(t, pipe);
+        let earliest = self.pipe_free(pipe).max(self.dep_ready(t));
         let eta = (earliest - (self.t_prev + 1)) as u32;
 
         let (pipe_idx, prev_last) = match pipe {

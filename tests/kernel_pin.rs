@@ -5,15 +5,19 @@
 //! these tests hold their observable outputs — schedule, statistics, and
 //! certificate digest — fixed to the values the pre-refactor copies
 //! produced on the checked-in example corpus, so any behavioural drift in
-//! the kernel shows up as a failed pin, not a silent change.
+//! the kernel shows up as a failed pin, not a silent change. Two more
+//! tables hold the pipeline-selection and `SearchConfig::paper_exact()`
+//! (α-β bound, no lower-bound termination) paths to the values they had
+//! before the kernel's ready set became incremental.
 //!
-//! Regenerate the table by running with `PIPESCHED_PIN_PRINT=1` and
+//! Regenerate the tables by running with `PIPESCHED_PIN_PRINT=1` and
 //! `--nocapture` — but only after convincing yourself the change in
 //! behaviour is intended.
 
 use pipesched::core::proof::ProofLogger;
 use pipesched::core::{
-    search, search_with_profile, search_with_proof, SchedContext, SearchConfig, SearchProfile,
+    search, search_with_profile, search_with_proof, SchedContext, SearchConfig, SearchOutcome,
+    SearchProfile,
 };
 use pipesched::frontend::{lower, parse_labeled_program};
 use pipesched::ir::{BasicBlock, DepDag};
@@ -240,4 +244,362 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
             "{tag}: profile node total"
         );
     }
+}
+
+/// One pinned row under a non-default `SearchConfig`. Selection runs yield
+/// no certificate, so the schedule itself (order and unit assignment) is
+/// pinned through `schedule`, an FNV-1a hash; `digest` is the certificate
+/// digest wherever proof logging supports the configuration.
+#[derive(Debug, PartialEq)]
+struct ConfigPin {
+    block: &'static str,
+    machine: &'static str,
+    initial_nops: u32,
+    nops: u32,
+    optimal: bool,
+    nodes_visited: u64,
+    omega_calls: u64,
+    pruned_bound: u64,
+    pruned_symmetry: u64,
+    schedule: u64,
+    digest: Option<u64>,
+}
+
+/// `pipeline_selection: true` over the default configuration.
+const SELECTION_PINS: &[ConfigPin] = &[
+    ConfigPin {
+        block: "dotproduct",
+        machine: "paper-simulation",
+        initial_nops: 8,
+        nops: 8,
+        optimal: true,
+        nodes_visited: 502,
+        omega_calls: 1105,
+        pruned_bound: 604,
+        pruned_symmetry: 0,
+        schedule: 0xac0d852a7f7a57c7,
+        digest: None,
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "paper-table2",
+        initial_nops: 12,
+        nops: 10,
+        optimal: true,
+        nodes_visited: 3083,
+        omega_calls: 7317,
+        pruned_bound: 4235,
+        pruned_symmetry: 1544,
+        schedule: 0xfda7789d329644ab,
+        digest: None,
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "deep-pipeline",
+        initial_nops: 20,
+        nops: 20,
+        optimal: true,
+        nodes_visited: 270,
+        omega_calls: 629,
+        pruned_bound: 360,
+        pruned_symmetry: 0,
+        schedule: 0xac0d852a7f7a57c7,
+        digest: None,
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "functional-units",
+        initial_nops: 21,
+        nops: 18,
+        optimal: true,
+        nodes_visited: 793,
+        omega_calls: 1449,
+        pruned_bound: 657,
+        pruned_symmetry: 0,
+        schedule: 0xdc1a83f286aa74e7,
+        digest: None,
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "section2-example",
+        initial_nops: 5,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 566,
+        omega_calls: 1029,
+        pruned_bound: 464,
+        pruned_symmetry: 0,
+        schedule: 0x6e022703b34580c9,
+        digest: None,
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "unpipelined",
+        initial_nops: 0,
+        nops: 0,
+        optimal: true,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
+        pruned_symmetry: 0,
+        schedule: 0x0ba616064d0d199c,
+        digest: None,
+    },
+    ConfigPin {
+        block: "stages:entry",
+        machine: "paper-simulation",
+        initial_nops: 4,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 1,
+        omega_calls: 2,
+        pruned_bound: 2,
+        pruned_symmetry: 0,
+        schedule: 0x5ea20ab41f037a43,
+        digest: None,
+    },
+    ConfigPin {
+        block: "stages:square",
+        machine: "paper-simulation",
+        initial_nops: 4,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
+        pruned_symmetry: 0,
+        schedule: 0xac460c59669ef5d0,
+        digest: None,
+    },
+    ConfigPin {
+        block: "stages:finish",
+        machine: "paper-simulation",
+        initial_nops: 3,
+        nops: 3,
+        optimal: true,
+        nodes_visited: 1,
+        omega_calls: 2,
+        pruned_bound: 2,
+        pruned_symmetry: 0,
+        schedule: 0xf1b4053ff9225be0,
+        digest: None,
+    },
+];
+
+/// `SearchConfig::paper_exact()`: α-β bound, no lower-bound termination.
+const PAPER_EXACT_PINS: &[ConfigPin] = &[
+    ConfigPin {
+        block: "dotproduct",
+        machine: "paper-simulation",
+        initial_nops: 8,
+        nops: 8,
+        optimal: false,
+        nodes_visited: 33052,
+        omega_calls: 50000,
+        pruned_bound: 16948,
+        pruned_symmetry: 0,
+        schedule: 0xac0d852a7f7a57c7,
+        digest: Some(0x7c817389faad8140),
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "paper-table2",
+        initial_nops: 12,
+        nops: 12,
+        optimal: false,
+        nodes_visited: 33755,
+        omega_calls: 50000,
+        pruned_bound: 16245,
+        pruned_symmetry: 0,
+        schedule: 0x0239a4b55fc12c4a,
+        digest: Some(0x80869b03de06fa88),
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "deep-pipeline",
+        initial_nops: 20,
+        nops: 20,
+        optimal: false,
+        nodes_visited: 33603,
+        omega_calls: 50000,
+        pruned_bound: 16397,
+        pruned_symmetry: 0,
+        schedule: 0xac0d852a7f7a57c7,
+        digest: Some(0x9448fe1c8e389a56),
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "functional-units",
+        initial_nops: 21,
+        nops: 18,
+        optimal: false,
+        nodes_visited: 33694,
+        omega_calls: 50000,
+        pruned_bound: 16306,
+        pruned_symmetry: 0,
+        schedule: 0xdc1a83f286aa74e7,
+        digest: Some(0xb529e2353b0cbc77),
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "section2-example",
+        initial_nops: 5,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 582,
+        omega_calls: 1045,
+        pruned_bound: 464,
+        pruned_symmetry: 0,
+        schedule: 0x6e022703b34580c9,
+        digest: Some(0x36f0554e93851f3b),
+    },
+    ConfigPin {
+        block: "dotproduct",
+        machine: "unpipelined",
+        initial_nops: 0,
+        nops: 0,
+        optimal: true,
+        nodes_visited: 1,
+        omega_calls: 4,
+        pruned_bound: 4,
+        pruned_symmetry: 0,
+        schedule: 0x0ba616064d0d199c,
+        digest: Some(0x9ed57e152053dc84),
+    },
+    ConfigPin {
+        block: "stages:entry",
+        machine: "paper-simulation",
+        initial_nops: 4,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 7,
+        omega_calls: 8,
+        pruned_bound: 2,
+        pruned_symmetry: 0,
+        schedule: 0x5ea20ab41f037a43,
+        digest: Some(0xf0b4bac7b82c5992),
+    },
+    ConfigPin {
+        block: "stages:square",
+        machine: "paper-simulation",
+        initial_nops: 4,
+        nops: 4,
+        optimal: true,
+        nodes_visited: 3,
+        omega_calls: 3,
+        pruned_bound: 1,
+        pruned_symmetry: 0,
+        schedule: 0xac460c59669ef5d0,
+        digest: Some(0x3425548a9db3c558),
+    },
+    ConfigPin {
+        block: "stages:finish",
+        machine: "paper-simulation",
+        initial_nops: 3,
+        nops: 3,
+        optimal: true,
+        nodes_visited: 7,
+        omega_calls: 8,
+        pruned_bound: 2,
+        pruned_symmetry: 0,
+        schedule: 0xf1b4053ff9225be0,
+        digest: Some(0xb3c3835e6dca7428),
+    },
+];
+
+/// FNV-1a over the best order and the unit each tuple was assigned.
+fn schedule_hash(out: &SearchOutcome) -> u64 {
+    let words = out
+        .order
+        .iter()
+        .map(|t| t.0)
+        .chain(out.assignment.iter().map(|p| p.map_or(u32::MAX, |p| p.0)));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+fn check_config_pins(name: &str, pins: &[ConfigPin], cfg: SearchConfig) {
+    let blocks = corpus();
+    let print = std::env::var_os("PIPESCHED_PIN_PRINT").is_some();
+    for pin in pins {
+        let block = find_block(&blocks, pin.block);
+        let machine = load_machine(pin.machine);
+        let dag = DepDag::build(&block);
+        let ctx = SchedContext::new(&block, &dag, &machine);
+        let tag = format!("{name}: {} on {}", pin.block, pin.machine);
+
+        let plain = search(&ctx, &cfg);
+        let mut profile = SearchProfile::new();
+        let profiled = search_with_profile(&ctx, &cfg, &mut profile);
+        assert_eq!(profiled.order, plain.order, "{tag}: profile order");
+        assert_eq!(
+            profiled.assignment, plain.assignment,
+            "{tag}: profile units"
+        );
+        assert_eq!(profiled.stats, plain.stats, "{tag}: profile stats");
+        assert_eq!(
+            profile.total_nodes(),
+            plain.stats.nodes_visited,
+            "{tag}: profile nodes"
+        );
+        let digest = (!cfg.pipeline_selection).then(|| {
+            let (proved, proof) = search_with_proof(&ctx, &cfg, ProofLogger::in_memory());
+            assert_eq!(proved.order, plain.order, "{tag}: proof order");
+            assert_eq!(proved.stats, plain.stats, "{tag}: proof stats");
+            proof.digest
+        });
+
+        let got = ConfigPin {
+            block: pin.block,
+            machine: pin.machine,
+            initial_nops: plain.initial_nops,
+            nops: plain.nops,
+            optimal: plain.optimal,
+            nodes_visited: plain.stats.nodes_visited,
+            omega_calls: plain.stats.omega_calls,
+            pruned_bound: plain.stats.pruned_bound,
+            pruned_symmetry: plain.stats.pruned_symmetry,
+            schedule: schedule_hash(&plain),
+            digest,
+        };
+        if print {
+            let digest = got
+                .digest
+                .map_or("None".into(), |d| format!("Some({d:#018x})"));
+            println!(
+                "ConfigPin {{ block: {:?}, machine: {:?}, initial_nops: {}, nops: {}, \
+                 optimal: {}, nodes_visited: {}, omega_calls: {}, pruned_bound: {}, \
+                 pruned_symmetry: {}, schedule: {:#018x}, digest: {digest} }},",
+                got.block,
+                got.machine,
+                got.initial_nops,
+                got.nops,
+                got.optimal,
+                got.nodes_visited,
+                got.omega_calls,
+                got.pruned_bound,
+                got.pruned_symmetry,
+                got.schedule,
+            );
+            continue;
+        }
+        assert_eq!(&got, pin, "{tag}");
+    }
+}
+
+#[test]
+fn pipeline_selection_matches_pinned_outputs() {
+    let cfg = SearchConfig {
+        pipeline_selection: true,
+        ..SearchConfig::default()
+    };
+    check_config_pins("selection", SELECTION_PINS, cfg);
+}
+
+#[test]
+fn paper_exact_matches_pinned_outputs() {
+    check_config_pins("paper-exact", PAPER_EXACT_PINS, SearchConfig::paper_exact());
 }
