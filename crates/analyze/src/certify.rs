@@ -26,7 +26,7 @@
 //! footnote 3): result delays and conflicts follow the assigned unit, not
 //! the default one.
 
-use pipesched_core::ScheduledBlock;
+use pipesched_core::SearchOutcome;
 use pipesched_ir::{BasicBlock, Op, TupleId};
 use pipesched_machine::{Machine, PipelineId};
 
@@ -68,11 +68,11 @@ impl Certification {
     }
 }
 
-/// Certify a [`ScheduledBlock`] produced by any scheduler in the workspace.
+/// Certify a [`SearchOutcome`] produced by any search in the workspace.
 pub fn certify_scheduled(
     block: &BasicBlock,
     machine: &Machine,
-    scheduled: &ScheduledBlock,
+    scheduled: &SearchOutcome,
 ) -> Certification {
     certify(
         block,

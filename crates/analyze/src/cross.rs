@@ -16,15 +16,13 @@
 //! debug-build spot check, not a production path.
 
 use pipesched_core::{
-    list_schedule, parallel::parallel_search, search, windowed_schedule, ParallelConfig,
-    SchedContext, SearchConfig,
+    list_schedule, run, windowed_schedule, ParallelConfig, Run, SchedContext, SearchConfig,
 };
 use pipesched_ir::{BasicBlock, BlockAnalysis, DepDag};
 use pipesched_machine::Machine;
 
 use crate::certify::{certify, certify_scheduled, Claim};
 use crate::diag::{DiagCode, Diagnostic, Report};
-use pipesched_core::ScheduledBlock;
 
 /// Run every scheduler on `block`, certify each result, and cross-check
 /// their μ values. `lambda` is the curtail point for both searches.
@@ -37,10 +35,19 @@ pub fn cross_check(block: &BasicBlock, machine: &Machine, lambda: u64) -> Report
     let analysis = BlockAnalysis::compute(&dag);
     let ctx = SchedContext::new(block, &dag, machine);
 
-    // Sequential branch-and-bound.
+    // Branch-and-bound: the serial kernel, and the pool with a couple of
+    // workers.
     let cfg = SearchConfig::with_lambda(lambda);
-    let bnb = search(&ctx, &cfg);
-    let bnb_cert = certify_scheduled(block, machine, &to_scheduled(&bnb));
+    let [bnb, par] = [None, Some(ParallelConfig::with_threads(2))].map(|parallel| {
+        let searched = Run {
+            parallel,
+            ..Run::default()
+        };
+        run(&ctx, &cfg, searched)
+            .expect("a search without proof or profile has nothing to reject")
+            .0
+    });
+    let bnb_cert = certify_scheduled(block, machine, &bnb);
     report.merge(tagged(bnb_cert.report, "bnb"));
 
     // Machine-independent list schedule: a bare order whose μ we derive.
@@ -69,13 +76,7 @@ pub fn cross_check(block: &BasicBlock, machine: &Machine, lambda: u64) -> Report
     );
     report.merge(tagged(win_cert.report, "windowed"));
 
-    // Parallel branch-and-bound with a couple of workers.
-    let par = parallel_search(
-        &ctx,
-        &SearchConfig::with_lambda(lambda),
-        &ParallelConfig::with_threads(2),
-    );
-    let par_cert = certify_scheduled(block, machine, &to_scheduled(&par));
+    let par_cert = certify_scheduled(block, machine, &par);
     report.merge(tagged(par_cert.report, "parallel"));
 
     if report.has_errors() {
@@ -120,20 +121,6 @@ pub fn cross_check(block: &BasicBlock, machine: &Machine, lambda: u64) -> Report
         ));
     }
     report
-}
-
-/// Wrap a `SearchOutcome` as the `ScheduledBlock` the certifier takes.
-fn to_scheduled(outcome: &pipesched_core::SearchOutcome) -> ScheduledBlock {
-    ScheduledBlock {
-        order: outcome.order.clone(),
-        assignment: outcome.assignment.clone(),
-        etas: outcome.etas.clone(),
-        nops: outcome.nops,
-        initial_order: outcome.initial_order.clone(),
-        initial_nops: outcome.initial_nops,
-        optimal: outcome.optimal,
-        stats: outcome.stats,
-    }
 }
 
 /// Prefix every diagnostic message with the scheduler it concerns.

@@ -50,7 +50,7 @@ pub use ir_checks::check_block;
 pub use machine_checks::check_machine;
 pub use opt_validate::{optimize_verified, validate_transcript, verify_opt_forced, OptRejection};
 
-use pipesched_core::ScheduledBlock;
+use pipesched_core::SearchOutcome;
 use pipesched_ir::BasicBlock;
 use pipesched_machine::Machine;
 
@@ -67,7 +67,7 @@ pub fn lint(block: &BasicBlock, machine: &Machine) -> Report {
 /// This is the `debug_assertions` hook the CLI and the bench harness call
 /// on every schedule they produce; release builds compile it away.
 #[inline]
-pub fn debug_assert_certified(block: &BasicBlock, machine: &Machine, scheduled: &ScheduledBlock) {
+pub fn debug_assert_certified(block: &BasicBlock, machine: &Machine, scheduled: &SearchOutcome) {
     if cfg!(debug_assertions) {
         let cert = certify::certify_scheduled(block, machine, scheduled);
         assert!(
@@ -79,7 +79,7 @@ pub fn debug_assert_certified(block: &BasicBlock, machine: &Machine, scheduled: 
 }
 
 /// [`debug_assert_certified`] for callers that hold a raw [`Claim`] rather
-/// than a [`ScheduledBlock`] — the scheduling service certifies every
+/// than a [`SearchOutcome`] — the scheduling service certifies every
 /// response (including cache hits replayed onto a renamed block) through
 /// this hook.
 #[inline]

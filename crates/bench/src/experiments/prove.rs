@@ -13,8 +13,7 @@
 
 use std::time::Instant;
 
-use pipesched_core::proof::ProofLogger;
-use pipesched_core::{search, search_with_proof, SchedContext, SearchConfig};
+use pipesched_core::{prove, search, SchedContext, SearchConfig};
 use pipesched_ir::DepDag;
 use pipesched_machine::presets;
 use pipesched_proof::{check_certificate, ProofVerdict};
@@ -42,7 +41,7 @@ pub struct ProveReport {
     /// Plain [`search`] wall-clock, second pass (the disabled-logging
     /// re-measurement), microseconds.
     pub plain_again_micros: u64,
-    /// [`search_with_proof`] (in-memory logger) wall-clock, microseconds.
+    /// [`prove`] (in-memory logger) wall-clock, microseconds.
     pub logged_micros: u64,
     /// Checker replay wall-clock, microseconds.
     pub check_micros: u64,
@@ -115,7 +114,7 @@ pub fn run(runs: usize, lambda: u64) -> ProveReport {
     // timing passes below).
     for (k, ctx) in ctxs.iter().enumerate() {
         let plain = search(ctx, &cfg);
-        let (logged, proof) = search_with_proof(ctx, &cfg, ProofLogger::in_memory());
+        let (logged, cert) = prove(ctx, &cfg);
         assert_eq!(
             plain.nops, logged.nops,
             "logging changed the search result on corpus block {k}"
@@ -124,10 +123,7 @@ pub fn run(runs: usize, lambda: u64) -> ProveReport {
             report.truncated += 1;
             continue;
         }
-        let cert = proof
-            .certificate
-            .expect("in-memory proof logger always yields a certificate");
-        report.events += proof.events;
+        report.events += cert.events.len() as u64;
 
         let t = Instant::now();
         let check = check_certificate(&blocks[k], &machine, &cert);
@@ -159,7 +155,7 @@ pub fn run(runs: usize, lambda: u64) -> ProveReport {
         p2 = p2.min(t.elapsed().as_micros() as u64);
         let t = Instant::now();
         for ctx in &ctxs {
-            let _ = search_with_proof(ctx, &cfg, ProofLogger::in_memory());
+            let _ = prove(ctx, &cfg);
         }
         lg = lg.min(t.elapsed().as_micros() as u64);
     }

@@ -18,12 +18,12 @@
 //! assert!(scheduled.nops <= scheduled.initial_nops);
 //! ```
 
-use pipesched_ir::{BasicBlock, DepDag, TupleId};
-use pipesched_machine::{Machine, PipelineId};
+use pipesched_ir::{BasicBlock, DepDag};
+use pipesched_machine::Machine;
 
-use crate::bnb::{search, SearchConfig, SearchStats};
+use crate::bnb::{run, Run, SearchConfig, SearchOutcome};
 use crate::context::SchedContext;
-use crate::parallel::{parallel_search, ParallelConfig};
+use crate::parallel::ParallelConfig;
 
 /// Which exact scheduling backend answers a request.
 ///
@@ -80,7 +80,7 @@ impl std::fmt::Display for Backend {
 pub struct Scheduler {
     machine: Machine,
     config: SearchConfig,
-    parallel_threads: Option<usize>,
+    parallel: Option<ParallelConfig>,
 }
 
 impl Scheduler {
@@ -89,7 +89,7 @@ impl Scheduler {
         Scheduler {
             machine,
             config: SearchConfig::default(),
-            parallel_threads: None,
+            parallel: None,
         }
     }
 
@@ -115,7 +115,7 @@ impl Scheduler {
     /// workers (0 ⇒ one per CPU). The full search configuration — λ,
     /// deadline, bound and equivalence ablations — applies unchanged.
     pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel_threads = Some(threads);
+        self.parallel = Some(ParallelConfig::with_threads(threads));
         self
     }
 
@@ -130,13 +130,13 @@ impl Scheduler {
     }
 
     /// Schedule one basic block.
-    pub fn schedule(&self, block: &BasicBlock) -> ScheduledBlock {
+    pub fn schedule(&self, block: &BasicBlock) -> SearchOutcome {
         let dag = DepDag::build(block);
         self.schedule_with_dag(block, &dag)
     }
 
     /// Schedule a block whose DAG the caller already built.
-    pub fn schedule_with_dag(&self, block: &BasicBlock, dag: &DepDag) -> ScheduledBlock {
+    pub fn schedule_with_dag(&self, block: &BasicBlock, dag: &DepDag) -> SearchOutcome {
         let ctx = SchedContext::new(block, dag, &self.machine);
         self.schedule_context(&ctx)
     }
@@ -145,63 +145,14 @@ impl Scheduler {
     /// when one block is scheduled repeatedly (escalation tiers, serving):
     /// the DAG, dependence analysis and machine tables are all reused. The
     /// context must target the same machine as this scheduler.
-    pub fn schedule_context(&self, ctx: &SchedContext<'_>) -> ScheduledBlock {
-        let outcome = match self.parallel_threads {
-            Some(threads) => {
-                parallel_search(ctx, &self.config, &ParallelConfig::with_threads(threads))
-            }
-            None => search(ctx, &self.config),
+    pub fn schedule_context(&self, ctx: &SchedContext<'_>) -> SearchOutcome {
+        let pooled = Run {
+            parallel: self.parallel,
+            ..Run::default()
         };
-        ScheduledBlock {
-            order: outcome.order,
-            assignment: outcome.assignment,
-            etas: outcome.etas,
-            nops: outcome.nops,
-            initial_order: outcome.initial_order,
-            initial_nops: outcome.initial_nops,
-            optimal: outcome.optimal,
-            stats: outcome.stats,
-        }
-    }
-}
-
-/// A scheduled basic block: the order, its per-position NOP padding, and
-/// provenance of the result.
-#[derive(Debug, Clone)]
-pub struct ScheduledBlock {
-    /// Instruction order (a permutation of the block's tuple ids).
-    pub order: Vec<TupleId>,
-    /// Pipeline unit per tuple (indexed by tuple id).
-    pub assignment: Vec<Option<PipelineId>>,
-    /// NOPs inserted immediately before each *position* of `order`.
-    pub etas: Vec<u32>,
-    /// Total NOPs μ(Π).
-    pub nops: u32,
-    /// The initial list schedule the search started from.
-    pub initial_order: Vec<TupleId>,
-    /// μ of the initial schedule.
-    pub initial_nops: u32,
-    /// True when the search completed: the schedule is provably optimal.
-    pub optimal: bool,
-    /// Search counters.
-    pub stats: SearchStats,
-}
-
-impl ScheduledBlock {
-    /// Iterate `(tuple, nops-before-it)` pairs in schedule order.
-    pub fn iter_with_nops(&self) -> impl Iterator<Item = (TupleId, u32)> + '_ {
-        self.order.iter().copied().zip(self.etas.iter().copied())
-    }
-
-    /// Total execution cycles of the padded schedule
-    /// (instructions + NOPs; the last instruction's issue cycle + 1).
-    pub fn total_cycles(&self) -> u64 {
-        self.order.len() as u64 + u64::from(self.nops)
-    }
-
-    /// NOPs eliminated relative to the initial list schedule.
-    pub fn nops_removed(&self) -> u32 {
-        self.initial_nops.saturating_sub(self.nops)
+        run(ctx, &self.config, pooled)
+            .expect("a search without proof or profile has nothing to reject")
+            .0
     }
 }
 

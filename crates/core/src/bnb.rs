@@ -1,5 +1,10 @@
 //! The pruned schedule search procedure (§4.2.3).
 //!
+//! Every search enters through [`run`], which seeds the incumbent, settles
+//! what the seed alone settles, runs the serial kernel below or the pool
+//! of [`crate::parallel`], and assembles the certificate. [`search`] and
+//! [`prove`] are its one-line shorthands.
+//!
 //! The search is a depth-first walk over prefixes of legal schedules. Depth
 //! `i` decides which instruction occupies position `i`; candidates are
 //! drawn from the unscheduled suffix of the current ordering Π (initially
@@ -66,10 +71,12 @@ use pipesched_machine::PipelineId;
 pub use crate::bounds::BoundKind;
 use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
+use crate::parallel::ParallelConfig;
 use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
     trailer_for, Certificate, CertificateHeader, ProofEvent, ProofLogger, ProofOutput,
 };
+use crate::seed::{seed_incumbent, SearchSeed};
 use crate::timing::{BoundaryState, TimingEngine};
 
 /// Which heuristic seeds the search's initial incumbent (step [1]).
@@ -238,6 +245,26 @@ impl SearchStats {
             + self.pruned_bound
             + self.pruned_symmetry
     }
+
+    /// Add `other`'s counters to these and OR in its flags: the workers
+    /// of one pool, the two phases of a pooled proof, the blocks of a
+    /// sequence.
+    pub fn merge(&mut self, other: &SearchStats) {
+        self.nodes_visited += other.nodes_visited;
+        self.omega_calls += other.omega_calls;
+        self.complete_schedules += other.complete_schedules;
+        self.improvements += other.improvements;
+        self.pruned_quick += other.pruned_quick;
+        self.pruned_legality += other.pruned_legality;
+        self.pruned_equivalence += other.pruned_equivalence;
+        self.pruned_bound += other.pruned_bound;
+        self.pruned_symmetry += other.pruned_symmetry;
+        self.splits += other.splits;
+        self.steals += other.steals;
+        self.truncated |= other.truncated;
+        self.deadline_hit |= other.deadline_hit;
+        self.proved_by_bound |= other.proved_by_bound;
+    }
 }
 
 /// Result of a search: the best schedule found and how it was found.
@@ -261,91 +288,245 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Run the pruned branch-and-bound search on `ctx`.
+impl SearchOutcome {
+    /// Total execution cycles of the padded schedule
+    /// (instructions + NOPs; the last instruction's issue cycle + 1).
+    pub fn total_cycles(&self) -> u64 {
+        self.order.len() as u64 + u64::from(self.nops)
+    }
+
+    /// NOPs eliminated relative to the initial list schedule.
+    pub fn nops_removed(&self) -> u32 {
+        self.initial_nops.saturating_sub(self.nops)
+    }
+}
+
+/// How [`run`] executes one search, beyond what its [`SearchConfig`]
+/// decides. `Run::default()` is the plain serial search from a cold
+/// block boundary.
+#[derive(Default)]
+pub struct Run<'r> {
+    /// `None` runs the serial kernel; `Some` runs the work-stealing pool
+    /// of [`crate::parallel`]. A `pipeline_selection` search always runs
+    /// serially: the pool's task snapshots do not carry the per-unit
+    /// symmetry state.
+    pub parallel: Option<ParallelConfig>,
+    /// The pipeline state a preceding block left behind (footnote 1), so
+    /// cross-block conflicts are priced into every η. `None` is a cold
+    /// boundary.
+    pub boundary: Option<&'r BoundaryState>,
+    /// Record a machine-checkable optimality certificate (see
+    /// [`crate::proof`]): streamed event by event from the serial kernel,
+    /// or merged from the pool's per-subtree parts.
+    pub proof: Option<ProofLogger>,
+    /// Fill a per-depth breakdown of the run: nodes, Ω calls, prune counts
+    /// by rule and inclusive wall time per depth (see [`crate::profile`]).
+    /// Pure observation: the result is the same as without it.
+    pub profile: Option<&'r mut SearchProfile>,
+}
+
+/// A [`Run`] that [`run`] refuses, because what it asks for has no
+/// meaning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// A certificate of a `pipeline_selection` search: the checker
+    /// replays fixed-unit timing only.
+    ProofWithSelection,
+    /// A certificate from a carried boundary: a certificate is a claim
+    /// about the block in isolation.
+    ProofWithBoundary,
+    /// A per-depth profile of a pooled search: only the serial kernel
+    /// keeps one.
+    ProfileWithPool,
+    /// The boundary describes a different number of pipelines than the
+    /// machine has.
+    BoundaryMismatch {
+        /// Pipelines of the machine.
+        machine: usize,
+        /// Pipelines the boundary describes.
+        boundary: usize,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::ProofWithSelection => f.write_str(
+                "a certificate cannot record the pipeline-selection extension \
+                 (the checker replays fixed-unit timing)",
+            ),
+            RunError::ProofWithBoundary => {
+                f.write_str("a certificate covers the block alone, so it needs a cold boundary")
+            }
+            RunError::ProfileWithPool => {
+                f.write_str("a per-depth profile needs the serial kernel, not the pool")
+            }
+            RunError::BoundaryMismatch { machine, boundary } => write!(
+                f,
+                "the boundary describes {boundary} pipelines, the machine has {machine}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// The search's one front door: seed the incumbent (step [1]), settle
+/// what the seed alone settles, run the serial kernel or the pool, and
+/// assemble the certificate.
+///
+/// The seed settles three cases without any search: an empty block, a
+/// seed already at the admissible whole-block lower bound (optimal,
+/// proved by the bound) and a deadline already past (the seed answers,
+/// flagged non-optimal). Everything else runs the kernel with the hook
+/// policy the run needs, picked once here, so a plain search compiles to
+/// the un-hooked kernel.
+///
+/// Returns the outcome and, when [`Run::proof`] is set, what the logger
+/// produced. A run whose parts have no meaning together returns its
+/// [`RunError`] and searches nothing.
+pub fn run(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    run: Run<'_>,
+) -> Result<(SearchOutcome, Option<ProofOutput>), RunError> {
+    let Run {
+        parallel,
+        boundary,
+        mut proof,
+        profile,
+    } = run;
+    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
+    let boundary = boundary.unwrap_or(&cold);
+    if boundary.pipe_age.len() != cold.pipe_age.len() {
+        return Err(RunError::BoundaryMismatch {
+            machine: cold.pipe_age.len(),
+            boundary: boundary.pipe_age.len(),
+        });
+    }
+    if proof.is_some() && cfg.pipeline_selection {
+        return Err(RunError::ProofWithSelection);
+    }
+    if proof.is_some() && boundary.pipe_age.iter().any(Option::is_some) {
+        return Err(RunError::ProofWithBoundary);
+    }
+    if profile.is_some() && parallel.is_some() {
+        return Err(RunError::ProfileWithPool);
+    }
+
+    // Step [1]: initial incumbent from the configured heuristic, plus the
+    // admissible whole-block lower bound (see `crate::seed`).
+    let seed = seed_incumbent(ctx, cfg.initial, boundary, cfg.pipeline_selection);
+    if let Some(logger) = &mut proof {
+        logger.begin(CertificateHeader {
+            n: ctx.len() as u32,
+            bound: cfg.bound,
+            equivalence: cfg.equivalence,
+            initial_order: seed.order.iter().map(|t| t.0).collect(),
+            initial_nops: seed.nops,
+        });
+    }
+    let settled = if ctx.is_empty() {
+        Some(SearchStats::default())
+    } else if cfg.terminate_on_lower_bound && seed.proved_by_bound() {
+        if let Some(logger) = &mut proof {
+            logger.log(ProofEvent::ProvedByBound { lb: seed.global_lb });
+        }
+        Some(SearchStats {
+            proved_by_bound: true,
+            ..SearchStats::default()
+        })
+    } else if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+        Some(SearchStats {
+            truncated: true,
+            deadline_hit: true,
+            ..SearchStats::default()
+        })
+    } else {
+        None
+    };
+
+    let outcome = match (settled, parallel) {
+        (Some(stats), _) => SearchOutcome {
+            order: seed.order.clone(),
+            assignment: ctx.sigma.clone(),
+            etas: seed.etas,
+            nops: seed.nops,
+            initial_order: seed.order,
+            initial_nops: seed.nops,
+            optimal: !stats.truncated,
+            stats,
+        },
+        (None, Some(par)) if !cfg.pipeline_selection => {
+            crate::parallel::pool(ctx, cfg, &par, boundary, seed, proof.as_mut())
+        }
+        (None, _) => match (proof.as_mut(), profile) {
+            (None, None) => kernel(ctx, cfg, boundary, seed, NullPolicy),
+            (Some(logger), None) => kernel(ctx, cfg, boundary, seed, ProofPolicy(logger)),
+            (None, Some(profile)) => kernel(ctx, cfg, boundary, seed, ProfilePolicy(profile)),
+            (Some(logger), Some(profile)) => kernel(
+                ctx,
+                cfg,
+                boundary,
+                seed,
+                ProofProfilePolicy(logger, profile),
+            ),
+        },
+    };
+    let proof = proof.map(|logger| logger.finish(trailer_for(&outcome)));
+    Ok((outcome, proof))
+}
+
+/// Run the pruned branch-and-bound search on `ctx`: [`run`] with the
+/// serial kernel from a cold boundary.
 pub fn search(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> SearchOutcome {
-    search_with_boundary(ctx, cfg, &BoundaryState::cold(ctx.machine.pipeline_count()))
+    run(ctx, cfg, Run::default())
+        .expect("a plain search has nothing to reject")
+        .0
 }
 
-/// [`search`] starting from a carried block boundary (footnote 1): the
-/// pipelines begin with the in-flight state a predecessor block left
-/// behind, so cross-block conflicts are priced into every η.
-pub fn search_with_boundary(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    boundary: &BoundaryState,
-) -> SearchOutcome {
-    search_impl(ctx, cfg, boundary, NullPolicy)
-}
-
-/// [`search`] while filling `profile` with a per-depth breakdown of the
-/// run: nodes, Ω calls, prune counts by rule, and inclusive wall time per
-/// depth (see [`crate::profile`]). The profile never changes the search
-/// result — only plain `search` plus observation.
-pub fn search_with_profile(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    profile: &mut SearchProfile,
-) -> SearchOutcome {
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    search_impl(ctx, cfg, &boundary, ProfilePolicy(profile))
-}
-
-/// Run the search while recording a machine-checkable optimality
-/// certificate into `logger` (see [`crate::proof`]). Returns the outcome
-/// together with what the logger produced — the [`Certificate`] itself for
-/// in-memory loggers, or the digest/event count for streamed ones.
-///
-/// Proof logging implies a cold block boundary (a certificate is a claim
-/// about the block in isolation) and is incompatible with the
-/// pipeline-selection extension (the checker replays fixed-σ timing only).
+/// [`search`] while recording a machine-checkable optimality certificate
+/// in memory: returns the certificate directly.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.pipeline_selection` is set.
-pub fn search_with_proof(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    mut logger: ProofLogger,
-) -> (SearchOutcome, ProofOutput) {
-    assert!(
-        !cfg.pipeline_selection,
-        "proof logging does not support the pipeline-selection extension"
-    );
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    let outcome = search_impl(ctx, cfg, &boundary, ProofPolicy(&mut logger));
-    let proof = logger.finish(trailer_for(&outcome));
-    (outcome, proof)
-}
-
-/// [`search_with_proof`] with an in-memory logger: returns the certificate
-/// directly.
-///
-/// # Panics
-///
-/// Panics if `cfg.pipeline_selection` is set.
+/// Panics if `cfg.pipeline_selection` is set ([`RunError::ProofWithSelection`]).
 pub fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Certificate) {
-    let (outcome, proof) = search_with_proof(ctx, cfg, ProofLogger::in_memory());
+    prove_with(ctx, cfg, None)
+}
+
+/// [`run`] with an in-memory proof logger, unwrapped to the certificate:
+/// the body of [`prove`] and [`crate::parallel_prove`].
+pub(crate) fn prove_with(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    parallel: Option<ParallelConfig>,
+) -> (SearchOutcome, Certificate) {
+    let proved = Run {
+        parallel,
+        proof: Some(ProofLogger::in_memory()),
+        ..Run::default()
+    };
+    let (outcome, proof) = run(ctx, cfg, proved).unwrap_or_else(|e| panic!("{e}"));
     let cert = proof
-        .certificate
-        .expect("in-memory proof logger always yields a certificate");
+        .and_then(|p| p.certificate)
+        .expect("an in-memory proof logger always yields a certificate");
     (outcome, cert)
 }
 
-/// Compile-time hook bundle the unified kernel is generic over.
+/// Compile-time hook bundle the kernel is generic over.
 ///
-/// One branch-and-bound implementation serves every entry point: the plain
-/// [`search`], the certificate-logged [`search_with_proof`], the per-depth
-/// profiled [`search_with_profile`], and the work-stealing parallel workers
-/// in [`crate::parallel`]. Each variant supplies a policy; hooks a policy
-/// leaves at their defaults monomorphize to nothing, so [`NullPolicy`]
-/// compiles to exactly the pre-unification plain search.
+/// One branch-and-bound implementation serves every [`run`]: the plain
+/// search, the certificate-logged and the profiled ones, and the
+/// work-stealing workers in [`crate::parallel`]. Each supplies a policy;
+/// hooks a policy leaves at their defaults monomorphize to nothing, so
+/// [`NullPolicy`] compiles to the plain search.
 ///
 /// The hooks fall into three groups:
 ///
-/// * **observation** — [`begin`](Self::begin)/[`log`](Self::log) record the
-///   proof transcript (gated on [`PROOF`](Self::PROOF)),
-///   [`prof`](Self::prof) bumps per-depth counters (gated on
-///   [`PROFILE`](Self::PROFILE)).
+/// * **observation** — [`log`](Self::log) records the proof transcript
+///   (gated on [`PROOF`](Self::PROOF)), [`prof`](Self::prof) bumps
+///   per-depth counters (gated on [`PROFILE`](Self::PROFILE)).
 /// * **shared budgets & bounds** — [`charge_omega`](Self::charge_omega)
 ///   draws on a pool-wide λ, [`poll_stop`](Self::poll_stop) observes a
 ///   pool-wide stop flag, [`shared_best`](Self::shared_best) tightens the
@@ -354,19 +535,13 @@ pub fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Cert
 ///   a local termination cause outward.
 /// * **work distribution** — [`spawn`](Self::spawn) may take ownership of a
 ///   just-bounded subtree and defer it to a work-stealing deque.
-pub trait SearchPolicy {
+pub(crate) trait SearchPolicy {
     /// True when the policy records a proof transcript; the kernel then
     /// captures the bound's chain/resource terms for every placement.
     const PROOF: bool = false;
     /// True when the policy collects per-depth profiles; the kernel then
     /// times each `dfs` call inclusively.
     const PROFILE: bool = false;
-
-    /// The certificate header, emitted once before the search runs.
-    #[inline]
-    fn begin(&mut self, header: CertificateHeader) {
-        let _ = header;
-    }
 
     /// One proof event, in replay order.
     #[inline]
@@ -431,11 +606,6 @@ impl<P: SearchPolicy> SearchPolicy for &mut P {
     const PROFILE: bool = P::PROFILE;
 
     #[inline]
-    fn begin(&mut self, header: CertificateHeader) {
-        (**self).begin(header);
-    }
-
-    #[inline]
     fn log(&mut self, ev: ProofEvent) {
         (**self).log(ev);
     }
@@ -476,23 +646,16 @@ impl<P: SearchPolicy> SearchPolicy for &mut P {
     }
 }
 
-/// The no-op policy: plain serial search, bit-identical to the historical
-/// un-hooked implementation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullPolicy;
+/// The no-op policy: the plain serial search.
+struct NullPolicy;
 
 impl SearchPolicy for NullPolicy {}
 
 /// Certificate-logging policy wrapping a [`ProofLogger`].
-pub struct ProofPolicy<'p>(pub &'p mut ProofLogger);
+struct ProofPolicy<'p>(&'p mut ProofLogger);
 
 impl SearchPolicy for ProofPolicy<'_> {
     const PROOF: bool = true;
-
-    #[inline]
-    fn begin(&mut self, header: CertificateHeader) {
-        self.0.begin(header);
-    }
 
     #[inline]
     fn log(&mut self, ev: ProofEvent) {
@@ -501,7 +664,7 @@ impl SearchPolicy for ProofPolicy<'_> {
 }
 
 /// Per-depth profiling policy wrapping a [`SearchProfile`].
-pub struct ProfilePolicy<'p>(pub &'p mut SearchProfile);
+struct ProfilePolicy<'p>(&'p mut SearchProfile);
 
 impl SearchPolicy for ProfilePolicy<'_> {
     const PROFILE: bool = true;
@@ -512,110 +675,50 @@ impl SearchPolicy for ProfilePolicy<'_> {
     }
 }
 
-fn search_impl<P: SearchPolicy>(
+/// [`ProofPolicy`] and [`ProfilePolicy`] together.
+struct ProofProfilePolicy<'p>(&'p mut ProofLogger, &'p mut SearchProfile);
+
+impl SearchPolicy for ProofProfilePolicy<'_> {
+    const PROOF: bool = true;
+    const PROFILE: bool = true;
+
+    #[inline]
+    fn log(&mut self, ev: ProofEvent) {
+        self.0.log(ev);
+    }
+
+    #[inline]
+    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
+        bump(self.1.at(depth));
+    }
+}
+
+/// The serial kernel over the whole tree, starting from the seed's
+/// incumbent.
+fn kernel<P: SearchPolicy>(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     boundary: &BoundaryState,
-    mut policy: P,
+    seed: SearchSeed,
+    policy: P,
 ) -> SearchOutcome {
-    let n = ctx.len();
-    if n == 0 {
-        if P::PROOF {
-            policy.begin(CertificateHeader {
-                n: 0,
-                bound: cfg.bound,
-                equivalence: cfg.equivalence,
-                initial_order: Vec::new(),
-                initial_nops: 0,
-            });
-        }
-        return SearchOutcome {
-            order: Vec::new(),
-            assignment: Vec::new(),
-            etas: Vec::new(),
-            nops: 0,
-            initial_order: Vec::new(),
-            initial_nops: 0,
-            optimal: true,
-            stats: SearchStats::default(),
-        };
-    }
-
-    // Step [1]: initial incumbent from the configured heuristic, plus the
-    // admissible whole-block lower bound — the prologue shared by every
-    // exact backend (see `crate::seed`).
-    let seed = crate::seed::seed_incumbent(ctx, cfg.initial, boundary, cfg.pipeline_selection);
-    let initial_order = seed.order;
-    let initial_nops = seed.nops;
-
-    if P::PROOF {
-        policy.begin(CertificateHeader {
-            n: n as u32,
-            bound: cfg.bound,
-            equivalence: cfg.equivalence,
-            initial_order: initial_order.iter().map(|t| t.0).collect(),
-            initial_nops,
-        });
-    }
-
+    let mut s = Search::new(ctx, cfg, boundary, seed.order.clone(), seed.nops, policy);
     // When an incumbent matches the lower bound, optimality is proven
     // without exhausting the space.
-    let global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
+    s.global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
+    s.dfs(0);
 
-    if let Some(lb) = global_lb {
-        if initial_nops <= lb {
-            // The list schedule is already provably optimal.
-            if P::PROOF {
-                policy.log(ProofEvent::ProvedByBound { lb });
-            }
-            return SearchOutcome {
-                order: initial_order.clone(),
-                assignment: ctx.sigma.clone(),
-                etas: seed.etas,
-                nops: initial_nops,
-                initial_order,
-                initial_nops,
-                optimal: true,
-                stats: SearchStats {
-                    proved_by_bound: true,
-                    ..SearchStats::default()
-                },
-            };
-        }
-    }
-
-    let mut s = Search::new(
-        ctx,
-        cfg,
-        boundary,
-        initial_order.clone(),
-        initial_nops,
-        policy,
-    );
-    s.global_lb = global_lb;
-    if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-        // Already out of time: the incumbent is the answer (anytime).
-        s.stats.truncated = true;
-        s.stats.deadline_hit = true;
-        s.policy.stopping(&s.stats);
-    } else {
-        s.dfs(0);
-    }
-
-    let optimal = !s.stats.truncated;
-    let (best_etas, best_nops) =
-        evaluate_with_assignment(ctx, boundary, &s.best_order, &s.best_assign);
-    debug_assert_eq!(best_nops, s.best_nops);
+    let (etas, nops) = evaluate_with_assignment(ctx, boundary, &s.best_order, &s.best_assign);
+    debug_assert_eq!(nops, s.best_nops);
     debug_assert!(verify_schedule(ctx.block, ctx.dag, &s.best_order).is_ok());
-
     SearchOutcome {
         order: s.best_order,
         assignment: s.best_assign,
-        etas: best_etas,
-        nops: s.best_nops,
-        initial_order,
-        initial_nops,
-        optimal,
+        etas,
+        nops,
+        initial_order: seed.order,
+        initial_nops: seed.nops,
+        optimal: !s.stats.truncated,
         stats: s.stats,
     }
 }
@@ -1323,7 +1426,11 @@ mod tests {
 
         let plain = search(&ctx, &cfg);
         let mut profile = SearchProfile::new();
-        let out = search_with_profile(&ctx, &cfg, &mut profile);
+        let profiled = Run {
+            profile: Some(&mut profile),
+            ..Run::default()
+        };
+        let (out, _) = run(&ctx, &cfg, profiled).unwrap();
 
         // Profiling must be pure observation.
         assert_eq!(out.nops, plain.nops);
@@ -1527,7 +1634,11 @@ mod tests {
             pipeline_selection: true,
             ..SearchConfig::default()
         };
-        let out = search_with_boundary(&ctx, &cfg, &boundary);
+        let carried = Run {
+            boundary: Some(&boundary),
+            ..Run::default()
+        };
+        let (out, _) = run(&ctx, &cfg, carried).unwrap();
         assert!(out.optimal);
         assert_ne!(out.assignment[a.index()], Some(first));
         assert_eq!(out.nops, 3, "only the store's wait on the add remains");
@@ -1542,7 +1653,11 @@ mod tests {
         let machine = presets::paper_simulation();
         let ctx = ctx_for(&block, &dag, &machine);
         let mut profile = SearchProfile::new();
-        let out = search_with_profile(&ctx, &SearchConfig::default(), &mut profile);
+        let profiled = Run {
+            profile: Some(&mut profile),
+            ..Run::default()
+        };
+        let (out, _) = run(&ctx, &SearchConfig::default(), profiled).unwrap();
         assert!(out.optimal);
         assert_eq!(profile.total_nodes(), out.stats.nodes_visited);
         assert_eq!(profile.total_nodes(), 0);

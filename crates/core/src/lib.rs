@@ -15,15 +15,19 @@
 //!   O(1) undo, the engine every search below shares;
 //! * [`list_sched`] — the machine-independent list-scheduling heuristic that
 //!   seeds the search with a good incumbent (§3.2);
-//! * [`bnb`] — the pruned search procedure itself (§4.2.3);
+//! * [`bnb`] — the pruned search procedure itself (§4.2.3), entered
+//!   through one front door, [`run`]: a [`Run`] picks the serial kernel
+//!   or the pool, a carried boundary, a proof sink and a per-depth
+//!   profile, and a combination without meaning returns a [`RunError`];
 //! * [`bounds`] — the paper's α-β bound plus an optional admissible
 //!   critical-path strengthening (extension);
 //! * [`baselines`] — exhaustive search, legality-only-pruned search, and a
 //!   Gross-style greedy scheduler, used by the paper's Table 1 comparison;
-//! * [`parallel`] — a parallel branch-and-bound variant (extension) sharing
-//!   an atomic incumbent across threads;
+//! * [`parallel`] — the work-stealing pool [`run`] uses for
+//!   `Run::parallel` (extension), sharing an atomic incumbent across
+//!   threads and merging per-subtree certificate parts;
 //! * [`profile`] — per-depth search profiling (nodes, prune counts, time),
-//!   attached through an `Option`-gated hook like the proof logger;
+//!   attached through `Run::profile` like the proof logger;
 //! * [`windowed`] — §5.3's future-work feature: locally-optimal scheduling
 //!   of very large blocks by partitioning the list schedule into windows;
 //! * [`sequence`] — footnote 1's block-interaction machinery: scheduling a
@@ -49,10 +53,10 @@ pub mod sequence;
 pub mod timing;
 pub mod windowed;
 
-pub use api::{Backend, ScheduledBlock, Scheduler};
+pub use api::{Backend, Scheduler};
 pub use bnb::{
-    prove, search, search_with_boundary, search_with_profile, search_with_proof, BoundKind,
-    EquivalenceMode, InitialHeuristic, SearchConfig, SearchOutcome, SearchStats,
+    prove, run, search, BoundKind, EquivalenceMode, InitialHeuristic, Run, RunError, SearchConfig,
+    SearchOutcome, SearchStats,
 };
 pub use bounds::global_lower_bound;
 pub use context::SchedContext;

@@ -26,14 +26,19 @@
 //!   Ω-call and prune counters bit for bit (pinned by tests).
 //! * **Full [`SearchConfig`] support.** The kernel is shared, so every
 //!   ablation knob — bound kind, equivalence rule, quick check, λ,
-//!   deadline — flows through unchanged. The one exception is
-//!   `pipeline_selection`, whose per-unit symmetry state is not carried
-//!   by task snapshots: those searches delegate to the serial kernel.
+//!   deadline — flows through unchanged, and so does a carried block
+//!   boundary. The one exception is `pipeline_selection`, whose per-unit
+//!   symmetry state is not carried by task snapshots: [`crate::run`]
+//!   runs those searches on the serial kernel.
+//!
+//! [`crate::run`] owns the seed and its triage; this module runs what the
+//! triage leaves open. [`parallel_search`] and [`parallel_prove`] are
+//! shorthands for `run` with `Run::parallel` set.
 //!
 //! # Parallel proofs
 //!
-//! [`parallel_prove`] produces a machine-checkable certificate (see
-//! [`crate::proof`]) from a parallel run in two phases. Phase 1 is the
+//! A pooled `run` with a proof sink produces a machine-checkable
+//! certificate (see [`crate::proof`]) in two phases. Phase 1 is the
 //! plain work-stealing search above: it finds the optimal μ\* and a best
 //! order. Phase 2 re-derives the *transcript* with perfect foresight: the
 //! driver enumerates the root candidates exactly as the serial kernel
@@ -46,7 +51,8 @@
 //! is justified, and the independent checker
 //! (`pipesched_proof::check_certificate`) accepts the concatenation
 //! unchanged. The per-subtree transcripts are exposed on
-//! [`ParallelProof`] so tests can verify that tampering with (e.g.
+//! [`ParallelProof`] (split back out of the merged certificate by
+//! [`parallel_prove`]) so tests can verify that tampering with (e.g.
 //! dropping) any part is caught by the checker's coverage rules.
 //!
 //! The λ budget is shared across both phases: certification is search
@@ -79,14 +85,14 @@ use parking_lot::Mutex;
 use pipesched_ir::TupleId;
 
 use crate::bnb::{
-    run_subtree, structural_classes, EquivalenceMode, SearchConfig, SearchOutcome, SearchPolicy,
-    SearchStats,
+    run, run_subtree, structural_classes, EquivalenceMode, Run, SearchConfig, SearchOutcome,
+    SearchPolicy, SearchStats,
 };
 use crate::bounds::{BoundKind, Frontier, LowerBound};
 use crate::context::SchedContext;
-use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent};
-use crate::seed::{seed_incumbent, SearchSeed};
-use crate::timing::{evaluate_schedule, BoundaryState, TimingEngine};
+use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger};
+use crate::seed::SearchSeed;
+use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
 
 /// Depth limit below which placements become stealable subtree tasks when
 /// the caller does not choose one. Depth 3 keeps the task count polynomial
@@ -314,23 +320,6 @@ impl SearchPolicy for ProvePolicy<'_> {
     }
 }
 
-fn merge(into: &mut SearchStats, from: &SearchStats) {
-    into.nodes_visited += from.nodes_visited;
-    into.omega_calls += from.omega_calls;
-    into.complete_schedules += from.complete_schedules;
-    into.improvements += from.improvements;
-    into.pruned_quick += from.pruned_quick;
-    into.pruned_legality += from.pruned_legality;
-    into.pruned_equivalence += from.pruned_equivalence;
-    into.pruned_bound += from.pruned_bound;
-    into.pruned_symmetry += from.pruned_symmetry;
-    into.splits += from.splits;
-    into.steals += from.steals;
-    into.truncated |= from.truncated;
-    into.deadline_hit |= from.deadline_hit;
-    into.proved_by_bound |= from.proved_by_bound;
-}
-
 /// Steal one task from any peer (FIFO from the top of their deque).
 fn steal_task(stealers: &[Stealer<Task>], me: usize, stats: &mut SearchStats) -> Option<Task> {
     for (i, s) in stealers.iter().enumerate() {
@@ -405,7 +394,7 @@ fn worker_loop(
                 shared.global_lb,
                 &mut policy,
             );
-            merge(&mut stats, &st);
+            stats.merge(&st);
             // Publish before completing the task so `pending` never dips
             // to 0 while spawned work exists; reversed so LIFO pops keep
             // the serial DFS order.
@@ -481,7 +470,7 @@ fn pool_phase(
                     stealers,
                     i,
                 );
-                merge(&mut stats_acc.lock(), &st);
+                stats_acc.lock().merge(&st);
             });
         }
     })
@@ -505,110 +494,73 @@ fn pool_phase(
     }
 }
 
-/// Shared pre-search triage on the seed schedule. [`parallel_search`]
-/// and [`parallel_prove`] early-out identically when the list schedule
-/// already settles the instance; only the certificate plumbing differs.
-enum SeedVerdict {
-    /// The seed meets the whole-block lower bound: optimal, proved.
-    Proved,
-    /// The deadline expired before any exploration; the seed answers.
-    DeadlineExpired,
-    /// Nothing settled — run the pool.
-    Search,
-}
-
-fn assess_seed(cfg: &SearchConfig, seed: &SearchSeed) -> SeedVerdict {
-    if cfg.terminate_on_lower_bound && seed.proved_by_bound() {
-        SeedVerdict::Proved
-    } else if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-        SeedVerdict::DeadlineExpired
-    } else {
-        SeedVerdict::Search
-    }
-}
-
-/// Stats for a [`SeedVerdict::Proved`] early-out.
-fn proved_stats() -> SearchStats {
-    SearchStats {
-        proved_by_bound: true,
-        ..SearchStats::default()
-    }
-}
-
-/// Stats for a [`SeedVerdict::DeadlineExpired`] early-out.
-fn deadline_stats() -> SearchStats {
-    SearchStats {
-        truncated: true,
-        deadline_hit: true,
-        ..SearchStats::default()
-    }
-}
-
-/// Build an outcome that simply returns the seed schedule.
-fn seed_outcome(
+/// Search the tree with the work-stealing pool, from a seed that
+/// [`crate::run`]'s triage left open. With `proof`, a completed search is
+/// followed by the transcript's re-derivation (phase 2; see the module
+/// docs), logged part by part in merge order.
+pub(crate) fn pool(
     ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+    boundary: &BoundaryState,
     seed: SearchSeed,
-    optimal: bool,
-    stats: SearchStats,
+    proof: Option<&mut ProofLogger>,
 ) -> SearchOutcome {
+    let pool = pool_phase(ctx, cfg, par, boundary, &seed);
+    let mut stats = pool.stats;
+    // A truncated phase 1 has no optimality claim to certify: the logger
+    // gets no events, and the incomplete trailer makes the checker reject,
+    // exactly like a truncated serial proof run.
+    if let Some(logger) = proof.filter(|_| !pool.stats.truncated) {
+        let (parts, phase2) = certify_phase(ctx, cfg, par, boundary, &seed, &pool);
+        logger.reserve(parts.iter().map(Vec::len).sum());
+        for ev in parts.into_iter().flatten() {
+            logger.log(ev);
+        }
+        // Phase 1 did not truncate, so the merged stop causes are phase
+        // 2's; proved-by-bound stays phase 1's verdict.
+        stats.merge(&phase2);
+        stats.proved_by_bound = pool.proved;
+    }
+    let (etas, nops) = evaluate_schedule_from(ctx, boundary, &pool.best_order);
+    debug_assert_eq!(nops, pool.best_nops);
     SearchOutcome {
-        order: seed.order.clone(),
+        order: pool.best_order,
         assignment: ctx.sigma.clone(),
-        etas: seed.etas,
-        nops: seed.nops,
+        etas,
+        nops,
         initial_order: seed.order,
         initial_nops: seed.nops,
-        optimal,
+        // A truncated certification phase withdraws the optimality claim:
+        // μ* is known optimal internally, but the caller asked for a
+        // *checkable* run and the budget did not cover it.
+        optimal: !stats.truncated,
         stats,
     }
 }
 
-/// Run the branch-and-bound search with a work-stealing worker pool.
+/// Run the branch-and-bound search with a work-stealing worker pool:
+/// [`crate::run`] with `parallel: Some(*par)`.
 ///
 /// Honors the full [`SearchConfig`] — bound kind, equivalence rule, quick
 /// check, λ budget (shared pool-wide) and deadline — and returns the same
 /// optimal NOP count as the serial [`crate::bnb::search`]. The *schedule*
 /// returned may be a different optimum when several exist, because
-/// workers race to improve the incumbent. `cfg.pipeline_selection`
-/// delegates to the serial kernel (the task snapshots do not carry the
-/// per-unit symmetry state).
+/// workers race to improve the incumbent. `cfg.pipeline_selection` runs
+/// the serial kernel (the task snapshots do not carry the per-unit
+/// symmetry state).
 pub fn parallel_search(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
 ) -> SearchOutcome {
-    if cfg.pipeline_selection {
-        return crate::bnb::search(ctx, cfg);
-    }
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    let seed = seed_incumbent(ctx, cfg.initial, &boundary, false);
-    let n = ctx.len();
-    if n <= 1 {
-        return seed_outcome(ctx, seed, true, SearchStats::default());
-    }
-    match assess_seed(cfg, &seed) {
-        SeedVerdict::Proved => return seed_outcome(ctx, seed, true, proved_stats()),
-        SeedVerdict::DeadlineExpired => {
-            // Out of time before any exploration: the list schedule answers.
-            return seed_outcome(ctx, seed, false, deadline_stats());
-        }
-        SeedVerdict::Search => {}
-    }
-
-    let pool = pool_phase(ctx, cfg, par, &boundary, &seed);
-    let (etas, check) = evaluate_schedule(ctx, &pool.best_order);
-    debug_assert_eq!(check, pool.best_nops);
-
-    SearchOutcome {
-        order: pool.best_order,
-        assignment: ctx.sigma.clone(),
-        etas,
-        nops: pool.best_nops,
-        initial_order: seed.order,
-        initial_nops: seed.nops,
-        optimal: !pool.stats.truncated,
-        stats: pool.stats,
-    }
+    let pooled = Run {
+        parallel: Some(*par),
+        ..Run::default()
+    };
+    run(ctx, cfg, pooled)
+        .expect("a pooled search without proof or profile has nothing to reject")
+        .0
 }
 
 /// The pieces of a parallel optimality proof, before merging.
@@ -633,6 +585,35 @@ pub struct ParallelProof {
 }
 
 impl ParallelProof {
+    /// Split `cert`'s transcript at its root dispositions: a root-level
+    /// prune or `Leave` is a part of its own, an `Enter` opens a part that
+    /// runs until the search is back at the root.
+    fn split(cert: Certificate) -> ParallelProof {
+        let mut starts = Vec::new();
+        let mut depth = 0usize;
+        for (i, ev) in cert.events.iter().enumerate() {
+            if depth == 0 {
+                starts.push(i);
+            }
+            match ev {
+                ProofEvent::Enter { .. } => depth += 1,
+                ProofEvent::Leave | ProofEvent::Complete { .. } | ProofEvent::Improve { .. } => {
+                    depth = depth.saturating_sub(1);
+                }
+                _ => {}
+            }
+        }
+        starts.push(cert.events.len());
+        ParallelProof {
+            parts: starts
+                .windows(2)
+                .map(|w| cert.events[w[0]..w[1]].to_vec())
+                .collect(),
+            header: cert.header,
+            trailer: cert.trailer,
+        }
+    }
+
     /// Concatenate the parts into the single certificate the independent
     /// checker replays.
     pub fn merge(&self) -> Certificate {
@@ -684,136 +665,23 @@ enum RootDisp {
     },
 }
 
-/// [`parallel_search`] while producing a machine-checkable optimality
-/// certificate from per-subtree transcripts (see the module docs for the
-/// two-phase construction). The merged certificate is accepted by
-/// `pipesched_proof::check_certificate` unchanged whenever the run
-/// completes within λ/deadline.
-///
-/// # Panics
-///
-/// Panics if `cfg.pipeline_selection` is set (as for the serial
-/// [`crate::bnb::search_with_proof`]).
-pub fn parallel_prove(
+/// Phase 2 of a pooled proof: re-derive the transcript of a completed
+/// phase 1 with perfect foresight (see the module docs). Returns the parts
+/// in merge order and the phase's counters, whose `truncated` and
+/// `deadline_hit` say whether the certification itself ran out.
+fn certify_phase(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
-) -> (SearchOutcome, ParallelProof) {
-    assert!(
-        !cfg.pipeline_selection,
-        "proof logging does not support the pipeline-selection extension"
-    );
+    boundary: &BoundaryState,
+    seed: &SearchSeed,
+    pool: &PoolOutcome,
+) -> (Vec<Vec<ProofEvent>>, SearchStats) {
     let n = ctx.len();
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    if n == 0 {
-        let outcome = SearchOutcome {
-            order: Vec::new(),
-            assignment: Vec::new(),
-            etas: Vec::new(),
-            nops: 0,
-            initial_order: Vec::new(),
-            initial_nops: 0,
-            optimal: true,
-            stats: SearchStats::default(),
-        };
-        let proof = ParallelProof {
-            header: CertificateHeader {
-                n: 0,
-                bound: cfg.bound,
-                equivalence: cfg.equivalence,
-                initial_order: Vec::new(),
-                initial_nops: 0,
-            },
-            parts: Vec::new(),
-            trailer: CertificateTrailer {
-                order: Vec::new(),
-                nops: 0,
-                complete: true,
-            },
-        };
-        return (outcome, proof);
-    }
-
-    let seed = seed_incumbent(ctx, cfg.initial, &boundary, false);
-    let header = CertificateHeader {
-        n: n as u32,
-        bound: cfg.bound,
-        equivalence: cfg.equivalence,
-        initial_order: seed.order.iter().map(|t| t.0).collect(),
-        initial_nops: seed.nops,
-    };
-
-    match assess_seed(cfg, &seed) {
-        SeedVerdict::Proved => {
-            // Degenerate: the list schedule meets the whole-block bound.
-            let lb = seed.global_lb;
-            let trailer = CertificateTrailer {
-                order: header.initial_order.clone(),
-                nops: seed.nops,
-                complete: true,
-            };
-            let outcome = seed_outcome(ctx, seed, true, proved_stats());
-            let proof = ParallelProof {
-                header,
-                parts: vec![vec![ProofEvent::ProvedByBound { lb }]],
-                trailer,
-            };
-            return (outcome, proof);
-        }
-        SeedVerdict::DeadlineExpired => {
-            let trailer = CertificateTrailer {
-                order: header.initial_order.clone(),
-                nops: seed.nops,
-                complete: false,
-            };
-            let outcome = seed_outcome(ctx, seed, false, deadline_stats());
-            let proof = ParallelProof {
-                header,
-                parts: Vec::new(),
-                trailer,
-            };
-            return (outcome, proof);
-        }
-        SeedVerdict::Search => {}
-    }
-
-    // ---- Phase 1: find μ* with the work-stealing pool. ----
-    let pool = pool_phase(ctx, cfg, par, &boundary, &seed);
-    let initial_order = seed.order.clone();
-    let initial_nops = seed.nops;
-
-    if pool.stats.truncated {
-        // No optimality claim to certify; the incomplete trailer makes the
-        // checker reject, exactly like a truncated serial proof run.
-        let trailer = CertificateTrailer {
-            order: pool.best_order.iter().map(|t| t.0).collect(),
-            nops: pool.best_nops,
-            complete: false,
-        };
-        let (etas, _) = evaluate_schedule(ctx, &pool.best_order);
-        let outcome = SearchOutcome {
-            order: pool.best_order.clone(),
-            assignment: ctx.sigma.clone(),
-            etas,
-            nops: pool.best_nops,
-            initial_order,
-            initial_nops,
-            optimal: false,
-            stats: pool.stats,
-        };
-        let proof = ParallelProof {
-            header,
-            parts: Vec::new(),
-            trailer,
-        };
-        return (outcome, proof);
-    }
-
-    // ---- Phase 2: re-derive the transcript with perfect foresight. ----
     let mu_star = pool.best_nops;
-    let best_order = pool.best_order.clone();
+    let initial_order = &seed.order;
     let kappa = initial_order[0];
-    let c_star = best_order[0];
+    let c_star = pool.best_order[0];
     let j_star = initial_order
         .iter()
         .position(|&t| t == c_star)
@@ -829,8 +697,8 @@ pub fn parallel_prove(
     let mut disps: Vec<RootDisp> = Vec::with_capacity(n);
     disps.push(RootDisp::Enter {
         candidate: c_star,
-        order: best_order.clone(),
-        seed_nops: initial_nops,
+        order: pool.best_order.clone(),
+        seed_nops: seed.nops,
         global_lb,
     });
     let mut tried_classes: Vec<(u32, TupleId)> = Vec::new();
@@ -888,7 +756,7 @@ pub fn parallel_prove(
         // Step [6] against the replay incumbent, which is μ* from the
         // second part on (the best subtree's Improve precedes these).
         let (mu, bound, chain, resource) =
-            root_bound(ctx, &boundary, lower.as_ref(), &mut frontier, xi);
+            root_bound(ctx, boundary, lower.as_ref(), &mut frontier, xi);
         if bound < mu_star {
             let mut order = initial_order.clone();
             order.swap(0, j);
@@ -912,7 +780,7 @@ pub fn parallel_prove(
     // Fresh shared state for phase 2 — same λ pool, counting on from
     // phase 1's Ω spend; stop/proved flags reset so the subtree workers
     // actually run.
-    let shared2 = Shared::new(cfg, &seed);
+    let shared2 = Shared::new(cfg, seed);
     // relaxed-ok: written before any phase-2 worker is spawned; the
     // spawn edge orders it for every reader.
     shared2.omega_used.store(pool.omega_used, Ordering::Relaxed);
@@ -920,43 +788,45 @@ pub fn parallel_prove(
         lambda: u64::MAX,
         ..*cfg
     };
-
-    let mut phase2_stats = SearchStats::default();
-    let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
-
-    // The best subtree runs first (serially): if it proves optimality by
-    // bound, the certificate ends inside it and nothing else is emitted.
-    let proved_in_part0;
-    {
-        let RootDisp::Enter {
+    // Run one disposition: a prune is its own part; an entered subtree is
+    // an `Enter` followed by one serial kernel's transcript below it.
+    let dispose = |disp: &RootDisp| match disp {
+        RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
+        RootDisp::Enter {
             candidate,
             order,
             seed_nops,
             global_lb,
-        } = &disps[0]
-        else {
-            unreachable!("part 0 is always the best subtree")
-        };
-        let mut policy = ProvePolicy {
-            shared: &shared2,
-            events: vec![ProofEvent::Enter {
-                candidate: candidate.0,
-            }],
-        };
-        let st = run_subtree(
-            ctx,
-            &worker_cfg,
-            &boundary,
-            order.clone(),
-            1,
-            *seed_nops,
-            *global_lb,
-            &mut policy,
-        );
-        merge(&mut phase2_stats, &st);
-        proved_in_part0 = st.proved_by_bound;
-        parts.push(policy.events);
-    }
+        } => {
+            let mut policy = ProvePolicy {
+                shared: &shared2,
+                events: vec![ProofEvent::Enter {
+                    candidate: candidate.0,
+                }],
+            };
+            let st = run_subtree(
+                ctx,
+                &worker_cfg,
+                boundary,
+                order.clone(),
+                1,
+                *seed_nops,
+                *global_lb,
+                &mut policy,
+            );
+            (policy.events, st)
+        }
+    };
+
+    let mut stats = SearchStats::default();
+    let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
+
+    // The best subtree runs first (serially): if it proves optimality by
+    // bound, the certificate ends inside it and nothing else is emitted.
+    let (events, st) = dispose(&disps[0]);
+    stats.merge(&st);
+    let proved_in_part0 = st.proved_by_bound;
+    parts.push(events);
 
     // relaxed-ok: part 0 ran on this thread (program order); no other
     // thread is running yet.
@@ -971,9 +841,7 @@ pub fn parallel_prove(
                 let disps = &disps;
                 let results = &results;
                 let next = &next;
-                let shared2 = &shared2;
-                let worker_cfg = &worker_cfg;
-                let boundary = &boundary;
+                let dispose = &dispose;
                 scope.spawn(move |_| loop {
                     // relaxed-ok: only the returned index is used — each
                     // claimed slot is a Mutex, and the final reads happen
@@ -983,41 +851,14 @@ pub fn parallel_prove(
                     if i >= disps.len() {
                         break;
                     }
-                    let part = match &disps[i] {
-                        RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
-                        RootDisp::Enter {
-                            candidate,
-                            order,
-                            seed_nops,
-                            global_lb,
-                        } => {
-                            let mut policy = ProvePolicy {
-                                shared: shared2,
-                                events: vec![ProofEvent::Enter {
-                                    candidate: candidate.0,
-                                }],
-                            };
-                            let st = run_subtree(
-                                ctx,
-                                worker_cfg,
-                                boundary,
-                                order.clone(),
-                                1,
-                                *seed_nops,
-                                *global_lb,
-                                &mut policy,
-                            );
-                            (policy.events, st)
-                        }
-                    };
-                    *results[i].lock() = Some(part);
+                    *results[i].lock() = Some(dispose(&disps[i]));
                 });
             }
         })
         .expect("parallel prove worker panicked");
         for slot in results.into_iter().skip(1) {
             let (events, st) = slot.into_inner().expect("every disposition was processed");
-            merge(&mut phase2_stats, &st);
+            stats.merge(&st);
             parts.push(events);
         }
         parts.push(vec![ProofEvent::Leave]);
@@ -1025,44 +866,29 @@ pub fn parallel_prove(
 
     // relaxed-ok (here and deadline_hit below): read after scope join /
     // single-threaded part 0 — all worker stores are already visible.
-    let phase2_truncated = !proved_in_part0 && shared2.truncated.load(Ordering::Relaxed);
-    let complete = !phase2_truncated;
+    stats.truncated = !proved_in_part0 && shared2.truncated.load(Ordering::Relaxed);
+    stats.deadline_hit = stats.truncated && shared2.deadline_hit.load(Ordering::Relaxed);
+    (parts, stats)
+}
 
-    let trailer = CertificateTrailer {
-        order: best_order.iter().map(|t| t.0).collect(),
-        nops: mu_star,
-        complete,
-    };
-    let (etas, check) = evaluate_schedule(ctx, &best_order);
-    debug_assert_eq!(check, mu_star);
-
-    let mut stats = pool.stats;
-    merge(&mut stats, &phase2_stats);
-    stats.proved_by_bound = pool.proved;
-    stats.truncated = phase2_truncated;
-    stats.deadline_hit = phase2_truncated && shared2.deadline_hit.load(Ordering::Relaxed);
-
-    let outcome = SearchOutcome {
-        order: best_order,
-        assignment: ctx.sigma.clone(),
-        etas,
-        nops: mu_star,
-        initial_order,
-        initial_nops,
-        // A truncated certification phase withdraws the optimality claim:
-        // μ* is known optimal internally, but the caller asked for a
-        // *checkable* run and the budget did not cover it.
-        optimal: complete,
-        stats,
-    };
-    (
-        outcome,
-        ParallelProof {
-            header,
-            parts,
-            trailer,
-        },
-    )
+/// [`parallel_search`] while producing a machine-checkable optimality
+/// certificate from per-subtree transcripts (see the module docs for the
+/// two-phase construction): [`crate::run`] with `parallel: Some(*par)`
+/// and an in-memory proof logger. The merged certificate is accepted by
+/// `pipesched_proof::check_certificate` unchanged whenever the run
+/// completes within λ/deadline.
+///
+/// # Panics
+///
+/// Panics if `cfg.pipeline_selection` is set (as for the serial
+/// [`crate::bnb::prove`]).
+pub fn parallel_prove(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+) -> (SearchOutcome, ParallelProof) {
+    let (outcome, cert) = crate::bnb::prove_with(ctx, cfg, Some(*par));
+    (outcome, ParallelProof::split(cert))
 }
 
 #[cfg(test)]

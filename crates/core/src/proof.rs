@@ -429,20 +429,23 @@ impl Digest {
 }
 
 enum Sink {
-    /// Keep the transcript in memory and return a [`Certificate`].
+    /// Keep the transcript in memory and return a [`Certificate`], whose
+    /// digest is computed only when asked for.
     Memory(Vec<ProofEvent>),
-    /// Stream each line to a writer as it is logged (constant memory).
+    /// Stream each line to a writer as it is logged (constant memory),
+    /// digesting it on the way.
     Stream(Box<dyn Write + Send>),
 }
 
 /// Records the search transcript, either in memory or streamed to a
 /// writer. Create with [`ProofLogger::in_memory`] or
-/// [`ProofLogger::streaming`] and pass to
-/// [`crate::search_with_proof`]; the search drives the
-/// begin/log/finish lifecycle.
+/// [`ProofLogger::streaming`] and pass to [`crate::run`] as
+/// [`crate::Run::proof`]; the search drives the begin/log/finish
+/// lifecycle.
 pub struct ProofLogger {
     sink: Sink,
     header: Option<CertificateHeader>,
+    /// Digest of the streamed lines (streaming loggers only).
     digest: Digest,
     events: u64,
     io_error: Option<String>,
@@ -454,14 +457,23 @@ pub struct ProofOutput {
     /// The certificate (in-memory loggers only; streamed proofs live in
     /// the writer).
     pub certificate: Option<Certificate>,
-    /// FNV-1a digest of the serialized transcript (identical for memory
-    /// and streamed sinks).
-    pub digest: u64,
+    /// Digest of the streamed lines (streaming loggers only).
+    streamed_digest: u64,
     /// Number of events logged.
     pub events: u64,
     /// First I/O error hit while streaming, if any (a streamed proof with
     /// an error is incomplete on disk and must not be trusted).
     pub io_error: Option<String>,
+}
+
+impl ProofOutput {
+    /// FNV-1a digest of the serialized transcript, identical for memory
+    /// and streamed sinks (see [`Certificate::digest`]).
+    pub fn digest(&self) -> u64 {
+        self.certificate
+            .as_ref()
+            .map_or(self.streamed_digest, Certificate::digest)
+    }
 }
 
 impl ProofLogger {
@@ -487,6 +499,8 @@ impl ProofLogger {
         }
     }
 
+    /// Digest and write one line (streaming loggers only: an in-memory
+    /// logger serializes nothing, and digests its certificate on demand).
     fn write_line(&mut self, line: &str) {
         self.digest.update(line);
         if let Sink::Stream(w) = &mut self.sink {
@@ -503,25 +517,34 @@ impl ProofLogger {
 
     /// Record the header. Called once by the search before any event.
     pub fn begin(&mut self, header: CertificateHeader) {
-        let line = header_line(&header);
-        self.write_line(&line);
+        if let Sink::Stream(_) = self.sink {
+            self.write_line(&header_line(&header));
+        }
         self.header = Some(header);
+    }
+
+    /// Make room for `additional` more events, so an in-memory logger
+    /// handed a known-size transcript allocates it once.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        if let Sink::Memory(events) = &mut self.sink {
+            events.reserve_exact(additional);
+        }
     }
 
     /// Append one event to the transcript.
     pub fn log(&mut self, ev: ProofEvent) {
         self.events += 1;
-        let line = event_line(&ev);
-        self.write_line(&line);
-        if let Sink::Memory(events) = &mut self.sink {
-            events.push(ev);
+        match &mut self.sink {
+            Sink::Memory(events) => events.push(ev),
+            Sink::Stream(_) => self.write_line(&event_line(&ev)),
         }
     }
 
     /// Close the transcript with `trailer` and return what was recorded.
     pub fn finish(mut self, trailer: CertificateTrailer) -> ProofOutput {
-        let line = trailer_line(&trailer);
-        self.write_line(&line);
+        if let Sink::Stream(_) = self.sink {
+            self.write_line(&trailer_line(&trailer));
+        }
         if let Sink::Stream(w) = &mut self.sink {
             if self.io_error.is_none() {
                 if let Err(e) = w.flush() {
@@ -542,7 +565,7 @@ impl ProofLogger {
         };
         ProofOutput {
             certificate,
-            digest: self.digest.finish(),
+            streamed_digest: self.digest.finish(),
             events: self.events,
             io_error: self.io_error,
         }
@@ -621,7 +644,7 @@ mod tests {
         let streamed = logger.finish(cert.trailer.clone());
         assert!(streamed.certificate.is_none());
         assert!(streamed.io_error.is_none());
-        assert_eq!(streamed.digest, cert.digest());
+        assert_eq!(streamed.digest(), cert.digest());
         assert_eq!(streamed.events, cert.events.len() as u64);
 
         let mut mem = ProofLogger::in_memory();
@@ -631,7 +654,7 @@ mod tests {
         }
         let kept = mem.finish(cert.trailer.clone());
         assert_eq!(kept.certificate.as_ref(), Some(&cert));
-        assert_eq!(kept.digest, cert.digest());
+        assert_eq!(kept.digest(), cert.digest());
     }
 
     #[test]

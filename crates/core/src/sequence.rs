@@ -17,7 +17,7 @@
 use pipesched_ir::{BasicBlock, DepDag, TupleId};
 use pipesched_machine::Machine;
 
-use crate::bnb::{search_with_boundary, SearchConfig, SearchStats};
+use crate::bnb::{run, Run, SearchConfig, SearchStats};
 use crate::context::SchedContext;
 use crate::timing::{BoundaryState, TimingEngine};
 
@@ -63,7 +63,11 @@ pub fn schedule_sequence(
     for block in blocks {
         let dag = DepDag::build(block);
         let ctx = SchedContext::new(block, &dag, machine);
-        let out = search_with_boundary(&ctx, cfg, &boundary);
+        let carried = Run {
+            boundary: Some(&boundary),
+            ..Run::default()
+        };
+        let (out, _) = run(&ctx, cfg, carried).expect("the boundary was captured on this machine");
 
         // Replay the chosen schedule to capture the outgoing boundary.
         let mut engine = TimingEngine::with_boundary(&ctx, &boundary);
@@ -73,7 +77,7 @@ pub fn schedule_sequence(
         boundary = engine.capture_boundary();
 
         total_nops += out.nops;
-        merge_stats(&mut stats, &out.stats);
+        stats.merge(&out.stats);
         regions.push(ScheduledRegion {
             name: block.name.clone(),
             order: out.order,
@@ -88,20 +92,6 @@ pub fn schedule_sequence(
         total_nops,
         stats,
     }
-}
-
-fn merge_stats(into: &mut SearchStats, from: &SearchStats) {
-    into.nodes_visited += from.nodes_visited;
-    into.omega_calls += from.omega_calls;
-    into.complete_schedules += from.complete_schedules;
-    into.improvements += from.improvements;
-    into.pruned_quick += from.pruned_quick;
-    into.pruned_legality += from.pruned_legality;
-    into.pruned_equivalence += from.pruned_equivalence;
-    into.pruned_bound += from.pruned_bound;
-    into.pruned_symmetry += from.pruned_symmetry;
-    into.truncated |= from.truncated;
-    into.proved_by_bound |= from.proved_by_bound;
 }
 
 #[cfg(test)]

@@ -25,9 +25,8 @@ use std::time::Instant;
 
 use pipesched_core::proof::{Certificate, ProofLogger};
 use pipesched_core::{
-    global_lower_bound, parallel_prove, parallel_search, search, search_with_profile,
-    search_with_proof, windowed_schedule_bounded, Backend, ParallelConfig, SchedContext,
-    SearchConfig, SearchProfile,
+    global_lower_bound, run, search, windowed_schedule_bounded, Backend, ParallelConfig, Run,
+    SchedContext, SearchConfig, SearchProfile,
 };
 use pipesched_ir::{analysis::verify_schedule, BasicBlock, DepDag, TupleId};
 use pipesched_json::{json_object, Json};
@@ -579,8 +578,14 @@ impl ServiceEngine {
         answer
     }
 
-    /// The branch-and-bound variant of the final tier: proving, profiled,
-    /// or plain depending on configuration and whether a trace records.
+    /// The branch-and-bound variant of the final tier: one [`run`] on the
+    /// serial kernel (`threads == 1`) or the work-stealing pool, proving
+    /// when configured, and profiled per depth when a trace records on the
+    /// serial kernel. Pool stats are recorded without the single-search
+    /// node identity (a pool's bound prunes include deferred task drops),
+    /// and its steal/split counters feed the parallel gauges. A proved
+    /// answer carries the digest of its certificate, merged from the
+    /// workers' transcripts under the pool.
     fn bnb_tier(
         &self,
         ctx: &SchedContext<'_>,
@@ -593,71 +598,48 @@ impl ServiceEngine {
             deadline,
             ..SearchConfig::default()
         };
-        if self.config.threads != 1 {
-            return self.parallel_bnb_tier(ctx, &bnb_cfg, omega_spent);
+        let parallel =
+            (self.config.threads != 1).then(|| ParallelConfig::with_threads(self.config.threads));
+        let _s = span(if parallel.is_some() {
+            "tier_bnb_parallel"
+        } else {
+            "tier_bnb"
+        });
+        let mut profile =
+            (parallel.is_none() && pipesched_trace::active()).then(SearchProfile::new);
+        let searched = Run {
+            parallel,
+            // Only the digest is kept, so the transcript streams nowhere.
+            proof: self
+                .config
+                .prove
+                .then(|| ProofLogger::streaming(Box::new(std::io::sink()))),
+            profile: profile.as_mut(),
+            ..Run::default()
+        };
+        let (out, proof) = run(ctx, &bnb_cfg, searched).expect(
+            "a cold, fixed-unit search profiled only on the serial kernel is never rejected",
+        );
+        // Attach the depth breakdown to the tier span as points.
+        for (depth, d) in profile.iter().flat_map(|p| p.depths.iter().enumerate()) {
+            point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
+            point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
+            point2(
+                "bnb_depth_pruned_bound",
+                depth as i64,
+                d.pruned_bound as i64,
+            );
         }
-        let (bnb, bnb_digest) = if self.config.prove {
-            let _s = span("tier_bnb");
-            let (out, proof) = search_with_proof(ctx, &bnb_cfg, ProofLogger::in_memory());
-            // A truncated transcript is not a proof; attach nothing.
-            let digest = out.optimal.then_some(proof.digest);
-            (out, digest)
-        } else if pipesched_trace::active() {
-            // A trace is recording: run the profiled search (identical
-            // result, per-depth counters) and attach the depth breakdown
-            // to the tier span as points.
-            let _s = span("tier_bnb");
-            let mut profile = SearchProfile::new();
-            let out = search_with_profile(ctx, &bnb_cfg, &mut profile);
-            for (depth, d) in profile.depths.iter().enumerate() {
-                point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
-                point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
-                point2(
-                    "bnb_depth_pruned_bound",
-                    depth as i64,
-                    d.pruned_bound as i64,
-                );
-            }
-            (out, None)
-        } else {
-            let _s = span("tier_bnb");
-            (search(ctx, &bnb_cfg), None)
-        };
-        self.metrics.search.record(&bnb.stats, true);
-        note_flight_search(&bnb.stats);
-        *omega_spent += bnb.stats.omega_calls;
-        let mut answer = answer_from_search(&bnb, Tier::Bnb, *omega_spent);
-        answer.proof_digest = bnb_digest;
-        answer
-    }
-
-    /// The work-stealing parallel variant of the final tier. Stats are
-    /// recorded without the single-search node identity (a pool's bound
-    /// prunes include deferred task drops), and the steal/split counters
-    /// feed the parallel gauges. When proving, the per-worker transcripts
-    /// are merged into one certificate and its digest attached.
-    fn parallel_bnb_tier(
-        &self,
-        ctx: &SchedContext<'_>,
-        bnb_cfg: &SearchConfig,
-        omega_spent: &mut u64,
-    ) -> Answer {
-        let par = ParallelConfig::with_threads(self.config.threads);
-        let _s = span("tier_bnb_parallel");
-        let (out, digest) = if self.config.prove {
-            let (out, proof) = parallel_prove(ctx, bnb_cfg, &par);
-            let digest = out.optimal.then(|| proof.merge().digest());
-            (out, digest)
-        } else {
-            (parallel_search(ctx, bnb_cfg, &par), None)
-        };
-        self.metrics.search.record(&out.stats, false);
+        self.metrics.search.record(&out.stats, parallel.is_none());
         note_flight_search(&out.stats);
-        self.metrics
-            .record_parallel(out.stats.steals, out.stats.splits);
+        if parallel.is_some() {
+            self.metrics
+                .record_parallel(out.stats.steals, out.stats.splits);
+        }
         *omega_spent += out.stats.omega_calls;
         let mut answer = answer_from_search(&out, Tier::Bnb, *omega_spent);
-        answer.proof_digest = digest;
+        // A truncated transcript is not a proof; attach nothing.
+        answer.proof_digest = proof.filter(|_| out.optimal).map(|p| p.digest());
         answer
     }
 

@@ -1,83 +1,175 @@
 //! `pipesched` — optimal pipeline scheduling from the command line.
 //!
-//! ```text
-//! pipesched <input> [--machine NAME|FILE.json] [--emit WHAT] [--lambda N]
-//!                   [--window N] [--parallel] [--threads N] [--no-optimize]
-//!                   [--regs N]
-//! pipesched lint [INPUT ...] [--machine NAME|FILE] [--json] [--no-optimize]
-//!                [--frontend] [--strict]
-//! pipesched lint --concurrency [DIR ...] [--json] [--strict]
-//! pipesched certify <input> [--machine NAME|FILE] [--lambda N] [--window N]
-//!                   [--parallel] [--json] [--no-optimize]
+//! Every subcommand reads one option grammar ([`parse_options`]), and
+//! `pipesched --help` lists the flags each takes. The flags that choose
+//! the search mean the same wherever they appear:
 //!
-//! <input>      a source file of assignment statements, a tuple file
-//!              (first line `;; tuples`), `-` for stdin, or (for lint) a
-//!              directory searched recursively for .src/.tuples files
+//! ```text
 //! --machine    preset name (paper-simulation, paper-table2, deep-pipeline,
-//!              functional-units, section2-example, unpipelined) or a JSON
-//!              machine description; default paper-simulation
-//! --emit       asm | padded | trace | gantt | tuples | dot | stats  (default asm)
+//!              functional-units, section2-example, unpipelined), a JSON
+//!              machine description or a .mach file; default paper-simulation
 //! --lambda     curtail point (default 50000)
-//! --window     windowed scheduling with the given window length
-//! --parallel   use the work-stealing parallel branch-and-bound
-//! --threads    worker threads for the parallel search (implies --parallel;
-//!              0 or omitted means one per CPU)
+//! --threads    branch-and-bound workers: 1 (the default) runs the serial
+//!              kernel, N > 1 the work-stealing pool, 0 one worker per CPU
 //! --backend    bnb (default) | sat | race — the exact engine: the paper's
 //!              branch-and-bound, the CDCL SAT portfolio, or both raced and
 //!              cross-certified (any disagreement is a hard error)
-//! --no-optimize  skip the front-end optimizer
-//! --regs       registers available for allocation (default: exactly the
-//!              schedule's pressure)
+//! --window     windowed scheduling with the given window length
+//! --proof      stream the search's optimality certificate to this file
 //! ```
+//!
+//! `schedule`, `certify` and `prove` schedule through one dispatch
+//! ([`schedule_block`]). [`reject_conflicts`] refuses a combination only
+//! where it has no meaning, with one error that names both flags: a
+//! windowed schedule makes no optimality claim to prove and has no worker
+//! pool, and the SAT backend has no window, pool or certificate.
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use pipesched::analyze;
-use pipesched::core::proof::{Certificate, ProofLogger};
+use pipesched::core::proof::{Certificate, ProofLogger, ProofOutput};
 use pipesched::core::{
-    search, search_with_proof, windowed_schedule, Backend, SchedContext, Scheduler, SearchConfig,
+    global_lower_bound, list_schedule, run, windowed_schedule, Backend, ParallelConfig, Run,
+    SchedContext, SearchConfig, SearchOutcome, SearchStats,
 };
 use pipesched::frontend::{
     compile_unoptimized, lower_with_lines, parse_labeled_program, OptConfig, OptStats,
 };
 use pipesched::ir::{dot, parse::parse_block, BasicBlock, DepDag};
+use pipesched::json::Json;
 use pipesched::machine::{config as machine_config, presets, Machine};
 use pipesched::regalloc::{allocate, emit, max_pressure};
 use pipesched::sim::{pad_schedule, TimingModel, Trace};
 
+/// The subcommands; `Schedule` is also what a bare `pipesched <input>`
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Schedule,
+    Lint,
+    Certify,
+    Prove,
+    Serve,
+    Batch,
+    Stats,
+    Trace,
+    Flight,
+}
+
+/// Subcommand names, as typed.
+const SUBCOMMANDS: [(&str, Cmd); 9] = [
+    ("schedule", Cmd::Schedule),
+    ("lint", Cmd::Lint),
+    ("certify", Cmd::Certify),
+    ("prove", Cmd::Prove),
+    ("serve", Cmd::Serve),
+    ("batch", Cmd::Batch),
+    ("stats", Cmd::Stats),
+    ("trace", Cmd::Trace),
+    ("flight", Cmd::Flight),
+];
+
+/// Every subcommand's options; [`parse_options`] says which subcommand
+/// takes which flag.
 struct Options {
-    input: String,
+    inputs: Vec<String>,
     machine: String,
     emit: String,
     lambda: u64,
     window: Option<usize>,
-    parallel: bool,
     threads: usize,
+    backend: Backend,
+    proof: Option<String>,
     optimize: bool,
     regs: Option<usize>,
     json: bool,
-    proof: Option<String>,
-    backend: Backend,
+    /// `lint --frontend`: validate the optimizer transcript and lint the
+    /// optimized block too.
+    frontend: bool,
+    /// `lint --strict`: warnings also fail the exit code.
+    strict: bool,
+    /// `lint --concurrency`: static lock-order scan over Rust sources
+    /// instead of IR linting (inputs become directories to scan).
+    concurrency: bool,
+    workers: usize,
+    nodes: u64,
+    tcp: Option<String>,
+    cache: usize,
+    shards: usize,
+    conns: Option<u64>,
+    cache_file: Option<String>,
+    metrics: bool,
+    trace: bool,
+    flight: bool,
+    verify_opt: bool,
+    check: bool,
+    prove: bool,
+    require_hits: bool,
+    quiet: bool,
+    prom: bool,
+    flame: bool,
+    ndjson: bool,
+    dumps: bool,
+    events: usize,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            inputs: Vec::new(),
+            machine: "paper-simulation".into(),
+            emit: "asm".into(),
+            lambda: 50_000,
+            window: None,
+            threads: 1,
+            backend: Backend::Bnb,
+            proof: None,
+            optimize: true,
+            regs: None,
+            json: false,
+            frontend: false,
+            strict: false,
+            concurrency: false,
+            workers: 4,
+            nodes: pipesched::service::EngineConfig::default().default_nodes,
+            tcp: None,
+            cache: 1024,
+            shards: 8,
+            conns: None,
+            cache_file: None,
+            metrics: false,
+            trace: false,
+            flight: true,
+            verify_opt: false,
+            check: false,
+            prove: false,
+            require_hits: false,
+            quiet: false,
+            prom: false,
+            flame: false,
+            ndjson: false,
+            dumps: false,
+            events: 64,
+        }
+    }
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pipesched [schedule] <input> [--machine NAME|FILE.json] [--emit asm|padded|trace|gantt|tuples|dot|stats]\n\
-         \x20                [--lambda N] [--window N] [--parallel] [--threads N]\n\
-         \x20                [--backend bnb|sat|race]\n\
+        "usage: pipesched [schedule] <input> [--machine NAME|FILE] [--emit asm|padded|trace|gantt|tuples|dot|stats]\n\
+         \x20                [--lambda N] [--window N] [--threads N] [--backend bnb|sat|race]\n\
          \x20                [--no-optimize] [--regs N] [--json] [--proof FILE.ndjson]\n\
          \x20      pipesched lint [INPUT|DIR ...] [--machine NAME|FILE] [--json] [--no-optimize]\n\
          \x20                [--frontend] [--strict]\n\
          \x20      pipesched lint --concurrency [DIR ...] [--json] [--strict]\n\
          \x20      pipesched certify <input> [--machine NAME|FILE] [--lambda N] [--window N]\n\
-         \x20                [--parallel] [--threads N] [--json] [--no-optimize]\n\
-         \x20                [--proof FILE.ndjson]\n\
-         \x20      pipesched prove [INPUT ...] [--machine NAME|FILE] [--lambda N] [--json]\n\
-         \x20                [--no-optimize] [--proof FILE.ndjson]\n\
+         \x20                [--threads N] [--json] [--no-optimize] [--proof FILE.ndjson]\n\
+         \x20      pipesched prove [INPUT ...] [--machine NAME|FILE] [--lambda N] [--threads N]\n\
+         \x20                [--json] [--no-optimize] [--proof FILE.ndjson]\n\
          \x20      pipesched serve [--workers N] [--nodes N] [--cache N] [--shards N]\n\
          \x20                [--threads N] [--tcp ADDR[:PORT]] [--conns N] [--cache-file FILE]\n\
-         \x20                [--metrics] [--trace] [--verify-opt] [--backend bnb|sat|race]\n\
+         \x20                [--metrics] [--trace] [--no-flight] [--verify-opt] [--backend bnb|sat|race]\n\
          \x20      pipesched batch <requests.ndjson> [--workers N] [--nodes N] [--cache N]\n\
          \x20                [--threads N] [--check] [--prove] [--require-hits] [--json]\n\
          \x20                [--quiet] [--tcp ADDR[:PORT]] [--verify-opt] [--backend bnb|sat|race]\n\
@@ -86,70 +178,112 @@ fn usage() -> ! {
          \x20      pipesched trace <input> [--machine NAME|FILE] [--lambda N] [--no-optimize]\n\
          \x20                [--flame | --ndjson]\n\
          \x20      pipesched flight [<requests.ndjson> | --tcp ADDR[:PORT]] [-n N]\n\
-         \x20                [--ndjson | --flame | --dumps] [--workers N] [--nodes N]"
+         \x20                [--ndjson | --flame | --dumps] [--workers N] [--nodes N]\n\
+         --threads N: 1 (default) runs the serial branch-and-bound, N > 1 the work-stealing\n\
+         \x20            pool of N workers, 0 one worker per CPU"
     );
     std::process::exit(2)
 }
 
-fn parse_options() -> Result<Options, String> {
-    let mut input = None;
-    let mut opts = Options {
-        input: String::new(),
-        machine: "paper-simulation".into(),
-        emit: "asm".into(),
-        lambda: 50_000,
-        window: None,
-        parallel: false,
-        threads: 0,
-        optimize: true,
-        regs: None,
-        json: false,
-        proof: None,
-        backend: Backend::Bnb,
-    };
-    // `pipesched schedule <input>` is an explicit alias for the default
-    // scheduling pipeline.
-    let skip = if std::env::args().nth(1).as_deref() == Some("schedule") {
-        2
-    } else {
-        1
-    };
-    let mut args = std::env::args().skip(skip);
+/// Parse `text` as the value of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// The one option grammar: each flag lists the subcommands that take it,
+/// and any other flag is an unknown argument.
+fn parse_options(cmd: Cmd, mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+    use Cmd::*;
+    const COMPILE: &[Cmd] = &[Schedule, Lint, Certify, Prove, Trace];
+    const SEARCH: &[Cmd] = &[Schedule, Lint, Certify, Prove];
+    const ANALYZE: &[Cmd] = &[Lint, Certify, Prove];
+    const FLEET: &[Cmd] = &[Serve, Batch, Stats, Flight];
+    const ENGINE: &[Cmd] = &[Serve, Batch];
+    let on = |cmds: &[Cmd]| cmds.contains(&cmd);
+    let mut o = Options::default();
     while let Some(a) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
         match a.as_str() {
-            "--machine" => opts.machine = value()?,
-            "--emit" => opts.emit = value()?,
-            "--lambda" => opts.lambda = value()?.parse().map_err(|e| format!("--lambda: {e}"))?,
-            "--window" => {
-                let w: usize = value()?.parse().map_err(|e| format!("--window: {e}"))?;
+            "--machine" if on(COMPILE) => o.machine = value()?,
+            "--lambda" if on(COMPILE) => o.lambda = number(&a, &value()?)?,
+            "--no-optimize" if on(COMPILE) => o.optimize = false,
+            "--window" if on(SEARCH) => {
+                let w = number(&a, &value()?)?;
                 if w == 0 {
                     return Err("--window must be at least 1".into());
                 }
-                opts.window = Some(w);
+                o.window = Some(w);
             }
-            "--regs" => opts.regs = Some(value()?.parse().map_err(|e| format!("--regs: {e}"))?),
-            "--json" => opts.json = true,
-            "--proof" => opts.proof = Some(value()?),
-            "--parallel" => opts.parallel = true,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-                opts.parallel = true;
-            }
-            "--backend" => {
+            "--proof" if on(SEARCH) => o.proof = Some(value()?),
+            "--threads" if on(SEARCH) || on(ENGINE) => o.threads = number(&a, &value()?)?,
+            "--backend" if cmd == Schedule || on(ENGINE) => {
                 let name = value()?;
-                opts.backend = Backend::from_name(&name)
+                o.backend = Backend::from_name(&name)
                     .ok_or_else(|| format!("--backend: unknown backend `{name}` (bnb|sat|race)"))?;
             }
-            "--no-optimize" => opts.optimize = false,
+            "--json" if on(SEARCH) || cmd == Batch || cmd == Stats => o.json = true,
+            "--emit" if cmd == Schedule => o.emit = value()?,
+            "--regs" if cmd == Schedule => o.regs = Some(number(&a, &value()?)?),
+            "--frontend" if on(ANALYZE) => o.frontend = true,
+            "--strict" if on(ANALYZE) => o.strict = true,
+            "--concurrency" if on(ANALYZE) => o.concurrency = true,
+            "--workers" if on(FLEET) => o.workers = number(&a, &value()?)?,
+            "--nodes" if on(FLEET) => o.nodes = number(&a, &value()?)?,
+            "--tcp" if on(FLEET) => o.tcp = Some(value()?),
+            "--cache" if on(ENGINE) => o.cache = number(&a, &value()?)?,
+            "--verify-opt" if on(ENGINE) => o.verify_opt = true,
+            "--shards" if cmd == Serve => o.shards = number(&a, &value()?)?,
+            "--conns" if cmd == Serve => o.conns = Some(number(&a, &value()?)?),
+            "--cache-file" if cmd == Serve => o.cache_file = Some(value()?),
+            "--metrics" if cmd == Serve => o.metrics = true,
+            "--trace" if cmd == Serve => o.trace = true,
+            "--no-flight" if cmd == Serve => o.flight = false,
+            "--check" if cmd == Batch => o.check = true,
+            "--prove" if cmd == Batch => o.prove = true,
+            "--require-hits" if cmd == Batch => o.require_hits = true,
+            "--quiet" if cmd == Batch => o.quiet = true,
+            "--prom" if cmd == Stats => o.prom = true,
+            "--flame" if cmd == Trace || cmd == Flight => o.flame = true,
+            "--ndjson" if cmd == Trace || cmd == Flight => o.ndjson = true,
+            "-n" | "--events" if cmd == Flight => o.events = number("-n", &value()?)?,
+            "--dumps" if cmd == Flight => o.dumps = true,
             "--help" | "-h" => usage(),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            "-" if input.is_none() => input = Some("-".into()),
+            input
+                if (input == "-" || !input.starts_with('-'))
+                    && cmd != Serve
+                    && (o.inputs.is_empty() || on(ANALYZE)) =>
+            {
+                o.inputs.push(input.to_string())
+            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    opts.input = input.ok_or("missing input file")?;
-    Ok(opts)
+    Ok(o)
+}
+
+/// Reject the search flags that have no meaning together, with one error
+/// naming both. The `prove` subcommand always proves, so it conflicts
+/// like `--proof`.
+fn reject_conflicts(cmd: Cmd, o: &Options) -> Result<(), String> {
+    let proof = match cmd {
+        Cmd::Prove => Some("prove".to_string()),
+        _ => o.proof.as_ref().map(|_| "--proof".to_string()),
+    };
+    let window = o.window.map(|_| "--window".to_string());
+    let threads = (o.threads != 1).then(|| format!("--threads {}", o.threads));
+    let backend = (o.backend != Backend::Bnb).then(|| format!("--backend {}", o.backend));
+    let conflict = |a: &Option<String>, b: &Option<String>, why: &str| match (a, b) {
+        (Some(a), Some(b)) => Err(format!("{a} cannot be combined with {b}: {why}")),
+        _ => Ok(()),
+    };
+    conflict(&window, &proof, "a windowed schedule claims no optimum")?;
+    conflict(&window, &threads, "the windowed search has no pool")?;
+    conflict(&backend, &window, "windows belong to the branch-and-bound")?;
+    conflict(&backend, &threads, "the pool is the branch-and-bound's")?;
+    conflict(&backend, &proof, "a certificate is a B&B transcript")
 }
 
 fn load_machine(spec: &str) -> Result<Machine, String> {
@@ -220,18 +354,27 @@ fn load_block_with_stats(
 }
 
 fn main() -> ExitCode {
-    // `lint` and `certify` are subcommands with their own option grammar;
-    // everything else is the original scheduling pipeline.
-    let dispatch = match std::env::args().nth(1).as_deref() {
-        Some("lint") => run_lint(),
-        Some("certify") => run_certify(),
-        Some("prove") => run_prove(),
-        Some("serve") => run_serve(),
-        Some("batch") => run_batch_cmd(),
-        Some("stats") => run_stats(),
-        Some("trace") => run_trace(),
-        Some("flight") => run_flight(),
-        _ => run().map(|()| ExitCode::SUCCESS),
+    let first = std::env::args().nth(1);
+    let named = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| Some(*name) == first.as_deref())
+        .map(|&(_, cmd)| cmd);
+    let cmd = named.unwrap_or(Cmd::Schedule);
+    let args = std::env::args().skip(if named.is_some() { 2 } else { 1 });
+    let opts = parse_options(cmd, args).unwrap_or_else(|e| {
+        eprintln!("pipesched: {e}");
+        usage()
+    });
+    let dispatch = match cmd {
+        Cmd::Schedule => run_schedule(&opts),
+        Cmd::Lint => run_lint(&opts),
+        Cmd::Certify => run_certify(&opts),
+        Cmd::Prove => run_prove(&opts),
+        Cmd::Serve => run_serve(&opts),
+        Cmd::Batch => run_batch(&opts),
+        Cmd::Stats => run_stats(&opts),
+        Cmd::Trace => run_trace(&opts),
+        Cmd::Flight => run_flight(&opts),
     };
     match dispatch {
         Ok(code) => code,
@@ -240,75 +383,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Shared option grammar of the `lint` and `certify` subcommands.
-struct AnalyzeOptions {
-    inputs: Vec<String>,
-    machine: String,
-    json: bool,
-    optimize: bool,
-    lambda: u64,
-    window: Option<usize>,
-    parallel: bool,
-    threads: usize,
-    proof: Option<String>,
-    /// `lint --frontend`: validate the optimizer transcript and lint the
-    /// optimized block too.
-    frontend: bool,
-    /// `lint --strict`: warnings also fail the exit code.
-    strict: bool,
-    /// `lint --concurrency`: static lock-order scan over Rust sources
-    /// instead of IR linting (inputs become directories to scan).
-    concurrency: bool,
-}
-
-fn parse_analyze_options() -> Result<AnalyzeOptions, String> {
-    let mut opts = AnalyzeOptions {
-        inputs: Vec::new(),
-        machine: "paper-simulation".into(),
-        json: false,
-        optimize: true,
-        lambda: 50_000,
-        window: None,
-        parallel: false,
-        threads: 0,
-        proof: None,
-        frontend: false,
-        strict: false,
-        concurrency: false,
-    };
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--machine" => opts.machine = value()?,
-            "--lambda" => opts.lambda = value()?.parse().map_err(|e| format!("--lambda: {e}"))?,
-            "--window" => {
-                let w: usize = value()?.parse().map_err(|e| format!("--window: {e}"))?;
-                if w == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-                opts.window = Some(w);
-            }
-            "--json" => opts.json = true,
-            "--proof" => opts.proof = Some(value()?),
-            "--parallel" => opts.parallel = true,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-                opts.parallel = true;
-            }
-            "--no-optimize" => opts.optimize = false,
-            "--frontend" => opts.frontend = true,
-            "--strict" => opts.strict = true,
-            "--concurrency" => opts.concurrency = true,
-            "--help" | "-h" => usage(),
-            "-" => opts.inputs.push("-".into()),
-            other if !other.starts_with('-') => opts.inputs.push(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(opts)
 }
 
 /// Print reports (text or a JSON array); exit 1 when any has errors —
@@ -413,7 +487,7 @@ fn tuple_line_numbers(text: &str) -> Vec<usize> {
 /// optimization on, the optimizer runs under translation validation and
 /// a rejected transcript joins the reports; `--frontend` additionally
 /// lints the optimized block.
-fn lint_input(input: &str, opts: &AnalyzeOptions) -> Result<Vec<analyze::Report>, String> {
+fn lint_input(input: &str, opts: &Options) -> Result<Vec<analyze::Report>, String> {
     let text = read_input(input)?;
     let mut reports = Vec::new();
     if text.trim_start().starts_with(";; tuples") {
@@ -514,8 +588,7 @@ fn concurrency_report(inputs: &[String]) -> analyze::Report {
 /// Inputs may be files, directories (searched recursively for `.src` and
 /// `.tuples`), or `-`; each block gets its own report. With
 /// `--concurrency`, runs the lock-order source scan instead.
-fn run_lint() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
+fn run_lint(opts: &Options) -> Result<ExitCode, String> {
     if opts.concurrency {
         let report = concurrency_report(&opts.inputs);
         return Ok(emit_reports(&[report], opts.json, opts.strict));
@@ -523,150 +596,240 @@ fn run_lint() -> Result<ExitCode, String> {
     let machine = load_machine(&opts.machine)?;
     let mut reports = vec![analyze::check_machine(&machine)];
     for input in &expand_inputs(&opts.inputs)? {
-        reports.extend(lint_input(input, &opts)?);
+        reports.extend(lint_input(input, opts)?);
     }
     Ok(emit_reports(&reports, opts.json, opts.strict))
 }
 
-/// `pipesched certify`: schedule each input, certify the result against
-/// the independent re-derivation, and cross-check all schedulers.
-fn run_certify() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
-    if opts.inputs.is_empty() {
-        return Err("certify needs at least one input".into());
-    }
-    if opts.proof.is_some() && (opts.window.is_some() || opts.parallel) {
-        return Err(
-            "--proof requires the plain branch-and-bound (drop --window/--parallel)".into(),
-        );
-    }
-    let machine = load_machine(&opts.machine)?;
-    let mut reports = Vec::new();
-    let blocks: Vec<BasicBlock> = opts
-        .inputs
-        .iter()
-        .map(|input| load_blocks_from(input, opts.optimize))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .flatten()
-        .collect();
-    if opts.proof.is_some() && blocks.len() != 1 {
-        return Err("--proof expects exactly one block".into());
-    }
-    for block in &blocks {
-        let dag = DepDag::build(block);
-        let ctx = SchedContext::new(block, &dag, &machine);
-        let cert = if let Some(window) = opts.window {
-            let w = windowed_schedule(&ctx, window, opts.lambda);
-            analyze::certify::certify(
-                block,
-                &machine,
-                analyze::Claim {
-                    order: &w.order,
-                    etas: Some(&w.etas),
-                    nops: Some(w.nops),
-                    ..analyze::Claim::default()
-                },
-            )
-        } else if opts.parallel {
-            let out = pipesched::core::parallel::parallel_search(
-                &ctx,
-                &SearchConfig::with_lambda(opts.lambda),
-                &pipesched::core::ParallelConfig::with_threads(opts.threads),
-            );
-            analyze::certify::certify(
-                block,
-                &machine,
-                analyze::Claim {
-                    order: &out.order,
-                    assignment: Some(&out.assignment),
-                    etas: Some(&out.etas),
-                    nops: Some(out.nops),
-                },
-            )
-        } else {
-            let out = Scheduler::new(machine.clone())
-                .with_lambda(opts.lambda)
-                .schedule_with_dag(block, &dag);
-            analyze::certify_scheduled(block, &machine, &out)
-        };
-        let claimed_nops = cert.derived_nops;
-        let mut report = cert.report;
-        report.merge(analyze::cross_check(block, &machine, opts.lambda));
-
-        // `--proof FILE`: escalate from certification to an optimality
-        // proof — stream a certificate, read it back, and replay it
-        // through the independent checker; its verdict (and any A04xx
-        // rejection) joins the report.
-        if let Some(path) = &opts.proof {
-            let (check, trailer_nops) = prove_to_file(&ctx, block, &machine, opts.lambda, path)?;
-            if check.is_certified() {
-                if let (Some(claimed), Some(trailer)) = (claimed_nops, trailer_nops) {
-                    if claimed != u64::from(trailer) {
-                        report.push(analyze::Diagnostic::new(
-                            analyze::DiagCode::IncumbentRegression,
-                            format!(
-                                "certified schedule claims μ {claimed} but the \
-                                     optimality certificate proves μ {trailer}"
-                            ),
-                        ));
-                    }
-                }
-            }
-            report.merge(check.report);
-        }
-        reports.push(report);
-    }
-    Ok(emit_reports(&reports, opts.json, opts.strict))
+/// One block scheduled the way the options ask.
+struct Scheduled {
+    out: SearchOutcome,
+    /// The SAT backend's effort and query trail (`--backend sat|race`).
+    sat: Json,
+    /// The race's winner and timings (`--backend race`).
+    race: Json,
+    /// What the proof logger produced, when one was attached.
+    proof: Option<ProofOutput>,
 }
 
-/// Run the certificate-logged search streaming to `path`, read the file
-/// back, and check it. Returns the checker's result plus the certificate's
-/// claimed μ.
-fn prove_to_file(
+/// The one scheduling dispatch of `schedule`, `certify` and `prove`: the
+/// SAT backend, a race, the windowed search, or one [`run`] of the
+/// branch-and-bound on `--threads` workers, recording into `proof`. The
+/// caller has already rejected the combinations [`reject_conflicts`]
+/// names.
+fn schedule_block(
     ctx: &SchedContext<'_>,
-    block: &BasicBlock,
-    machine: &Machine,
-    lambda: u64,
-    path: &str,
-) -> Result<(pipesched::proof::ProofCheck, Option<u32>), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let logger = ProofLogger::streaming(Box::new(std::io::BufWriter::new(file)));
-    let cfg = SearchConfig {
-        lambda,
-        ..SearchConfig::default()
+    o: &Options,
+    proof: Option<ProofLogger>,
+) -> Result<Scheduled, String> {
+    let (block, machine) = (ctx.block, ctx.machine);
+    let from_sat = |sat: pipesched::solve::SolveOutcome| SearchOutcome {
+        order: sat.order,
+        assignment: sat.assignment,
+        etas: sat.etas,
+        nops: sat.nops,
+        initial_order: sat.initial_order,
+        initial_nops: sat.initial_nops,
+        optimal: sat.optimal,
+        stats: SearchStats::default(),
     };
-    let (_, proof) = search_with_proof(ctx, &cfg, logger);
+    Ok(match (o.backend, o.window) {
+        (Backend::Sat, _) => {
+            let _s = pipesched::trace::span("backend_sat");
+            let out =
+                pipesched::solve::solve_schedule(ctx, &pipesched::solve::SolveConfig::default());
+            // The SAT trail is independently audited — full certification
+            // of the answer plus model re-checks against a rebuilt
+            // encoding. A rejection here is a solver bug, never something
+            // to serve.
+            let report = pipesched::solve::audit::audit_outcome(block, machine, &out);
+            if report.has_errors() {
+                return Err(format!("SAT backend failed its audit:\n{report}"));
+            }
+            Scheduled {
+                sat: solve_stats_json(&out),
+                out: from_sat(out),
+                race: Json::Null,
+                proof: None,
+            }
+        }
+        (Backend::Race, _) => {
+            let _s = pipesched::trace::span("backend_race");
+            let race_cfg = pipesched::solve::RaceConfig {
+                lambda: o.lambda,
+                // Let both finish: the whole point of `--backend race` on
+                // the command line (and in CI) is the cross-certification.
+                cancel_loser: false,
+                ..Default::default()
+            };
+            let out = pipesched::solve::race(ctx, &race_cfg);
+            let agree = pipesched::solve::audit::cross_check(
+                block,
+                out.bnb.optimal,
+                out.bnb.nops,
+                out.sat.optimal,
+                out.sat.nops,
+            );
+            if out.disagreement || agree.has_errors() {
+                return Err(format!(
+                    "backend disagreement: B&B proved {} NOPs, SAT proved {} NOPs\n{agree}",
+                    out.bnb.nops, out.sat.nops
+                ));
+            }
+            let report = pipesched::solve::audit::audit_outcome(block, machine, &out.sat);
+            if report.has_errors() {
+                return Err(format!("SAT side of the race failed its audit:\n{report}"));
+            }
+            Scheduled {
+                race: pipesched::json::json_object![
+                    ("winner", out.winner.name()),
+                    ("bnb_micros", out.bnb_micros as i64),
+                    ("sat_micros", out.sat_micros as i64),
+                    ("bnb_nops", i64::from(out.bnb.nops)),
+                    ("sat_nops", i64::from(out.sat.nops)),
+                ],
+                sat: solve_stats_json(&out.sat),
+                out: if out.winner == Backend::Sat {
+                    from_sat(out.sat)
+                } else {
+                    out.bnb
+                },
+                proof: None,
+            }
+        }
+        (Backend::Bnb, Some(window)) => {
+            let w = windowed_schedule(ctx, window, o.lambda);
+            Scheduled {
+                out: SearchOutcome {
+                    order: w.order,
+                    assignment: ctx.sigma.clone(),
+                    etas: w.etas,
+                    nops: w.nops,
+                    initial_order: list_schedule(ctx.dag, &ctx.analysis),
+                    initial_nops: w.initial_nops,
+                    // Windows are optimal locally; the whole schedule only
+                    // when it meets the block's lower bound.
+                    optimal: w.nops <= global_lower_bound(ctx),
+                    stats: w.stats,
+                },
+                sat: Json::Null,
+                race: Json::Null,
+                proof: None,
+            }
+        }
+        (Backend::Bnb, None) => {
+            let searched = Run {
+                // `--threads 1` is the serial kernel.
+                parallel: (o.threads != 1).then(|| ParallelConfig::with_threads(o.threads)),
+                proof,
+                ..Run::default()
+            };
+            let (out, proof) = run(ctx, &SearchConfig::with_lambda(o.lambda), searched)
+                .map_err(|e| e.to_string())?;
+            Scheduled {
+                out,
+                sat: Json::Null,
+                race: Json::Null,
+                proof,
+            }
+        }
+    })
+}
+
+/// A proof logger streaming its certificate to `path` as NDJSON.
+fn streaming_logger(path: &str) -> Result<ProofLogger, String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    Ok(ProofLogger::streaming(Box::new(std::io::BufWriter::new(
+        file,
+    ))))
+}
+
+/// The certificate a proof logger produced: kept in memory, or streamed to
+/// `path`, read back and matched against the digest the logger computed
+/// while streaming.
+fn certificate_of(proof: ProofOutput, path: Option<&str>) -> Result<Certificate, String> {
+    if let Some(cert) = proof.certificate {
+        return Ok(cert);
+    }
+    let path = path.ok_or("the search recorded no certificate")?;
     if let Some(e) = proof.io_error {
         return Err(format!("write {path}: {e}"));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let cert = Certificate::from_ndjson(&text).map_err(|e| format!("{path}: {e}"))?;
-    if cert.digest() != proof.digest {
+    if cert.digest() != proof.digest() {
         return Err(format!("{path}: digest mismatch after round trip"));
     }
-    let trailer_nops = cert.trailer.nops;
-    Ok((
-        pipesched::proof::check_certificate(block, machine, &cert),
-        Some(trailer_nops),
-    ))
+    Ok(cert)
+}
+
+/// `pipesched certify`: schedule each input, certify the result against
+/// the independent re-derivation, and cross-check all schedulers.
+fn run_certify(o: &Options) -> Result<ExitCode, String> {
+    if o.inputs.is_empty() {
+        return Err("certify needs at least one input".into());
+    }
+    reject_conflicts(Cmd::Certify, o)?;
+    let machine = load_machine(&o.machine)?;
+    let mut reports = Vec::new();
+    let blocks: Vec<BasicBlock> = o
+        .inputs
+        .iter()
+        .map(|input| load_blocks_from(input, o.optimize))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .flatten()
+        .collect();
+    if o.proof.is_some() && blocks.len() != 1 {
+        return Err("--proof expects exactly one block".into());
+    }
+    for block in &blocks {
+        let dag = DepDag::build(block);
+        let ctx = SchedContext::new(block, &dag, &machine);
+        let logger = o.proof.as_deref().map(streaming_logger).transpose()?;
+        let scheduled = schedule_block(&ctx, o, logger)?;
+        let cert = analyze::certify_scheduled(block, &machine, &scheduled.out);
+        let claimed_nops = cert.derived_nops;
+        let mut report = cert.report;
+        report.merge(analyze::cross_check(block, &machine, o.lambda));
+
+        // `--proof FILE`: escalate from certification to an optimality
+        // proof — read back the certificate the search streamed, and
+        // replay it through the independent checker; its verdict (and any
+        // A04xx rejection) joins the report.
+        if let Some(proof) = scheduled.proof {
+            let cert = certificate_of(proof, o.proof.as_deref())?;
+            let check = pipesched::proof::check_certificate(block, &machine, &cert);
+            let trailer = u64::from(cert.trailer.nops);
+            if check.is_certified() && claimed_nops.is_some_and(|claimed| claimed != trailer) {
+                report.push(analyze::Diagnostic::new(
+                    analyze::DiagCode::IncumbentRegression,
+                    format!(
+                        "certified schedule claims μ {} but the optimality certificate \
+                         proves μ {trailer}",
+                        claimed_nops.unwrap_or_default()
+                    ),
+                ));
+            }
+            report.merge(check.report);
+        }
+        reports.push(report);
+    }
+    Ok(emit_reports(&reports, o.json, o.strict))
 }
 
 /// `pipesched prove`: schedule each input with certificate logging and
 /// verify the transcript with the independent checker. Exit failure unless
 /// every block comes back `OptimalCertified`.
-fn run_prove() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
-    if opts.inputs.is_empty() {
+fn run_prove(o: &Options) -> Result<ExitCode, String> {
+    if o.inputs.is_empty() {
         return Err("prove needs at least one input".into());
     }
-    if opts.window.is_some() || opts.parallel {
-        return Err("prove uses the plain branch-and-bound (drop --window/--parallel)".into());
-    }
-    let machine = load_machine(&opts.machine)?;
+    reject_conflicts(Cmd::Prove, o)?;
+    let machine = load_machine(&o.machine)?;
     let mut blocks: Vec<(String, BasicBlock)> = Vec::new();
-    for input in &opts.inputs {
-        for block in load_blocks_from(input, opts.optimize)? {
+    for input in &o.inputs {
+        for block in load_blocks_from(input, o.optimize)? {
             let label = if block.name.is_empty() {
                 input.clone()
             } else {
@@ -675,7 +838,7 @@ fn run_prove() -> Result<ExitCode, String> {
             blocks.push((label, block));
         }
     }
-    if opts.proof.is_some() && blocks.len() != 1 {
+    if o.proof.is_some() && blocks.len() != 1 {
         return Err("--proof expects exactly one block".into());
     }
 
@@ -684,23 +847,16 @@ fn run_prove() -> Result<ExitCode, String> {
     for (label, block) in &blocks {
         let dag = DepDag::build(block);
         let ctx = SchedContext::new(block, &dag, &machine);
-        let (check, digest, events) = if let Some(path) = &opts.proof {
-            let (check, _) = prove_to_file(&ctx, block, &machine, opts.lambda, path)?;
-            (check, None, None)
-        } else {
-            let cfg = SearchConfig {
-                lambda: opts.lambda,
-                ..SearchConfig::default()
-            };
-            let (_, cert) = pipesched::core::prove(&ctx, &cfg);
-            let digest = cert.digest();
-            let events = cert.events.len() as u64;
-            (
-                pipesched::proof::check_certificate(block, &machine, &cert),
-                Some(digest),
-                Some(events),
-            )
+        let logger = match &o.proof {
+            Some(path) => streaming_logger(path)?,
+            None => ProofLogger::in_memory(),
         };
+        let proof = schedule_block(&ctx, o, Some(logger))?
+            .proof
+            .ok_or("the search recorded no certificate")?;
+        let (digest, events) = (proof.digest(), proof.events);
+        let cert = certificate_of(proof, o.proof.as_deref())?;
+        let check = pipesched::proof::check_certificate(block, &machine, &cert);
         let (verdict, nops) = match check.verdict {
             pipesched::proof::ProofVerdict::OptimalCertified { nops } => {
                 ("optimal-certified", Some(nops))
@@ -710,44 +866,27 @@ fn run_prove() -> Result<ExitCode, String> {
                 ("rejected", None)
             }
         };
-        if opts.json {
+        if o.json {
             results.push(pipesched::json::json_object![
                 ("input", label.as_str()),
                 ("machine", machine.name.as_str()),
                 ("instructions", block.len()),
                 ("verdict", verdict),
-                (
-                    "nops",
-                    nops.map_or(pipesched::json::Json::Null, |n| pipesched::json::Json::Int(
-                        i64::from(n)
-                    ))
-                ),
-                (
-                    "digest",
-                    digest.map_or(pipesched::json::Json::Null, |d| pipesched::json::Json::Str(
-                        format!("{d:016x}")
-                    ))
-                ),
+                ("nops", nops.map_or(Json::Null, |n| Json::Int(i64::from(n)))),
+                ("digest", format!("{digest:016x}")),
                 ("report", check.report.to_json()),
             ]);
+        } else if let Some(n) = nops {
+            println!(
+                "{label}: optimal-certified, {n} NOPs ({events} events, digest {digest:016x})"
+            );
         } else {
-            match nops {
-                Some(n) => {
-                    let extra = match (digest, events) {
-                        (Some(d), Some(ev)) => format!(" ({ev} events, digest {d:016x})"),
-                        _ => String::new(),
-                    };
-                    println!("{label}: optimal-certified, {n} NOPs{extra}");
-                }
-                None => {
-                    println!("{label}: REJECTED");
-                    print!("{}", check.report.render_text());
-                }
-            }
+            println!("{label}: REJECTED");
+            print!("{}", check.report.render_text());
         }
     }
-    if opts.json {
-        println!("{}", pipesched::json::Json::Array(results).to_pretty());
+    if o.json {
+        println!("{}", Json::Array(results).to_pretty());
     }
     Ok(if failed {
         ExitCode::FAILURE
@@ -755,7 +894,6 @@ fn run_prove() -> Result<ExitCode, String> {
         ExitCode::SUCCESS
     })
 }
-
 /// The SAT backend's effort and query trail as a JSON object: solver
 /// totals plus one record per descending feasibility query ("μ ≤ N?").
 fn solve_stats_json(out: &pipesched::solve::SolveOutcome) -> pipesched::json::Json {
@@ -796,219 +934,65 @@ fn solve_stats_json(out: &pipesched::solve::SolveOutcome) -> pipesched::json::Js
     ]
 }
 
-fn run() -> Result<(), String> {
-    let opts = match parse_options() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipesched: {e}");
-            usage();
-        }
-    };
-    let machine = load_machine(&opts.machine)?;
-    if opts.proof.is_some() && (opts.window.is_some() || opts.parallel) {
-        return Err(
-            "--proof requires the plain branch-and-bound (drop --window/--parallel)".into(),
-        );
-    }
-    if opts.backend != Backend::Bnb
-        && (opts.window.is_some() || opts.parallel || opts.proof.is_some())
-    {
-        return Err(
-            "--backend sat/race runs the plain pipeline (drop --window/--parallel/--proof)".into(),
-        );
-    }
-    let (block, opt_stats) = load_block_with_stats(&opts.input, opts.optimize)?;
+/// `pipesched [schedule] <input>`: schedule one block and print it.
+fn run_schedule(o: &Options) -> Result<ExitCode, String> {
+    let input = o.inputs.first().ok_or("missing input file")?;
+    let machine = load_machine(&o.machine)?;
+    reject_conflicts(Cmd::Schedule, o)?;
+    let (block, opt_stats) = load_block_with_stats(input, o.optimize)?;
     let dag = DepDag::build(&block);
+    let ctx = SchedContext::new(&block, &dag, &machine);
+    // `--proof FILE`: the search streams its optimality certificate to
+    // disk as NDJSON while it runs.
+    let logger = o.proof.as_deref().map(streaming_logger).transpose()?;
 
-    // Schedule. All paths reuse the DAG built above — the facade's
-    // `schedule_with_dag` entry point exists so the CLI never pays for a
-    // second dependence analysis.
     let sched_start = std::time::Instant::now();
-    let mut sat_json = pipesched::json::Json::Null;
-    let mut race_json = pipesched::json::Json::Null;
-    let (order, etas, nops, initial_nops, optimal, stats) = if opts.backend == Backend::Sat {
-        let _s = pipesched::trace::span("backend_sat");
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let out = pipesched::solve::solve_schedule(&ctx, &pipesched::solve::SolveConfig::default());
-        // The SAT trail is independently audited — full certification of
-        // the answer plus model re-checks against a rebuilt encoding. A
-        // rejection here is a solver bug, never something to serve.
-        let report = pipesched::solve::audit::audit_outcome(&block, &machine, &out);
-        if report.has_errors() {
-            return Err(format!("SAT backend failed its audit:\n{report}"));
-        }
-        sat_json = solve_stats_json(&out);
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            pipesched::core::SearchStats::default(),
-        )
-    } else if opts.backend == Backend::Race {
-        let _s = pipesched::trace::span("backend_race");
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let race_cfg = pipesched::solve::RaceConfig {
-            lambda: opts.lambda,
-            // Let both finish: the whole point of `--backend race` on the
-            // command line (and in CI) is the cross-certification.
-            cancel_loser: false,
-            ..Default::default()
-        };
-        let out = pipesched::solve::race(&ctx, &race_cfg);
-        let agree = pipesched::solve::audit::cross_check(
-            &block,
-            out.bnb.optimal,
-            out.bnb.nops,
-            out.sat.optimal,
-            out.sat.nops,
-        );
-        if out.disagreement || agree.has_errors() {
-            return Err(format!(
-                "backend disagreement: B&B proved {} NOPs, SAT proved {} NOPs\n{agree}",
-                out.bnb.nops, out.sat.nops
-            ));
-        }
-        let report = pipesched::solve::audit::audit_outcome(&block, &machine, &out.sat);
-        if report.has_errors() {
-            return Err(format!("SAT side of the race failed its audit:\n{report}"));
-        }
-        race_json = pipesched::json::json_object![
-            ("winner", out.winner.name()),
-            ("bnb_micros", out.bnb_micros as i64),
-            ("sat_micros", out.sat_micros as i64),
-            ("bnb_nops", i64::from(out.bnb.nops)),
-            ("sat_nops", i64::from(out.sat.nops)),
-        ];
-        sat_json = solve_stats_json(&out.sat);
-        if out.winner == Backend::Sat {
-            let sat = out.sat;
-            (
-                sat.order,
-                sat.etas,
-                sat.nops,
-                sat.initial_nops,
-                sat.optimal,
-                pipesched::core::SearchStats::default(),
-            )
-        } else {
-            let bnb = out.bnb;
-            (
-                bnb.order,
-                bnb.etas,
-                bnb.nops,
-                bnb.initial_nops,
-                bnb.optimal,
-                bnb.stats,
-            )
-        }
-    } else if let Some(window) = opts.window {
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let w = windowed_schedule(&ctx, window, opts.lambda);
-        let truncated = w.stats.truncated;
-        (w.order, w.etas, w.nops, w.initial_nops, !truncated, w.stats)
-    } else if opts.parallel {
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let out = pipesched::core::parallel::parallel_search(
-            &ctx,
-            &SearchConfig::with_lambda(opts.lambda),
-            &pipesched::core::ParallelConfig::with_threads(opts.threads),
-        );
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
-    } else if let Some(path) = &opts.proof {
-        // Same search, but streaming an optimality certificate to disk as
-        // NDJSON while it runs.
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let logger = ProofLogger::streaming(Box::new(std::io::BufWriter::new(file)));
-        let cfg = SearchConfig {
-            lambda: opts.lambda,
-            ..SearchConfig::default()
-        };
-        let (out, proof) = search_with_proof(&ctx, &cfg, logger);
+    let Scheduled {
+        out,
+        sat,
+        race,
+        proof,
+    } = schedule_block(&ctx, o, logger)?;
+    let wall_micros = sched_start.elapsed().as_micros() as u64;
+    if let (Some(path), Some(proof)) = (&o.proof, proof) {
         if let Some(e) = proof.io_error {
             return Err(format!("write {path}: {e}"));
         }
         eprintln!(
             "; certificate: {} events, digest {:016x} -> {path}",
-            proof.events, proof.digest
+            proof.events,
+            proof.digest()
         );
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
-    } else {
-        let scheduler = Scheduler::new(machine.clone()).with_lambda(opts.lambda);
-        let out = scheduler.schedule_with_dag(&block, &dag);
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
-    };
-    let wall_micros = sched_start.elapsed().as_micros() as u64;
-    let omega = stats.omega_calls;
+    }
+    let stats = out.stats;
 
     // Debug builds certify every schedule the CLI emits: the independent
     // re-derivation in `pipesched-analyze` must agree with the scheduler.
-    if cfg!(debug_assertions) {
-        let cert = analyze::certify::certify(
-            &block,
-            &machine,
-            analyze::Claim {
-                order: &order,
-                etas: Some(&etas),
-                nops: Some(nops),
-                assignment: None,
-            },
-        );
-        assert!(
-            cert.is_certified(),
-            "schedule failed certification:\n{}",
-            cert.report
-        );
-    }
+    analyze::debug_assert_certified(&block, &machine, &out);
 
     // `--json`: machine-readable result with wall-clock and search-node
     // stats; replaces the `--emit` listing.
-    if opts.json {
-        let order_json: Vec<pipesched::json::Json> = order
+    if o.json {
+        let order_json: Vec<Json> = out
+            .order
             .iter()
-            .map(|t| pipesched::json::Json::Int(i64::from(t.0) + 1))
+            .map(|t| Json::Int(i64::from(t.0) + 1))
             .collect();
-        let etas_json: Vec<pipesched::json::Json> = etas
-            .iter()
-            .map(|&e| pipesched::json::Json::Int(i64::from(e)))
-            .collect();
+        let etas_json: Vec<Json> = out.etas.iter().map(|&e| Json::Int(i64::from(e))).collect();
         let doc = pipesched::json::json_object![
-            ("input", opts.input.as_str()),
+            ("input", input.as_str()),
             ("machine", machine.name.as_str()),
             ("instructions", block.len()),
-            ("order", pipesched::json::Json::Array(order_json)),
-            ("etas", pipesched::json::Json::Array(etas_json)),
-            ("nops", nops),
-            ("initial_nops", initial_nops),
-            ("total_cycles", block.len() as i64 + i64::from(nops)),
-            ("optimal", optimal),
-            ("backend", opts.backend.name()),
-            ("sat", sat_json),
-            ("race", race_json),
-            ("omega_calls", omega as i64),
+            ("order", Json::Array(order_json)),
+            ("etas", Json::Array(etas_json)),
+            ("nops", out.nops),
+            ("initial_nops", out.initial_nops),
+            ("total_cycles", out.total_cycles() as i64),
+            ("optimal", out.optimal),
+            ("backend", o.backend.name()),
+            ("sat", sat),
+            ("race", race),
+            ("omega_calls", stats.omega_calls as i64),
             ("nodes_visited", stats.nodes_visited as i64),
             ("pruned_quick", stats.pruned_quick as i64),
             ("pruned_legality", stats.pruned_legality as i64),
@@ -1039,15 +1023,16 @@ fn run() -> Result<(), String> {
                         ("dce_deletions", i64::from(s.dce_deletions)),
                         ("total_rewrites", i64::from(s.total_rewrites())),
                     ],
-                    None => pipesched::json::Json::Null,
+                    None => Json::Null,
                 }
             ),
         ];
         println!("{}", doc.to_pretty());
-        return Ok(());
+        return Ok(ExitCode::SUCCESS);
     }
 
-    match opts.emit.as_str() {
+    let order = &out.order;
+    match o.emit.as_str() {
         "tuples" => {
             println!(";; tuples");
             print!("{block}");
@@ -1056,12 +1041,12 @@ fn run() -> Result<(), String> {
             print!("{}", dot::to_dot(&block, &dag));
         }
         "padded" => {
-            let padded = pad_schedule(&order, &etas);
+            let padded = pad_schedule(order, &out.etas);
             print!("{}", padded.listing(&block));
         }
         "trace" => {
             let tm = TimingModel::new(&block, &dag, &machine);
-            let trace = Trace::capture(&tm, &order);
+            let trace = Trace::capture(&tm, order);
             print!("{}", trace.render(&block));
         }
         "gantt" => {
@@ -1071,32 +1056,27 @@ fn run() -> Result<(), String> {
                 .iter()
                 .map(|p| p.function.clone())
                 .collect();
-            let gantt = pipesched::sim::chart(&tm, &order, &labels);
+            let gantt = pipesched::sim::chart(&tm, order, &labels);
             print!("{}", gantt.render());
         }
         "asm" => {
-            let pressure = max_pressure(&block, &order);
-            let regs = opts.regs.unwrap_or(pressure);
-            let assignment = allocate(&block, &order, regs).map_err(|e| e.to_string())?;
-            let program = emit(&block, &order, &etas, &assignment).map_err(|e| e.to_string())?;
+            let pressure = max_pressure(&block, order);
+            let regs = o.regs.unwrap_or(pressure);
+            let assignment = allocate(&block, order, regs).map_err(|e| e.to_string())?;
+            let program = emit(&block, order, &out.etas, &assignment).map_err(|e| e.to_string())?;
             print!("{program}");
         }
         "stats" => {
-            // Run the plain search too so stats reflect the standard path.
-            let ctx = SchedContext::new(&block, &dag, &machine);
-            let out = search(&ctx, &SearchConfig::with_lambda(opts.lambda));
+            // The schedule this command made, whichever engine made it.
             let structure = pipesched::ir::BlockStats::collect(&block, &dag);
             println!("machine:            {}", machine.name);
             print!("{structure}");
             println!("initial (list) NOPs:{:>6}", out.initial_nops);
             println!("final NOPs:         {:>6}", out.nops);
-            println!(
-                "total cycles:       {:>6}",
-                block.len() as u64 + u64::from(out.nops)
-            );
-            println!("omega calls:        {:>6}", out.stats.omega_calls);
+            println!("total cycles:       {:>6}", out.total_cycles());
+            println!("omega calls:        {:>6}", stats.omega_calls);
             println!("provably optimal:   {}", out.optimal);
-            return Ok(());
+            return Ok(ExitCode::SUCCESS);
         }
         other => return Err(format!("unknown --emit `{other}`")),
     }
@@ -1104,66 +1084,51 @@ fn run() -> Result<(), String> {
     eprintln!(
         "; {} instructions, {} -> {} NOPs, {} Ω calls, {}{}",
         block.len(),
-        initial_nops,
-        nops,
-        omega,
-        if optimal { "optimal" } else { "truncated" },
-        if opts.backend == Backend::Bnb {
+        out.initial_nops,
+        out.nops,
+        stats.omega_calls,
+        if out.optimal { "optimal" } else { "truncated" },
+        if o.backend == Backend::Bnb {
             String::new()
         } else {
-            format!(" via {}", opts.backend)
+            format!(" via {}", o.backend)
         }
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The service engine the fleet options describe.
+fn engine(o: &Options) -> pipesched::service::ServiceEngine {
+    let mut config = pipesched::service::EngineConfig {
+        default_nodes: o.nodes,
+        prove: o.prove,
+        backend: o.backend,
+        threads: o.threads,
+        ..Default::default()
+    };
+    config.verify_opt |= o.verify_opt;
+    pipesched::service::ServiceEngine::new(config, o.cache, o.shards)
+}
+
+/// Replay a request file through `engine` with `--workers` threads.
+fn replay_local(
+    engine: &pipesched::service::ServiceEngine,
+    text: &str,
+    o: &Options,
+) -> Result<pipesched::service::BatchSummary, String> {
+    let config = pipesched::service::ServeConfig { workers: o.workers };
+    pipesched::service::run_batch(engine, text, &config, o.check, o.prove)
+        .map_err(|e| e.to_string())
 }
 
 /// `pipesched serve`: answer NDJSON scheduling requests from stdin or TCP.
-fn run_serve() -> Result<ExitCode, String> {
-    let mut workers = 4usize;
-    let mut nodes = pipesched::service::EngineConfig::default().default_nodes;
-    let mut cache_capacity = 1024usize;
-    let mut shards = 8usize;
-    let mut tcp: Option<String> = None;
-    let mut conns: Option<u64> = None;
-    let mut cache_file: Option<String> = None;
-    let mut dump_metrics = false;
-    let mut trace = false;
-    let mut verify_opt = false;
-    let mut backend = Backend::Bnb;
-    let mut threads = 1usize;
-    let mut flight_on = true;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--workers" => workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?,
-            "--nodes" => nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--threads" => threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?,
-            "--cache" => cache_capacity = value()?.parse().map_err(|e| format!("--cache: {e}"))?,
-            "--shards" => shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?,
-            "--tcp" => tcp = Some(value()?),
-            "--conns" => conns = Some(value()?.parse().map_err(|e| format!("--conns: {e}"))?),
-            "--cache-file" => cache_file = Some(value()?),
-            "--metrics" => dump_metrics = true,
-            "--trace" => trace = true,
-            "--no-flight" => flight_on = false,
-            "--verify-opt" => verify_opt = true,
-            "--backend" => {
-                let name = value()?;
-                backend = Backend::from_name(&name)
-                    .ok_or_else(|| format!("--backend: unknown backend `{name}` (bnb|sat|race)"))?;
-            }
-            "--help" | "-h" => usage(),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if trace {
+fn run_serve(o: &Options) -> Result<ExitCode, String> {
+    if o.trace {
         // Every request records a span tree; responses carry `trace_id`
         // and `GET /trace/<id>` on the TCP port serves the dump.
         pipesched::trace::set_enabled(true);
     }
-    if flight_on {
+    if o.flight {
         // The flight recorder is on by default: one wide event per
         // request into a bounded ring, frozen as an NDJSON dump when an
         // anomaly fires. Disabled-path cost when opted out is a single
@@ -1171,30 +1136,23 @@ fn run_serve() -> Result<ExitCode, String> {
         pipesched::trace::flight::set_enabled(true);
     }
 
-    let mut engine_config = pipesched::service::EngineConfig {
-        default_nodes: nodes,
-        backend,
-        threads,
-        ..Default::default()
-    };
-    engine_config.verify_opt |= verify_opt;
-    let engine = pipesched::service::ServiceEngine::new(engine_config, cache_capacity, shards);
-    if let Some(path) = &cache_file {
+    let engine = engine(o);
+    if let Some(path) = &o.cache_file {
         let loaded = engine.cache().load_from_path(path)?;
         if loaded > 0 {
             eprintln!("; loaded {loaded} cached schedules from {path}");
         }
     }
-    let config = pipesched::service::ServeConfig { workers };
+    let config = pipesched::service::ServeConfig { workers: o.workers };
 
-    let handled = if let Some(addr) = tcp {
+    let handled = if let Some(addr) = &o.tcp {
         let listener =
-            std::net::TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
+            std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         eprintln!(
             "; serving on {}",
             listener.local_addr().map_err(|e| e.to_string())?
         );
-        pipesched::service::serve_tcp(&engine, listener, &config, conns)
+        pipesched::service::serve_tcp(&engine, listener, &config, o.conns)
             .map_err(|e| e.to_string())?
     } else {
         let stdin = std::io::stdin();
@@ -1202,14 +1160,14 @@ fn run_serve() -> Result<ExitCode, String> {
             .map_err(|e| e.to_string())?
     };
 
-    if let Some(path) = &cache_file {
+    if let Some(path) = &o.cache_file {
         engine.cache().save_to_path(path)?;
         eprintln!(
             "; saved {} cached schedules to {path}",
             engine.cache().len()
         );
     }
-    if dump_metrics {
+    if o.metrics {
         eprintln!("{}", engine.metrics().to_json().to_pretty());
     }
     eprintln!("; {handled} requests served");
@@ -1218,94 +1176,30 @@ fn run_serve() -> Result<ExitCode, String> {
 
 /// `pipesched batch`: replay an NDJSON request file, print throughput, and
 /// optionally gate on certification and cache behaviour (the CI smoke).
-fn run_batch_cmd() -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut workers = 4usize;
-    let mut nodes = pipesched::service::EngineConfig::default().default_nodes;
-    let mut cache_capacity = 1024usize;
-    let mut check = false;
-    let mut prove = false;
-    let mut require_hits = false;
-    let mut json = false;
-    let mut quiet = false;
-    let mut tcp: Option<String> = None;
-    let mut verify_opt = false;
-    let mut backend = Backend::Bnb;
-    let mut threads = 1usize;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--workers" => workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?,
-            "--nodes" => nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--threads" => threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?,
-            "--cache" => cache_capacity = value()?.parse().map_err(|e| format!("--cache: {e}"))?,
-            "--check" => check = true,
-            "--prove" => prove = true,
-            "--require-hits" => require_hits = true,
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--tcp" => tcp = Some(value()?),
-            "--verify-opt" => verify_opt = true,
-            "--backend" => {
-                let name = value()?;
-                backend = Backend::from_name(&name)
-                    .ok_or_else(|| format!("--backend: unknown backend `{name}` (bnb|sat|race)"))?;
-            }
-            "--help" | "-h" => usage(),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let input = input.ok_or("missing request file")?;
-    if prove && !check {
+fn run_batch(o: &Options) -> Result<ExitCode, String> {
+    let input = o.inputs.first().ok_or("missing request file")?;
+    if o.prove && !o.check {
         return Err("--prove requires --check".into());
     }
-    let text = if input == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?
-    };
+    let text = read_input(input)?;
 
-    let summary = if let Some(addr) = &tcp {
+    let summary = if let Some(addr) = &o.tcp {
         // Client mode: replay the file against a running `pipesched serve
         // --tcp` and summarize the responses here. Certification (and even
         // proof replay) work client-side — both only need the request and
         // response text — but the search-effort fields stay zero: that
         // work happened in the server process (scrape its /metrics).
-        replay_tcp(addr, &text, check, prove)?
+        replay_tcp(addr, &text, o.check, o.prove)?
     } else {
-        let mut engine_config = pipesched::service::EngineConfig {
-            default_nodes: nodes,
-            prove,
-            backend,
-            threads,
-            ..Default::default()
-        };
-        engine_config.verify_opt |= verify_opt;
-        let engine = pipesched::service::ServiceEngine::new(engine_config, cache_capacity, 8);
-        pipesched::service::run_batch(
-            &engine,
-            &text,
-            &pipesched::service::ServeConfig { workers },
-            check,
-            prove,
-        )
-        .map_err(|e| e.to_string())?
+        replay_local(&engine(o), &text, o)?
     };
 
-    if !quiet {
+    if !o.quiet {
         for line in &summary.responses {
             println!("{line}");
         }
     }
-    if json {
+    if o.json {
         eprintln!("{}", summary.to_json().to_pretty());
     } else {
         eprintln!(
@@ -1317,12 +1211,12 @@ fn run_batch_cmd() -> Result<ExitCode, String> {
             summary.errors,
             summary.cache_hits,
             summary.truncated,
-            if check {
+            if o.check {
                 format!(
                     ", {} certified / {} failed{}",
                     summary.certified,
                     summary.certify_failures,
-                    if prove {
+                    if o.prove {
                         format!(
                             ", {} proved / {} proof failures",
                             summary.proved, summary.proof_failures
@@ -1338,15 +1232,15 @@ fn run_batch_cmd() -> Result<ExitCode, String> {
     }
 
     let mut failed = summary.errors > 0;
-    if check && (summary.certify_failures > 0 || summary.certified != summary.ok) {
+    if o.check && (summary.certify_failures > 0 || summary.certified != summary.ok) {
         eprintln!("pipesched: certification gate failed");
         failed = true;
     }
-    if prove && summary.proof_failures > 0 {
+    if o.prove && summary.proof_failures > 0 {
         eprintln!("pipesched: proof-replay gate failed");
         failed = true;
     }
-    if require_hits && summary.cache_hits == 0 {
+    if o.require_hits && summary.cache_hits == 0 {
         eprintln!("pipesched: expected cache hits, saw none");
         failed = true;
     }
@@ -1456,39 +1350,17 @@ fn render_stats_human(doc: &pipesched::json::Json, indent: usize, out: &mut Stri
 /// `pipesched stats`: engine metrics, cache shards, and prune-rule totals —
 /// either by replaying a request file locally or by scraping a running
 /// server's `/stats` (or `/metrics` with `--prom`) endpoint.
-fn run_stats() -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut json = false;
-    let mut prom = false;
-    let mut workers = 4usize;
-    let mut nodes = pipesched::service::EngineConfig::default().default_nodes;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--tcp" => tcp = Some(value()?),
-            "--json" => json = true,
-            "--prom" => prom = true,
-            "--workers" => workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?,
-            "--nodes" => nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--help" | "-h" => usage(),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if json && prom {
+fn run_stats(o: &Options) -> Result<ExitCode, String> {
+    if o.json && o.prom {
         return Err("--json and --prom are mutually exclusive".into());
     }
 
-    if let Some(addr) = &tcp {
-        if prom {
+    if let Some(addr) = &o.tcp {
+        if o.prom {
             print!("{}", http_get_body(addr, "/metrics")?);
         } else {
             let body = http_get_body(addr, "/stats")?;
-            if json {
+            if o.json {
                 print!("{body}");
             } else {
                 let doc = pipesched::json::parse(&body)
@@ -1503,36 +1375,16 @@ fn run_stats() -> Result<ExitCode, String> {
 
     // Local mode: replay a request file through a fresh engine, then dump
     // that engine's stats.
-    let input = input.ok_or("stats needs a request file or --tcp ADDR")?;
-    let text = if input == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?
-    };
-    let engine = pipesched::service::ServiceEngine::new(
-        pipesched::service::EngineConfig {
-            default_nodes: nodes,
-            ..Default::default()
-        },
-        1024,
-        8,
-    );
-    pipesched::service::run_batch(
-        &engine,
-        &text,
-        &pipesched::service::ServeConfig { workers },
-        false,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
+    let input = o
+        .inputs
+        .first()
+        .ok_or("stats needs a request file or --tcp ADDR")?;
+    let engine = engine(o);
+    replay_local(&engine, &read_input(input)?, o)?;
 
-    if prom {
+    if o.prom {
         print!("{}", engine.prometheus());
-    } else if json {
+    } else if o.json {
         println!("{}", engine.stats_json().to_pretty());
     } else {
         let mut out = String::new();
@@ -1545,34 +1397,12 @@ fn run_stats() -> Result<ExitCode, String> {
 /// `pipesched trace`: schedule one input with tracing and per-depth search
 /// profiling enabled, then render the span tree (default), folded
 /// flamegraph stacks (`--flame`), or the raw NDJSON dump (`--ndjson`).
-fn run_trace() -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut machine_spec = "paper-simulation".to_string();
-    let mut lambda = 50_000u64;
-    let mut optimize = true;
-    let mut flame = false;
-    let mut ndjson = false;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--machine" => machine_spec = value()?,
-            "--lambda" => lambda = value()?.parse().map_err(|e| format!("--lambda: {e}"))?,
-            "--no-optimize" => optimize = false,
-            "--flame" => flame = true,
-            "--ndjson" => ndjson = true,
-            "--help" | "-h" => usage(),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let input = input.ok_or("trace needs an input")?;
-    if flame && ndjson {
+fn run_trace(o: &Options) -> Result<ExitCode, String> {
+    let input = o.inputs.first().ok_or("trace needs an input")?;
+    if o.flame && o.ndjson {
         return Err("--flame and --ndjson are mutually exclusive".into());
     }
-    let machine = load_machine(&machine_spec)?;
+    let machine = load_machine(&o.machine)?;
 
     // Record the whole pipeline under one trace: frontend passes fire
     // their own spans inside `compile`, and the search runs with the
@@ -1580,22 +1410,23 @@ fn run_trace() -> Result<ExitCode, String> {
     // config) the `schedule` pipeline runs, so node counts line up with
     // `pipesched <input> --json`.
     pipesched::trace::set_enabled(true);
-    pipesched::trace::begin(&input);
+    pipesched::trace::begin(input);
     let mut profile = pipesched::core::SearchProfile::new();
     let outcome = {
         let _root = pipesched::trace::span("pipesched");
-        let block = load_block_from(&input, optimize)?;
+        let block = load_block_from(input, o.optimize)?;
         let dag = {
             let _s = pipesched::trace::span("dag_build");
             DepDag::build(&block)
         };
         let ctx = SchedContext::new(&block, &dag, &machine);
         let _s = pipesched::trace::span("search");
-        let out = pipesched::core::search_with_profile(
-            &ctx,
-            &SearchConfig::with_lambda(lambda),
-            &mut profile,
-        );
+        let profiled = Run {
+            profile: Some(&mut profile),
+            ..Run::default()
+        };
+        let (out, _) =
+            run(&ctx, &SearchConfig::with_lambda(o.lambda), profiled).map_err(|e| e.to_string())?;
         for (depth, d) in profile.depths.iter().enumerate() {
             pipesched::trace::point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
             pipesched::trace::point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
@@ -1610,11 +1441,11 @@ fn run_trace() -> Result<ExitCode, String> {
     let trace = pipesched::trace::end().ok_or("trace recorder returned nothing")?;
     pipesched::trace::set_enabled(false);
 
-    if ndjson {
+    if o.ndjson {
         print!("{}", pipesched::trace::render::to_ndjson(&trace));
         return Ok(ExitCode::SUCCESS);
     }
-    if flame {
+    if o.flame {
         // Folded stacks from span self-times, with the search frame broken
         // down further into per-depth frames from the profile.
         let depth_us: Vec<u64> = (0..profile.depths.len())
@@ -1674,46 +1505,20 @@ fn run_trace() -> Result<ExitCode, String> {
 /// events as a table (default), raw NDJSON, or folded flame stacks, or
 /// the frozen anomaly dumps (`--dumps`). Reads a live server over TCP, or
 /// replays a request file through a fresh engine with the recorder on.
-fn run_flight() -> Result<ExitCode, String> {
+fn run_flight(o: &Options) -> Result<ExitCode, String> {
     use pipesched::trace::flight;
 
-    let mut input: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut n = 64usize;
-    let mut ndjson = false;
-    let mut flame = false;
-    let mut dumps = false;
-    let mut workers = 4usize;
-    let mut nodes = pipesched::service::EngineConfig::default().default_nodes;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--tcp" => tcp = Some(value()?),
-            "-n" | "--events" => n = value()?.parse().map_err(|e| format!("-n: {e}"))?,
-            "--ndjson" => ndjson = true,
-            "--flame" => flame = true,
-            "--dumps" => dumps = true,
-            "--workers" => workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?,
-            "--nodes" => nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--help" | "-h" => usage(),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if (u8::from(ndjson) + u8::from(flame) + u8::from(dumps)) > 1 {
+    if (u8::from(o.ndjson) + u8::from(o.flame) + u8::from(o.dumps)) > 1 {
         return Err("--ndjson, --flame, and --dumps are mutually exclusive".into());
     }
 
-    if let Some(addr) = &tcp {
-        if dumps {
+    if let Some(addr) = &o.tcp {
+        if o.dumps {
             print!("{}", http_get_body(addr, "/flight/dumps")?);
             return Ok(ExitCode::SUCCESS);
         }
-        let body = http_get_body(addr, &format!("/flight/{n}"))?;
-        if ndjson {
+        let body = http_get_body(addr, &format!("/flight/{}", o.events))?;
+        if o.ndjson {
             print!("{body}");
             return Ok(ExitCode::SUCCESS);
         }
@@ -1724,7 +1529,7 @@ fn run_flight() -> Result<ExitCode, String> {
             .filter_map(flight::WideEvent::from_ndjson)
             .collect();
         let torn = events.iter().filter(|e| !e.verify()).count();
-        if flame {
+        if o.flame {
             print!("{}", flight::render_flame(&events));
         } else {
             print!("{}", flight::render_table(&events));
@@ -1737,38 +1542,26 @@ fn run_flight() -> Result<ExitCode, String> {
 
     // Local mode: replay a request file with the recorder enabled, then
     // render what it captured.
-    let input = input.ok_or("flight needs a request file or --tcp ADDR")?;
-    let text = read_input(&input)?;
+    let input = o
+        .inputs
+        .first()
+        .ok_or("flight needs a request file or --tcp ADDR")?;
+    let text = read_input(input)?;
     flight::set_enabled(true);
     flight::reset();
-    let engine = pipesched::service::ServiceEngine::new(
-        pipesched::service::EngineConfig {
-            default_nodes: nodes,
-            ..Default::default()
-        },
-        1024,
-        8,
-    );
-    pipesched::service::run_batch(
-        &engine,
-        &text,
-        &pipesched::service::ServeConfig { workers },
-        false,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
+    replay_local(&engine(o), &text, o)?;
     flight::set_enabled(false);
 
-    if dumps {
+    if o.dumps {
         for d in flight::dumps() {
             print!("{}", d.to_ndjson());
         }
         return Ok(ExitCode::SUCCESS);
     }
-    let events = flight::recent(n);
-    if ndjson {
+    let events = flight::recent(o.events);
+    if o.ndjson {
         print!("{}", flight::to_ndjson(&events));
-    } else if flame {
+    } else if o.flame {
         print!("{}", flight::render_flame(&events));
     } else {
         print!("{}", flight::render_table(&events));

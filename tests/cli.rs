@@ -42,6 +42,38 @@ fn stats_report_optimality() {
     assert!(text.contains("final NOPs"), "{text}");
 }
 
+/// `--emit stats` prints the schedule the command made — windowed, or
+/// from the SAT backend — with the numbers `--json` reports for it.
+#[test]
+fn emit_stats_reports_the_schedule_the_command_made() {
+    let src = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/dotproduct.src");
+    let windowed: &[&str] = &["--machine", "functional-units", "--window", "4"];
+    for mode in [windowed, &["--backend", "sat"]] {
+        let run = |emit: &[&str]| {
+            let out = bin().arg(src).args(mode).args(emit).output().unwrap();
+            assert!(
+                out.status.success(),
+                "{mode:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let text = run(&["--emit", "stats"]);
+        let doc = pipesched::json::parse(&run(&["--json"])).unwrap();
+        for (label, key) in [("final NOPs:", "nops"), ("omega calls:", "omega_calls")] {
+            let printed = text
+                .lines()
+                .find_map(|line| line.strip_prefix(label))
+                .unwrap_or_else(|| panic!("{mode:?}: no `{label}` in\n{text}"));
+            assert_eq!(
+                printed.trim().parse::<i64>().ok(),
+                doc.get(key).and_then(pipesched::json::Json::as_i64),
+                "{mode:?}: `{label}` disagrees with --json `{key}`"
+            );
+        }
+    }
+}
+
 #[test]
 fn tuple_round_trip_through_stdin() {
     let src = write_temp("rt.src", SOURCE);
@@ -86,7 +118,7 @@ fn dot_output_is_a_digraph() {
 #[test]
 fn windowed_and_parallel_modes_run() {
     let src = write_temp("wp.src", SOURCE);
-    for extra in [vec!["--window", "4"], vec!["--parallel"]] {
+    for extra in [vec!["--window", "4"], vec!["--threads", "2"]] {
         let out = bin()
             .arg(&src)
             .args(["--emit", "padded"])

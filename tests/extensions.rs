@@ -5,7 +5,7 @@
 
 use pipesched::core::{schedule_sequence, search, windowed_schedule, SchedContext, SearchConfig};
 use pipesched::frontend::compile_sequence;
-use pipesched::ir::{analysis::verify_schedule, DepDag};
+use pipesched::ir::{analysis::verify_schedule, BlockBuilder, DepDag};
 use pipesched::machine::presets;
 use pipesched::sim::{
     conservatism, lookahead_penalty, simulate_interlock, simulate_sequence, validate_schedule,
@@ -130,6 +130,31 @@ fn gantt_is_consistent_with_the_schedule() {
 
 /// The sequence scheduler's per-region NOP accounting must agree with the
 /// independent global-clock sequence simulator, block for block.
+/// A sequence whose deadline has already passed keeps every block's list
+/// order, and its merged counters say why: truncated by the deadline.
+#[test]
+fn sequence_reports_an_expired_deadline() {
+    let block = |name: &str| {
+        let mut b = BlockBuilder::new(name);
+        let x = b.load("x");
+        let y = b.load("y");
+        let m = b.mul(x, y);
+        let a = b.add(x, y);
+        b.store("m", m);
+        b.store("a", a);
+        b.finish().unwrap()
+    };
+    let blocks = [block("first"), block("second")];
+    let cfg = SearchConfig::default().with_deadline(Some(std::time::Instant::now()));
+    let seq = schedule_sequence(&blocks, &presets::deep_pipeline(), &cfg);
+    assert!(
+        seq.regions.iter().any(|r| !r.optimal),
+        "no block reached the deadline check"
+    );
+    assert!(seq.stats.truncated, "{:?}", seq.stats);
+    assert!(seq.stats.deadline_hit, "{:?}", seq.stats);
+}
+
 #[test]
 fn sequence_scheduler_agrees_with_sequence_simulator() {
     let machine = presets::recovery_unit();

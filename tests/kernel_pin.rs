@@ -1,10 +1,9 @@
 //! Pin the serial search wrappers bit-identical across refactors.
 //!
-//! The three public entry points (`search`, `search_with_proof`,
-//! `search_with_profile`) were unified into one policy-generic kernel;
-//! these tests hold their observable outputs — schedule, statistics, and
-//! certificate digest — fixed to the values the pre-refactor copies
-//! produced on the checked-in example corpus, so any behavioural drift in
+//! The plain, certificate-logged and profiled searches run one
+//! policy-generic kernel behind `run`; these tests hold their observable
+//! outputs — schedule, statistics, and certificate digest — fixed to the
+//! values the pre-refactor copies produced on the checked-in example corpus, so any behavioural drift in
 //! the kernel shows up as a failed pin, not a silent change. Two more
 //! tables hold the pipeline-selection and `SearchConfig::paper_exact()`
 //! (α-β bound, no lower-bound termination) paths to the values they had
@@ -14,11 +13,8 @@
 //! `--nocapture` — but only after convincing yourself the change in
 //! behaviour is intended.
 
-use pipesched::core::proof::ProofLogger;
-use pipesched::core::{
-    search, search_with_profile, search_with_proof, SchedContext, SearchConfig, SearchOutcome,
-    SearchProfile,
-};
+use pipesched::core::proof::{ProofLogger, ProofOutput};
+use pipesched::core::{run, search, Run, SchedContext, SearchConfig, SearchOutcome, SearchProfile};
 use pipesched::frontend::{lower, parse_labeled_program};
 use pipesched::ir::{BasicBlock, DepDag};
 use pipesched::machine::{presets, Machine};
@@ -176,6 +172,29 @@ fn find_block(blocks: &[(String, BasicBlock)], label: &str) -> BasicBlock {
         .clone()
 }
 
+/// `run` with an in-memory proof logger.
+fn proved(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, ProofOutput) {
+    let proof = Run {
+        proof: Some(ProofLogger::in_memory()),
+        ..Run::default()
+    };
+    let (out, proof) = run(ctx, cfg, proof).unwrap();
+    (out, proof.unwrap())
+}
+
+/// `run` filling `profile`.
+fn profiled(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    profile: &mut SearchProfile,
+) -> SearchOutcome {
+    let profiled = Run {
+        profile: Some(profile),
+        ..Run::default()
+    };
+    run(ctx, cfg, profiled).unwrap().0
+}
+
 #[test]
 fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
     let blocks = corpus();
@@ -188,9 +207,9 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
         let cfg = SearchConfig::default();
 
         let plain = search(&ctx, &cfg);
-        let (proved, proof) = search_with_proof(&ctx, &cfg, ProofLogger::in_memory());
+        let (proved, proof) = proved(&ctx, &cfg);
         let mut profile = SearchProfile::new();
-        let profiled = search_with_profile(&ctx, &cfg, &mut profile);
+        let profiled = profiled(&ctx, &cfg, &mut profile);
 
         if print {
             println!(
@@ -203,7 +222,7 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
                 plain.stats.nodes_visited,
                 plain.stats.omega_calls,
                 plain.stats.pruned_bound,
-                proof.digest,
+                proof.digest(),
             );
             continue;
         }
@@ -225,7 +244,7 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
             plain.stats.pruned_bound, pin.pruned_bound,
             "{tag}: bound prunes"
         );
-        assert_eq!(proof.digest, pin.digest, "{tag}: certificate digest");
+        assert_eq!(proof.digest(), pin.digest, "{tag}: certificate digest");
         assert!(plain.optimal, "{tag}: pinned runs all complete");
 
         // The structural search identity holds on every pinned path.
@@ -533,7 +552,7 @@ fn check_config_pins(name: &str, pins: &[ConfigPin], cfg: SearchConfig) {
 
         let plain = search(&ctx, &cfg);
         let mut profile = SearchProfile::new();
-        let profiled = search_with_profile(&ctx, &cfg, &mut profile);
+        let profiled = profiled(&ctx, &cfg, &mut profile);
         assert_eq!(profiled.order, plain.order, "{tag}: profile order");
         assert_eq!(
             profiled.assignment, plain.assignment,
@@ -546,10 +565,10 @@ fn check_config_pins(name: &str, pins: &[ConfigPin], cfg: SearchConfig) {
             "{tag}: profile nodes"
         );
         let digest = (!cfg.pipeline_selection).then(|| {
-            let (proved, proof) = search_with_proof(&ctx, &cfg, ProofLogger::in_memory());
+            let (proved, proof) = proved(&ctx, &cfg);
             assert_eq!(proved.order, plain.order, "{tag}: proof order");
             assert_eq!(proved.stats, plain.stats, "{tag}: proof stats");
-            proof.digest
+            proof.digest()
         });
 
         let got = ConfigPin {
