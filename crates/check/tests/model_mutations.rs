@@ -198,6 +198,54 @@ fn guard_leak_at_worker_exit_is_a0706() {
     assert_eq!(report.first_code(), Some(ViolationCode::LockLeaked));
 }
 
+/// Mutation 6 — unclamped λ reservation (pinned: A0705).
+///
+/// The batched budget protocol from `model_stop.rs`, but a reservation
+/// grants a whole batch whenever any of λ remains, instead of clamping
+/// the grant to the remainder. The batch that straddles λ overruns it,
+/// and the budget assertion fires.
+#[test]
+fn unclamped_lambda_reservation_is_a0705() {
+    const LAMBDA: u32 = 3;
+    const BATCH: u32 = 2;
+    let report = explore(&Builder::default(), || {
+        let omega_used = Arc::new(AtomicU32::new(0));
+        let ran = Arc::new(AtomicU32::new(0));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let (used, ran) = (Arc::clone(&omega_used), Arc::clone(&ran));
+                thread::spawn(move || {
+                    for _ in 0..2 {
+                        let start = used.fetch_add(BATCH, Ordering::Relaxed);
+                        // BUG: must be BATCH.min(LAMBDA.saturating_sub(start)).
+                        let granted = if start < LAMBDA { BATCH } else { 0 };
+                        if granted == 0 {
+                            return;
+                        }
+                        ran.fetch_add(granted, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join();
+        }
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran <= LAMBDA, "the workers ran {ran} Ω past λ = {LAMBDA}");
+    });
+    assert_eq!(
+        report.first_code(),
+        Some(ViolationCode::InvariantViolated),
+        "expected the budget assertion to fire: {:?}",
+        report.violations
+    );
+    assert!(
+        report.violations[0].message.contains("past λ"),
+        "violation must carry the budget assertion: {}",
+        report.violations[0].message
+    );
+}
+
 /// The mutation detectors must themselves be deterministic: the same
 /// seeded bug yields the same first violation on every exploration.
 #[test]

@@ -2,15 +2,25 @@
 //!
 //! Built on the unified policy-generic kernel in [`crate::bnb`]: every
 //! worker runs the *same* `dfs` as the serial search, with a
-//! [`SearchPolicy`] that (a) draws the λ budget from a pool-wide atomic,
-//! (b) reads and publishes the incumbent through a shared `AtomicU32` so
-//! an α-β bound discovered by any worker immediately prunes all others,
-//! and (c) intercepts shallow placements (depth ≤
-//! [`ParallelConfig::split_depth`]) as *subtree tasks* pushed onto the
-//! worker's own Chase-Lev-style deque. An idle worker pops its own deque
-//! LIFO (continuing depth-first where it left off) or steals FIFO from a
-//! peer's top — the classic work-stealing discipline, so thieves take the
-//! shallowest, largest subtrees.
+//! [`SearchPolicy`] that (a) draws the λ budget from a pool-wide atomic
+//! in batches of [`LAMBDA_BATCH`] Ω, (b) reads and publishes the
+//! incumbent through a shared `AtomicU32` so an α-β bound discovered by
+//! any worker immediately prunes all others, and (c) intercepts shallow
+//! placements (depth ≤ [`ParallelConfig::split_depth`]) as *subtree
+//! tasks* pushed onto the worker's own Chase-Lev-style deque. An idle
+//! worker pops its own deque LIFO (continuing depth-first where it left
+//! off) or steals FIFO from a peer's top — the classic work-stealing
+//! discipline, so thieves take the shallowest, largest subtrees.
+//!
+//! # Threads on demand
+//!
+//! The calling thread is worker 0, and [`ParallelConfig::threads`] counts
+//! it. Most blocks are settled in a few hundred Ω, about what starting a
+//! thread costs, so the pool starts its `threads − 1` helper threads
+//! only when worker 0 reserves a λ batch at or past
+//! [`HELPER_THRESHOLD`] Ω. A search that ends under the threshold spawns
+//! no thread and behaves exactly like the one-worker pool. A pooled
+//! proof's phase 2 starts helpers only if phase 1 did.
 //!
 //! Two properties worth stating precisely:
 //!
@@ -58,7 +68,8 @@
 //! The λ budget is shared across both phases: certification is search
 //! work, and a budget too small to certify truncates the certificate
 //! (`complete = false`, rejected by the checker) exactly like a truncated
-//! serial proof run.
+//! serial proof run. Phase 2 counts on from the Ω phase 1 actually ran;
+//! batch reservations phase 1 left unused are not spent.
 //!
 //! # Concurrency checking
 //!
@@ -70,12 +81,13 @@
 //! checker in `crates/check`, whose harnesses
 //! (`crates/check/tests/model_*.rs`) explore the four protocols this
 //! module relies on: deque push/pop/steal linearizability, incumbent
-//! publication (`PoolPolicy::improved`), λ/deadline/stop monotonicity
-//! (`note_stop`/`poll_stop`), and two-phase `parallel_prove` merge
-//! completeness. Every `Ordering` choice below carries either an upgrade
-//! demanded by those harnesses or a `relaxed-ok:` comment stating the
-//! invariant that keeps `Relaxed` sound (enforced by the
-//! `lint-atomics` source lint in CI).
+//! publication (`PoolPolicy::improved`), batched λ reservation and
+//! stop monotonicity (`Budget::refill`, `note_stop`/`poll_stop`, a
+//! helper started after the tree is exhausted), and two-phase
+//! `parallel_prove` merge completeness. Every `Ordering` choice below
+//! carries either an upgrade demanded by those harnesses or a
+//! `relaxed-ok:` comment stating the invariant that keeps `Relaxed`
+//! sound (enforced by the `lint-atomics` source lint in CI).
 
 use pipesched_check::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -100,10 +112,32 @@ use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
 /// first-level-only split.
 pub const DEFAULT_SPLIT_DEPTH: usize = 3;
 
+/// Ω worker 0 runs alone before the pool starts its helper threads:
+/// worker 0 starts them with the first λ batch it reserves at or past
+/// this many Ω. Sized on a 2-vCPU x86-64 host, where starting and joining
+/// one scoped helper thread cost 34–43 µs (quartiles) and one serial Ω
+/// on the `prove_hard` blocks 133 ns, so a helper costs the time of
+/// about 280 Ω. Of those 4,096 blocks (24–40 instructions, λ = 50,000)
+/// the median needs 343 Ω; at 1,000 Ω, 86% end without a helper while
+/// the 14% past it carry 90% of all Ω, and worker 0 has already done
+/// more than three times the work a helper costs to start.
+pub const HELPER_THRESHOLD: u64 = 1_000;
+
+/// Ω a worker reserves from the pool-wide λ counter at a time, clamped to
+/// what remains of λ, so the per-Ω path writes no memory another worker
+/// reads. At 133 ns per Ω a batch is about 34 µs of search between two
+/// read-modify-writes of the shared counter. The cost is precision:
+/// reservations other workers still hold when one finds λ spent can
+/// stop a pool at most `(threads − 1) × 256` Ω short of λ, 0.5% of the
+/// default λ = 50,000 at two workers.
+pub const LAMBDA_BATCH: u64 = 256;
+
 /// How a parallel search is distributed across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads (0 ⇒ one per available CPU).
+    /// Workers, counting the calling thread, which runs worker 0 (0 ⇒
+    /// one per available CPU). The other `threads − 1` are helper threads
+    /// the pool starts only once a search passes [`HELPER_THRESHOLD`] Ω.
     pub threads: usize,
     /// Placements at depth ≤ this become stealable subtree tasks; deeper
     /// subtrees run serially inside their worker. 0 disables splitting
@@ -157,7 +191,9 @@ struct Task {
 struct Shared {
     /// The pool-wide incumbent μ; `fetch_min` keeps it tight.
     best_nops: AtomicU32,
-    /// Pool-wide Ω counter (the λ budget is charged here, not per worker).
+    /// Pool-wide λ reservation counter: workers take [`LAMBDA_BATCH`] Ω
+    /// at a time from here (see [`Budget`]). It may pass λ by the
+    /// unclamped part of the batches that found λ spent.
     omega_used: AtomicU64,
     lambda: u64,
     /// `Some(lb)` when `terminate_on_lower_bound` is on.
@@ -173,10 +209,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(cfg: &SearchConfig, seed: &SearchSeed) -> Self {
+    /// Fresh pool state whose λ budget has `spent` Ω already run.
+    fn new(cfg: &SearchConfig, seed: &SearchSeed, spent: u64) -> Self {
         Shared {
             best_nops: AtomicU32::new(seed.nops),
-            omega_used: AtomicU64::new(0),
+            omega_used: AtomicU64::new(spent),
             lambda: cfg.lambda,
             global_lb: cfg.terminate_on_lower_bound.then_some(seed.global_lb),
             stop: AtomicBool::new(false),
@@ -188,12 +225,25 @@ impl Shared {
         }
     }
 
-    /// Charge one Ω call against the pool budget; true ⇒ exhausted.
-    fn charge_omega(&self) -> bool {
-        // relaxed-ok: pure counter. The only decision made on the value is
-        // "budget exhausted", which every worker re-derives from its own
-        // fetch_add; the authoritative final read happens after scope join.
-        self.omega_used.fetch_add(1, Ordering::Relaxed) + 1 >= self.lambda
+    /// Reserve the next batch of λ: `(start, granted)`, where `start` is
+    /// the Ω reserved pool-wide before this batch and `granted` is at
+    /// most [`LAMBDA_BATCH`], clamped to what remains of λ (0 ⇒ λ is
+    /// fully reserved).
+    fn reserve(&self) -> (u64, u64) {
+        // relaxed-ok: pure counter. Each batch is a disjoint range of the
+        // budget because the add is atomic, and nothing else is published
+        // with it; the clamp below keeps the granted ranges inside λ
+        // (model_stop.rs, and its unclamped mutation pinned to A0705).
+        let start = self.omega_used.fetch_add(LAMBDA_BATCH, Ordering::Relaxed);
+        (start, LAMBDA_BATCH.min(self.lambda.saturating_sub(start)))
+    }
+
+    /// Stop the pool as λ-truncated.
+    fn note_truncated(&self) {
+        self.note_stop(&SearchStats {
+            truncated: true,
+            ..SearchStats::default()
+        });
     }
 
     /// Propagate a worker's local stop cause to the pool.
@@ -220,9 +270,56 @@ impl Shared {
     }
 }
 
-/// The phase-1 worker policy: shared budget/bounds plus subtree spawning.
-struct PoolPolicy<'s> {
+/// One worker's share of the pool-wide λ: Ω reserved from
+/// [`Shared::omega_used`] and not yet run. A worker runs an Ω only on a
+/// reserved unit, so the Ω all workers run never exceed λ.
+struct Budget<'s> {
     shared: &'s Shared,
+    left: u64,
+    /// Worker 0's helper start, taken by the first batch it reserves at
+    /// or past [`HELPER_THRESHOLD`].
+    helpers: Option<&'s dyn Fn()>,
+}
+
+impl<'s> Budget<'s> {
+    fn new(shared: &'s Shared) -> Self {
+        Budget {
+            shared,
+            left: 0,
+            helpers: None,
+        }
+    }
+
+    /// Charge one Ω; true ⇒ it was the last Ω λ leaves this worker.
+    #[inline]
+    fn charge(&mut self) -> bool {
+        debug_assert!(self.left > 0, "an Ω runs only on a reserved unit");
+        self.left = self.left.saturating_sub(1);
+        self.left == 0 && !self.refill()
+    }
+
+    /// Make sure a unit is reserved before a subtree runs; false ⇒ λ is
+    /// fully reserved.
+    fn ready(&mut self) -> bool {
+        self.left > 0 || self.refill()
+    }
+
+    /// Reserve the next batch; false ⇒ λ is fully reserved.
+    fn refill(&mut self) -> bool {
+        let (start, granted) = self.shared.reserve();
+        self.left = granted;
+        if granted > 0 && start >= HELPER_THRESHOLD {
+            if let Some(start_helpers) = self.helpers.take() {
+                start_helpers();
+            }
+        }
+        granted > 0
+    }
+}
+
+/// The phase-1 worker policy: shared budget/bounds plus subtree spawning.
+struct PoolPolicy<'b, 's> {
+    budget: &'b mut Budget<'s>,
     split_depth: usize,
     /// Tasks spawned while running the current node, in enumeration
     /// order; flushed (reversed) onto the worker's deque afterwards so
@@ -230,10 +327,10 @@ struct PoolPolicy<'s> {
     spawned: Vec<Task>,
 }
 
-impl SearchPolicy for PoolPolicy<'_> {
+impl SearchPolicy for PoolPolicy<'_, '_> {
     #[inline]
     fn charge_omega(&mut self) -> bool {
-        self.shared.charge_omega()
+        self.budget.charge()
     }
 
     #[inline]
@@ -241,7 +338,7 @@ impl SearchPolicy for PoolPolicy<'_> {
         // Acquire pairs with the Release in `note_stop`: observing `stop`
         // also makes the cause flags (and anything the stopper published
         // before it) visible.
-        self.shared.stop.load(Ordering::Acquire)
+        self.budget.shared.stop.load(Ordering::Acquire)
     }
 
     #[inline]
@@ -250,7 +347,7 @@ impl SearchPolicy for PoolPolicy<'_> {
         // makes it monotone non-increasing — a stale read is merely a
         // looser bound, never an unsound one. Pinned by the incumbent
         // harness's monotonicity probe in crates/check.
-        local.min(self.shared.best_nops.load(Ordering::Relaxed))
+        local.min(self.budget.shared.best_nops.load(Ordering::Relaxed))
     }
 
     fn improved(&mut self, mu: u32, order: &[TupleId]) {
@@ -259,9 +356,9 @@ impl SearchPolicy for PoolPolicy<'_> {
         // value; the recheck under the payload lock below closes the
         // window between publication and payload write (the unguarded
         // variant is the A0705 mutation in crates/check).
-        let prev = self.shared.best_nops.fetch_min(mu, Ordering::SeqCst);
+        let prev = self.budget.shared.best_nops.fetch_min(mu, Ordering::SeqCst);
         if mu < prev {
-            let mut best = self.shared.best.lock();
+            let mut best = self.budget.shared.best.lock();
             if mu < best.1 {
                 best.0.clear();
                 best.0.extend_from_slice(order);
@@ -271,7 +368,7 @@ impl SearchPolicy for PoolPolicy<'_> {
     }
 
     fn stopping(&mut self, stats: &SearchStats) {
-        self.shared.note_stop(stats);
+        self.budget.shared.note_stop(stats);
     }
 
     fn spawn(&mut self, order: &[TupleId], depth: usize, bound: u32) -> bool {
@@ -290,12 +387,12 @@ impl SearchPolicy for PoolPolicy<'_> {
 
 /// The phase-2 worker policy: serial kernel semantics (no shared
 /// incumbent) plus transcript capture and the shared λ/stop plumbing.
-struct ProvePolicy<'s> {
-    shared: &'s Shared,
+struct ProvePolicy<'b, 's> {
+    budget: &'b mut Budget<'s>,
     events: Vec<ProofEvent>,
 }
 
-impl SearchPolicy for ProvePolicy<'_> {
+impl SearchPolicy for ProvePolicy<'_, '_> {
     const PROOF: bool = true;
 
     #[inline]
@@ -305,18 +402,18 @@ impl SearchPolicy for ProvePolicy<'_> {
 
     #[inline]
     fn charge_omega(&mut self) -> bool {
-        self.shared.charge_omega()
+        self.budget.charge()
     }
 
     #[inline]
     fn poll_stop(&mut self) -> bool {
         // Acquire pairs with the Release in `note_stop` (see
         // `PoolPolicy::poll_stop`).
-        self.shared.stop.load(Ordering::Acquire)
+        self.budget.shared.stop.load(Ordering::Acquire)
     }
 
     fn stopping(&mut self, stats: &SearchStats) {
-        self.shared.note_stop(stats);
+        self.budget.shared.note_stop(stats);
     }
 }
 
@@ -345,15 +442,16 @@ fn worker_loop(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     boundary: &BoundaryState,
-    shared: &Shared,
     split_depth: usize,
     own: &Deque<Task>,
     stealers: &[Stealer<Task>],
     me: usize,
+    budget: &mut Budget<'_>,
 ) -> SearchStats {
+    let shared = budget.shared;
     let mut stats = SearchStats::default();
     let mut policy = PoolPolicy {
-        shared,
+        budget,
         split_depth,
         spawned: Vec::new(),
     };
@@ -370,7 +468,8 @@ fn worker_loop(
         let Some(task) = task else {
             // Acquire pairs with the AcqRel counter updates below: a
             // worker that reads 0 has seen every completed task's pushes,
-            // so an empty steal sweep really means the tree is done.
+            // so an empty steal sweep really means the tree is done. A
+            // helper started after that point exits here at once.
             if shared.pending.load(Ordering::Acquire) == 0 {
                 break;
             }
@@ -384,6 +483,10 @@ fn worker_loop(
         // never cuts one it would keep.
         let best = shared.best_nops.load(Ordering::Relaxed);
         if task.bound < best {
+            if !policy.budget.ready() {
+                shared.note_truncated();
+                break;
+            }
             let st = run_subtree(
                 ctx,
                 cfg,
@@ -423,10 +526,14 @@ struct PoolOutcome {
     best_nops: u32,
     stats: SearchStats,
     proved: bool,
-    omega_used: u64,
+    /// Worker 0 passed [`HELPER_THRESHOLD`] and started the helpers
+    /// (none at one worker).
+    helpers: bool,
 }
 
 /// Run the work-stealing pool over the whole tree (the root as one task).
+/// The caller is worker 0; the helpers start only when worker 0 passes
+/// [`HELPER_THRESHOLD`] Ω.
 fn pool_phase(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
@@ -435,9 +542,9 @@ fn pool_phase(
     seed: &SearchSeed,
 ) -> PoolOutcome {
     let threads = par.resolved_threads().max(1);
-    let shared = Shared::new(cfg, seed);
+    let shared = Shared::new(cfg, seed, 0);
     // The pool owns the λ budget; workers run the kernel with an infinite
-    // local λ and charge the shared counter through the policy.
+    // local λ and charge their reserved batches through the policy.
     let worker_cfg = SearchConfig {
         lambda: u64::MAX,
         ..*cfg
@@ -452,45 +559,59 @@ fn pool_phase(
         bound: 0,
     });
 
-    let stats_acc = Mutex::new(SearchStats::default());
-    crossbeam::scope(|scope| {
-        for (i, dq) in deques.iter().enumerate() {
-            let stealers = &stealers;
-            let shared = &shared;
-            let stats_acc = &stats_acc;
-            let worker_cfg = &worker_cfg;
-            scope.spawn(move |_| {
-                let st = worker_loop(
-                    ctx,
-                    worker_cfg,
-                    boundary,
-                    shared,
-                    par.split_depth,
-                    dq,
-                    stealers,
-                    i,
-                );
-                stats_acc.lock().merge(&st);
-            });
-        }
+    let helper_stats = Mutex::new(SearchStats::default());
+    let (mut stats, helpers) = crossbeam::scope(|scope| {
+        let start_helpers = || {
+            for (me, own) in deques.iter().enumerate().skip(1) {
+                let (shared, stealers) = (&shared, &stealers);
+                let (helper_stats, worker_cfg) = (&helper_stats, &worker_cfg);
+                scope.spawn(move |_| {
+                    let st = worker_loop(
+                        ctx,
+                        worker_cfg,
+                        boundary,
+                        par.split_depth,
+                        own,
+                        stealers,
+                        me,
+                        &mut Budget::new(shared),
+                    );
+                    helper_stats.lock().merge(&st);
+                });
+            }
+        };
+        let mut budget = Budget {
+            helpers: Some(&start_helpers),
+            ..Budget::new(&shared)
+        };
+        let st = worker_loop(
+            ctx,
+            &worker_cfg,
+            boundary,
+            par.split_depth,
+            &deques[0],
+            &stealers,
+            0,
+            &mut budget,
+        );
+        (st, budget.helpers.is_none())
     })
     .expect("parallel search worker panicked");
 
-    let mut stats = *stats_acc.lock();
-    // relaxed-ok (all four loads): the scope join above happens-before
+    stats.merge(&helper_stats.into_inner());
+    // relaxed-ok (all three loads): the scope join above happens-before
     // these reads, so every worker's final stores are already visible.
     let proved = shared.proved.load(Ordering::Relaxed);
     stats.proved_by_bound = proved;
     stats.deadline_hit = !proved && shared.deadline_hit.load(Ordering::Relaxed);
     stats.truncated = !proved && shared.truncated.load(Ordering::Relaxed);
-    let omega_used = shared.omega_used.load(Ordering::Relaxed);
     let (best_order, best_nops) = shared.best.into_inner();
     PoolOutcome {
         best_order,
         best_nops,
         stats,
         proved,
-        omega_used,
+        helpers,
     }
 }
 
@@ -777,20 +898,18 @@ fn certify_phase(
         }
     }
 
-    // Fresh shared state for phase 2 — same λ pool, counting on from
-    // phase 1's Ω spend; stop/proved flags reset so the subtree workers
-    // actually run.
-    let shared2 = Shared::new(cfg, seed);
-    // relaxed-ok: written before any phase-2 worker is spawned; the
-    // spawn edge orders it for every reader.
-    shared2.omega_used.store(pool.omega_used, Ordering::Relaxed);
+    // Fresh shared state for phase 2 — same λ pool, counting on from the
+    // Ω phase 1 ran (its unused batch reservations are not spent);
+    // stop/proved flags reset so the subtree workers actually run.
+    let shared2 = Shared::new(cfg, seed, pool.stats.omega_calls);
     let worker_cfg = SearchConfig {
         lambda: u64::MAX,
         ..*cfg
     };
-    // Run one disposition: a prune is its own part; an entered subtree is
-    // an `Enter` followed by one serial kernel's transcript below it.
-    let dispose = |disp: &RootDisp| match disp {
+    // Run one disposition on a worker's budget: a prune is its own part;
+    // an entered subtree is an `Enter` followed by one serial kernel's
+    // transcript below it.
+    let dispose = |disp: &RootDisp, budget: &mut Budget<'_>| match disp {
         RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
         RootDisp::Enter {
             candidate,
@@ -799,11 +918,19 @@ fn certify_phase(
             global_lb,
         } => {
             let mut policy = ProvePolicy {
-                shared: &shared2,
+                budget,
                 events: vec![ProofEvent::Enter {
                     candidate: candidate.0,
                 }],
             };
+            if !policy.budget.ready() {
+                policy.budget.shared.note_truncated();
+                let st = SearchStats {
+                    truncated: true,
+                    ..SearchStats::default()
+                };
+                return (policy.events, st);
+            }
             let st = run_subtree(
                 ctx,
                 &worker_cfg,
@@ -821,9 +948,10 @@ fn certify_phase(
     let mut stats = SearchStats::default();
     let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
 
-    // The best subtree runs first (serially): if it proves optimality by
-    // bound, the certificate ends inside it and nothing else is emitted.
-    let (events, st) = dispose(&disps[0]);
+    // The best subtree runs first, on the caller: if it proves optimality
+    // by bound, the certificate ends inside it and nothing else is emitted.
+    let mut budget = Budget::new(&shared2);
+    let (events, st) = dispose(&disps[0], &mut budget);
     stats.merge(&st);
     let proved_in_part0 = st.proved_by_bound;
     parts.push(events);
@@ -831,29 +959,33 @@ fn certify_phase(
     // relaxed-ok: part 0 ran on this thread (program order); no other
     // thread is running yet.
     if !proved_in_part0 && !shared2.stop.load(Ordering::Relaxed) {
-        // Every other disposition, in parallel across entered subtrees.
+        // Every other disposition, claimed in order by the caller and, if
+        // phase 1 started helpers, by up to `threads − 1` helper threads.
         type SubtreeSlot = Mutex<Option<(Vec<ProofEvent>, SearchStats)>>;
         let results: Vec<SubtreeSlot> = (0..disps.len()).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(1);
-        let threads = par.resolved_threads().max(1).min(disps.len().max(1));
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                let disps = &disps;
-                let results = &results;
-                let next = &next;
-                let dispose = &dispose;
-                scope.spawn(move |_| loop {
-                    // relaxed-ok: only the returned index is used — each
-                    // claimed slot is a Mutex, and the final reads happen
-                    // after scope join. Claim uniqueness needs atomicity,
-                    // not ordering (merge-completeness harness).
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= disps.len() {
-                        break;
-                    }
-                    *results[i].lock() = Some(dispose(&disps[i]));
-                });
+        let claim = |budget: &mut Budget<'_>| loop {
+            // relaxed-ok: only the returned index is used — each claimed
+            // slot is a Mutex, and the final reads happen after scope
+            // join. Claim uniqueness needs atomicity, not ordering
+            // (merge-completeness harness).
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= disps.len() {
+                break;
             }
+            *results[i].lock() = Some(dispose(&disps[i], budget));
+        };
+        let helpers = if pool.helpers {
+            par.resolved_threads().min(disps.len()).saturating_sub(1)
+        } else {
+            0
+        };
+        crossbeam::scope(|scope| {
+            for _ in 0..helpers {
+                let (claim, shared2) = (&claim, &shared2);
+                scope.spawn(move |_| claim(&mut Budget::new(shared2)));
+            }
+            claim(&mut budget);
         })
         .expect("parallel prove worker panicked");
         for slot in results.into_iter().skip(1) {

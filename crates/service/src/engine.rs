@@ -167,9 +167,11 @@ pub struct EngineConfig {
     /// deadline (the loser is cancelled once the winner proves
     /// optimality).
     pub backend: Backend,
-    /// Worker threads for the branch-and-bound tier. `1` (the default)
-    /// runs the serial kernel; any other value escalates to the
-    /// work-stealing parallel search (`0` = one worker per CPU). The
+    /// Workers for the branch-and-bound tier, counting the calling
+    /// thread. `1` (the default) runs the serial kernel; any other value
+    /// escalates to the work-stealing parallel search (`0` = one worker
+    /// per CPU), which starts its helper threads only once a search
+    /// passes `pipesched_core::parallel::HELPER_THRESHOLD` Ω. The
     /// parallel tier honours the full request configuration — deadline,
     /// λ budget, proving — and, when proving, serves the digest of the
     /// merged multi-worker certificate.
