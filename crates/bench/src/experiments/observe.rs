@@ -83,8 +83,9 @@ impl ObserveReport {
 
     /// Cost of the flight recorder *on* (one wide event per request into
     /// the ring) relative to the faster disabled pass, percent. The
-    /// disabled passes already price the recorder's off path — a single
-    /// relaxed load per request — inside the < 2% disabled gate.
+    /// disabled passes already price the recorder's off path — each
+    /// request builds its event for the metrics, untimed and never
+    /// pushed — inside the < 2% disabled gate.
     pub fn flight_overhead_pct(&self) -> f64 {
         let base = self.disabled_micros.min(self.disabled_again_micros);
         if base == 0 {
@@ -196,7 +197,8 @@ pub fn run(requests: usize, shapes: usize, workers: usize) -> ObserveReport {
     // Tracing and the flight recorder must start disabled: an earlier
     // experiment (or test) in the same process may have left them on.
     // With both off, the disabled passes price *all* compiled-in
-    // observability — each request pays one relaxed load per layer.
+    // observability — one relaxed load per span site, plus the wide
+    // event each request builds for the metrics.
     pipesched_trace::set_enabled(false);
     pipesched_trace::flight::set_enabled(false);
     let input = workload(requests, shapes);

@@ -71,6 +71,19 @@ impl SearchProfile {
         own.saturating_sub(nested)
     }
 
+    /// The per-depth counters as trace points `(name, depth, value)`:
+    /// `bnb_depth_nodes`, `bnb_depth_omega` and `bnb_depth_pruned_bound`
+    /// for each depth, so every emitter names them the same way.
+    pub fn points(&self) -> impl Iterator<Item = (&'static str, usize, u64)> + '_ {
+        self.depths.iter().enumerate().flat_map(|(depth, d)| {
+            [
+                ("bnb_depth_nodes", depth, d.nodes),
+                ("bnb_depth_omega", depth, d.omega_calls),
+                ("bnb_depth_pruned_bound", depth, d.pruned_bound),
+            ]
+        })
+    }
+
     /// JSON rendering: an array of per-depth objects.
     pub fn to_json(&self) -> Json {
         Json::Array(

@@ -228,19 +228,17 @@ pub fn summarize_responses(
 /// replay rejected. The rejection happens in the batch checker, not the
 /// serve loop, so no in-flight event exists — but a certifier rejection is
 /// exactly the kind of anomaly the flight recorder must freeze, wherever
-/// it surfaces.
+/// it surfaces. The event goes straight to the ring, never to the
+/// engine's metrics: it is not another request.
 fn note_rejected_response(response: &Json) {
-    if !flight::enabled() {
-        return;
-    }
-    flight::begin(response.get("id").and_then(Json::as_i64).unwrap_or(-1));
-    flight::note_outcome(flight::Outcome::CertReject);
-    let micros = response
+    let mut ev = flight::WideEvent::new(response.get("id").and_then(Json::as_i64).unwrap_or(-1));
+    ev.raise(flight::Outcome::CertReject);
+    ev.micros = response
         .get("micros")
         .and_then(Json::as_i64)
         .map(|m| m.max(1) as u64)
         .unwrap_or(1);
-    flight::commit(micros, 0);
+    flight::commit(ev);
 }
 
 /// Escalate an `optimal` response to a full proof replay: search the

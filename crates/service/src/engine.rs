@@ -26,12 +26,12 @@ use std::time::Instant;
 use pipesched_core::proof::{Certificate, ProofLogger};
 use pipesched_core::{
     global_lower_bound, run, search, windowed_schedule_bounded, Backend, ParallelConfig, Run,
-    SchedContext, SearchConfig, SearchProfile,
+    SchedContext, SearchConfig, SearchProfile, SearchStats,
 };
 use pipesched_ir::{analysis::verify_schedule, BasicBlock, DepDag, TupleId};
 use pipesched_json::{json_object, Json};
 use pipesched_machine::{Machine, PipelineId};
-use pipesched_trace::flight::{self, Phase};
+use pipesched_trace::flight::{self, Outcome, Phase};
 use pipesched_trace::{point2, span};
 
 use crate::cache::{CacheEntry, ScheduleCache};
@@ -338,91 +338,74 @@ impl ServiceEngine {
 
     /// Answer one scheduling request. `budget.nodes == 0` is clamped to 1
     /// so the anytime contract (a legal schedule always comes back) holds.
+    /// Each phase is one [`flight::phase`] guard, and the answer is
+    /// reported once to this thread's wide event — both no-ops outside the
+    /// serve loop, whose commit derives the request metrics from the event.
     pub fn answer(&self, block: &BasicBlock, machine: &Machine, budget: Budget) -> Answer {
-        let start = Instant::now();
-        let mut fclock = flight::clock();
         // One DAG + context for the whole request: every tier below reuses
         // it (and the canonicalizer shares its `allowed` table).
-        let dag = {
-            let _s = span("dag_build");
-            DepDag::build(block)
-        };
+        let dag_phase = flight::phase(Phase::Dag, "dag_build");
+        let dag = DepDag::build(block);
         let ctx = SchedContext::new(block, &dag, machine);
-        fclock.lap(Phase::Dag);
+        drop(dag_phase);
         let form = {
-            let _s = span("canonicalize");
+            let _p = flight::phase(Phase::Canon, "canonicalize");
             canonicalize(&ctx)
         };
-        flight::note_block(form.key.hash, form.key.n, form.key.machine_fp);
-        fclock.lap(Phase::Canon);
+        flight::update(|ev| {
+            (ev.canon, ev.n, ev.machine_fp) = (form.key.hash, form.key.n, form.key.machine_fp)
+        });
         let nodes = budget.nodes.max(1);
 
         let hit = {
-            let _s = span("cache_lookup");
+            let _p = flight::phase(Phase::Cache, "cache_lookup");
             self.cache.get(&form.key, nodes)
         };
-        if let Some(entry) = hit {
-            let _s = span("cache_translate");
-            match translate_hit(&ctx, &form, &entry) {
-                Some(mut answer) => {
-                    self.certify_debug(block, machine, &answer);
-                    answer.cache_hit = true;
-                    fclock.lap(Phase::Cache);
-                    self.note_flight_answer(&answer, "hit");
-                    self.metrics.record_answer(
-                        Tier::Cache,
-                        answer.backend,
-                        true,
-                        false,
-                        start.elapsed().as_micros() as u64,
-                        0,
-                    );
-                    return answer;
-                }
-                None => {
-                    // Refinement-hash collision: the entry belongs to a
-                    // structurally different block. Drop it and re-search.
-                    self.cache.remove(&form.key);
-                }
+        let cached = hit.and_then(|entry| {
+            let _p = flight::phase(Phase::Cache, "cache_translate");
+            let answer = translate_hit(&ctx, &form, &entry);
+            if answer.is_none() {
+                // Refinement-hash collision: the entry belongs to a
+                // structurally different block. Drop it and re-search.
+                self.cache.remove(&form.key);
             }
-        }
-        fclock.lap(Phase::Cache);
-
-        let answer = self.escalate(&ctx, budget.deadline, nodes);
-        self.certify_debug(block, machine, &answer);
-        {
+            answer
+        });
+        let answer = cached.unwrap_or_else(|| {
+            let _p = flight::phase(Phase::Search, "search");
+            let answer = self.escalate(&ctx, budget.deadline, nodes);
             let _s = span("cache_store");
             self.store(&form, &answer, nodes);
-        }
-        fclock.lap(Phase::Search);
-        self.note_flight_answer(&answer, "miss");
-        self.metrics.record_answer(
-            answer.tier,
-            answer.backend,
-            false,
-            !answer.optimal,
-            start.elapsed().as_micros() as u64,
-            answer.omega_calls,
-        );
+            answer
+        });
+        self.certify_debug(block, machine, &answer);
+        flight::update(|ev| {
+            (ev.tier, ev.backend) = (answer.tier.name(), answer.backend.name());
+            ev.threads = self.config.threads as u32;
+            ev.cache = if answer.cache_hit { "hit" } else { "miss" };
+            (ev.nops, ev.optimal) = (answer.nops, answer.optimal);
+            ev.deadline_hit = answer.deadline_hit;
+            ev.proof_digest = answer.proof_digest.unwrap_or(0);
+            if answer.deadline_hit {
+                ev.raise(Outcome::DeadlineMiss);
+            }
+        });
         answer
     }
 
-    /// Attach an answer's provenance to this thread's wide event (single
-    /// relaxed load when the flight recorder is off).
-    fn note_flight_answer(&self, answer: &Answer, cache: &'static str) {
-        flight::note_answer(
-            answer.tier.name(),
-            answer.backend.name(),
-            self.config.threads as u32,
-            cache,
-            answer.nops,
-            answer.optimal,
-            answer.deadline_hit,
-            answer.proof_digest.unwrap_or(0),
-        );
-        if answer.deadline_hit {
-            flight::note_outcome(flight::Outcome::DeadlineMiss);
+    /// The one sink for a tier's search counters: the fleet aggregate
+    /// (`single` marks runs eligible for the node identity), the pool's
+    /// steal/split counters, and this request's wide event.
+    fn record_search(&self, stats: &SearchStats, single: bool) {
+        self.metrics.search.record(stats, single);
+        if stats.steals > 0 || stats.splits > 0 {
+            self.metrics.record_parallel(stats.steals, stats.splits);
         }
+        flight::update(|ev| {
+            ev.nodes += stats.nodes_visited;
+            ev.omega += stats.omega_calls;
+            ev.pruned += stats.pruned_total();
+        });
     }
 
     /// The tier cascade on a cache miss.
@@ -439,8 +422,7 @@ impl ServiceEngine {
             let _s = span("tier_list");
             search(ctx, &list_cfg)
         };
-        self.metrics.search.record(&list.stats, true);
-        note_flight_search(&list.stats);
+        self.record_search(&list.stats, true);
         if list.optimal {
             let mut answer = answer_from_search(&list, Tier::List, 0);
             if self.config.prove {
@@ -458,8 +440,7 @@ impl ServiceEngine {
             let w = windowed_schedule_bounded(ctx, self.config.window, w_nodes, deadline);
             // Windowed stats aggregate several per-window searches, so they
             // never join the identity-eligible set.
-            self.metrics.search.record(&w.stats, false);
-            note_flight_search(&w.stats);
+            self.record_search(&w.stats, false);
             omega_spent += w.stats.omega_calls;
             Some(w)
         } else {
@@ -522,10 +503,9 @@ impl ServiceEngine {
                     ..Default::default()
                 };
                 let out = pipesched_solve::race(ctx, &race_cfg);
-                self.metrics.search.record(&out.bnb.stats, true);
-                note_flight_search(&out.bnb.stats);
+                self.record_search(&out.bnb.stats, true);
                 if out.disagreement {
-                    flight::note_outcome(flight::Outcome::Disagreement);
+                    flight::update(|ev| ev.raise(Outcome::Disagreement));
                 }
                 self.metrics.record_sat_effort(
                     out.sat.stats.conflicts,
@@ -585,7 +565,7 @@ impl ServiceEngine {
     /// when configured, and profiled per depth when a trace records on the
     /// serial kernel. Pool stats are recorded without the single-search
     /// node identity (a pool's bound prunes include deferred task drops),
-    /// and its steal/split counters feed the parallel gauges. A proved
+    /// and its steal/split counters feed the parallel counters. A proved
     /// answer carries the digest of its certificate, merged from the
     /// workers' transcripts under the pool.
     fn bnb_tier(
@@ -623,21 +603,10 @@ impl ServiceEngine {
             "a cold, fixed-unit search profiled only on the serial kernel is never rejected",
         );
         // Attach the depth breakdown to the tier span as points.
-        for (depth, d) in profile.iter().flat_map(|p| p.depths.iter().enumerate()) {
-            point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
-            point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
-            point2(
-                "bnb_depth_pruned_bound",
-                depth as i64,
-                d.pruned_bound as i64,
-            );
+        for (name, depth, value) in profile.iter().flat_map(SearchProfile::points) {
+            point2(name, depth as i64, value as i64);
         }
-        self.metrics.search.record(&out.stats, parallel.is_none());
-        note_flight_search(&out.stats);
-        if parallel.is_some() {
-            self.metrics
-                .record_parallel(out.stats.steals, out.stats.splits);
-        }
+        self.record_search(&out.stats, parallel.is_none());
         *omega_spent += out.stats.omega_calls;
         let mut answer = answer_from_search(&out, Tier::Bnb, *omega_spent);
         // A truncated transcript is not a proof; attach nothing.
@@ -734,11 +703,6 @@ fn schedule_selftest() -> bool {
     verify_schedule(&block, &dag, &out.order).is_ok() && out.etas.iter().sum::<u32>() == out.nops
 }
 
-/// Accumulate one search run's effort onto this thread's wide event.
-fn note_flight_search(stats: &pipesched_core::SearchStats) {
-    flight::note_search(stats.nodes_visited, stats.omega_calls, stats.pruned_total());
-}
-
 fn answer_from_search(out: &pipesched_core::SearchOutcome, tier: Tier, omega_calls: u64) -> Answer {
     Answer {
         order: out.order.clone(),
@@ -761,28 +725,20 @@ fn answer_from_search(out: &pipesched_core::SearchOutcome, tier: Tier, omega_cal
 /// tiny block whose λ=1 search completed exhaustively) a fresh fully-logged
 /// search is cheap.
 fn prove_digest(ctx: &SchedContext<'_>, order: &[TupleId], nops: u32) -> u64 {
-    let _s = span("prove");
-    // The prove phase runs inside the search lap, so wide events report it
-    // both standalone (`us_prove`) and as part of `us_search`.
-    let t0 = flight::active().then(Instant::now);
-    let digest = {
-        let lb = global_lower_bound(ctx);
-        if nops == lb {
-            let order: Vec<u32> = order.iter().map(|t| t.0).collect();
-            Certificate::by_bound(ctx.len() as u32, order, nops, lb).digest()
-        } else {
-            let cfg = SearchConfig {
-                lambda: u64::MAX,
-                ..SearchConfig::default()
-            };
-            let (_, cert) = pipesched_core::prove(ctx, &cfg);
-            cert.digest()
-        }
-    };
-    if let Some(t0) = t0 {
-        flight::phase_us(Phase::Prove, t0.elapsed().as_micros() as u64);
+    // Nested in the search phase, whose self time excludes it.
+    let _p = flight::phase(Phase::Prove, "prove");
+    let lb = global_lower_bound(ctx);
+    if nops == lb {
+        let order: Vec<u32> = order.iter().map(|t| t.0).collect();
+        Certificate::by_bound(ctx.len() as u32, order, nops, lb).digest()
+    } else {
+        let cfg = SearchConfig {
+            lambda: u64::MAX,
+            ..SearchConfig::default()
+        };
+        let (_, cert) = pipesched_core::prove(ctx, &cfg);
+        cert.digest()
     }
-    digest
 }
 
 /// Replay a cached canonical schedule on a (possibly different) block with

@@ -31,7 +31,7 @@ use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::TcpListener;
 use std::time::Instant;
 
-use pipesched_trace::flight;
+use pipesched_trace::flight::{self, Outcome, Phase};
 
 use crate::engine::ServiceEngine;
 use crate::request::{error_json, parse_request, response_json};
@@ -166,36 +166,35 @@ pub fn serve_stream<R: BufRead, W: Write + Send>(
     }
 }
 
-/// Answer one request line, returning the rendered response line. When
-/// tracing is on, the whole request records one trace (published to the
-/// in-process store, fetchable via `GET /trace/<id>`) and the response
-/// carries its id.
+/// Answer one request line, returning the rendered response line. The
+/// request builds one wide event, committed once at the end: the engine's
+/// request metrics derive from it, and the flight recorder keeps it when
+/// on. When tracing is on, the whole request records one trace (published
+/// to the in-process store, fetchable via `GET /trace/<id>`) and the
+/// response carries its id.
 pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
-    engine.metrics().record_request();
     let trace_id = if pipesched_trace::enabled() {
         let id = pipesched_trace::begin("request");
         (id != 0).then_some(id)
     } else {
         None
     };
-    flight::begin(-1);
     let start = Instant::now();
-    let mut fclock = flight::clock();
+    flight::begin(-1);
     let parsed = {
-        let _s = pipesched_trace::span("parse");
+        let _p = flight::phase(Phase::Parse, "parse");
         parse_request(line)
     };
-    fclock.lap(flight::Phase::Parse);
     let rendered = match parsed {
         Ok(req) => 'ok: {
-            flight::note_req(req.id.unwrap_or(-1));
+            flight::update(|ev| ev.req = req.id.unwrap_or(-1));
             // Optimizer admission gate: run the front-end optimizer under
             // translation validation and refuse blocks whose transcript
             // the validator rejects. The gate never substitutes the
             // optimized block — the response's order/pipes/etas must
             // index the tuples the client sent.
             let verified = if engine.config().verify_opt {
-                let _s = pipesched_trace::span("verify_opt");
+                let _p = flight::phase(Phase::Parse, "verify_opt");
                 match pipesched_analyze::optimize_verified(
                     &req.block,
                     &pipesched_frontend::OptConfig::default(),
@@ -205,9 +204,7 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
                         true
                     }
                     Err(rej) => {
-                        engine.metrics().record_opt_rejected();
-                        engine.metrics().record_error();
-                        flight::note_outcome(flight::Outcome::AdmissionReject);
+                        flight::update(|ev| ev.raise(Outcome::AdmissionReject));
                         let codes: Vec<&str> = rej.codes().iter().map(|c| c.as_str()).collect();
                         break 'ok error_json(
                             req.id,
@@ -225,12 +222,9 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
             let budget = req.budget(engine.config().default_nodes, start);
             let answer = engine.answer(&req.block, &req.machine, budget);
             if !answer.optimal && !answer.deadline_hit {
-                flight::note_outcome(flight::Outcome::BudgetExhausted);
+                flight::update(|ev| ev.raise(Outcome::BudgetExhausted));
             }
-            let _s = pipesched_trace::span("respond");
-            // The engine's own phase clock covered dag→search; a fresh
-            // clock attributes only the rendering below to `respond`.
-            let mut rclock = flight::clock();
+            let _p = flight::phase(Phase::Respond, "respond");
             let mut doc = response_json(
                 req.id,
                 &answer,
@@ -242,27 +236,28 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
                     pairs.push(("opt_verified".to_string(), pipesched_json::Json::Bool(true)));
                 }
             }
-            let rendered = doc.to_compact();
-            rclock.lap(flight::Phase::Respond);
-            rendered
+            doc.to_compact()
         }
         Err(message) => {
-            engine.metrics().record_error();
-            flight::note_outcome(flight::Outcome::Error);
             // Salvage the id for correlation even when the rest is bad.
             let id = pipesched_json::parse(line)
                 .ok()
                 .and_then(|d| d.get("id").and_then(pipesched_json::Json::as_i64));
-            if let Some(id) = id {
-                flight::note_req(id);
-            }
+            flight::update(|ev| {
+                ev.req = id.unwrap_or(-1);
+                ev.raise(Outcome::Error);
+            });
             error_json(id, &message).to_compact()
         }
     };
     if trace_id.is_some() {
         pipesched_trace::end();
     }
-    flight::commit(start.elapsed().as_micros() as u64, trace_id.unwrap_or(0));
+    let micros = start.elapsed().as_micros() as u64;
+    if let Some(ev) = flight::finish(micros, trace_id.unwrap_or(0)) {
+        engine.metrics().record(&ev);
+        flight::commit(ev);
+    }
     rendered
 }
 
@@ -714,6 +709,60 @@ mod tests {
         for line in body.lines() {
             pipesched_json::parse(line).expect("every dump line is JSON");
         }
+    }
+
+    /// Commit one request with the recorder on; returns its wide event,
+    /// found by request id (other tests may serve concurrently).
+    fn served_event(eng: &ServiceEngine, id: i64) -> flight::WideEvent {
+        let _toggle = crate::flight_test_lock();
+        flight::set_enabled(true);
+        handle_line(eng, &REQ.replace(r#""id": 1"#, &format!(r#""id": {id}"#)));
+        flight::set_enabled(false);
+        flight::recent(flight::DEFAULT_CAPACITY)
+            .into_iter()
+            .rev()
+            .find(|ev| ev.req == id)
+            .expect("the recorder kept the request's event")
+    }
+
+    #[test]
+    fn one_latency_per_request() {
+        let eng = engine();
+        let ev = served_event(&eng, 7_331);
+        let m = eng.metrics();
+        assert_eq!(m.latency.count(), 1);
+        assert_eq!(m.latency.sum_micros(), ev.micros);
+        // The tier histogram `/slo` reads gained exactly that observation.
+        let tier = crate::engine::Tier::from_name(ev.tier).expect("answered");
+        let slo_hist = &m.tier_latency[tier.index()];
+        assert_eq!((slo_hist.count(), slo_hist.sum_micros()), (1, ev.micros));
+        let objective = crate::slo::objectives()
+            .iter()
+            .find(|o| o.scope == crate::slo::Scope::Tier(tier))
+            .expect("every tier has an objective");
+        assert_eq!(crate::slo::evaluate(*objective, m).count, 1);
+    }
+
+    #[test]
+    fn phases_partition_a_proved_gated_request() {
+        let eng = ServiceEngine::new(
+            EngineConfig {
+                prove: true,
+                verify_opt: true,
+                ..EngineConfig::default()
+            },
+            64,
+            4,
+        );
+        let ev = served_event(&eng, 7_332);
+        assert_ne!(ev.proof_digest, 0, "the answer was proved");
+        let phases: u64 = ev.phases_us.iter().sum();
+        assert!(phases <= ev.micros, "{:?} > {}", ev.phases_us, ev.micros);
+        let frames: u64 = flight::render_flame(std::slice::from_ref(&ev))
+            .lines()
+            .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(frames, ev.micros);
     }
 
     #[test]

@@ -231,6 +231,7 @@ pub fn write_prometheus(metrics: &Metrics, w: &mut PromWriter) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::answered;
     use pipesched_core::Backend;
 
     #[test]
@@ -250,10 +251,10 @@ mod tests {
         let m = Metrics::new();
         // 100 cache answers: 98 fast, 2 over the 1 ms cache objective.
         for _ in 0..98 {
-            m.record_answer(Tier::Cache, Backend::Bnb, true, false, 100, 0);
+            m.record(&answered(Tier::Cache, Backend::Bnb, true, false, 100, 0));
         }
         for _ in 0..2 {
-            m.record_answer(Tier::Cache, Backend::Bnb, true, false, 9_000, 0);
+            m.record(&answered(Tier::Cache, Backend::Bnb, true, false, 9_000, 0));
         }
         let s = report(&m)
             .into_iter()
@@ -272,7 +273,14 @@ mod tests {
     fn scopes_only_see_their_own_traffic() {
         let m = Metrics::new();
         // A slow exact answer must not burn the cache tier's budget.
-        m.record_answer(Tier::Bnb, Backend::Sat, false, false, 400_000, 10);
+        m.record(&answered(
+            Tier::Bnb,
+            Backend::Sat,
+            false,
+            false,
+            400_000,
+            10,
+        ));
         let by_name = |n: &str| {
             report(&m)
                 .into_iter()
@@ -289,7 +297,7 @@ mod tests {
     #[test]
     fn prometheus_gauges_parse_and_cover_every_objective() {
         let m = Metrics::new();
-        m.record_answer(Tier::List, Backend::Bnb, false, false, 800, 3);
+        m.record(&answered(Tier::List, Backend::Bnb, false, false, 800, 3));
         let mut w = PromWriter::new();
         write_prometheus(&m, &mut w);
         let text = w.finish();

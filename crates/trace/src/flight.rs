@@ -7,18 +7,26 @@
 //! outcome, search counters, proof digest, per-phase timings, outcome
 //! code) into a bounded process-wide ring.
 //!
-//! The recording discipline mirrors the tracer's: when the recorder is
-//! disabled — the default — every entry point is a single relaxed atomic
-//! load and an early return, so the disabled path stays inside the
-//! measured <2% overhead budget (`repro observe` gates this). When
-//! enabled, a request accumulates its event in a thread-local builder
-//! (zero shared-state traffic) and pays one short uncontended mutex
-//! acquisition at [`commit`].
+//! **One record per request.** The serve loop opens a thread-local event
+//! with [`begin`], the engine and the serve loop fill it in with
+//! [`update`], and each request phase is timed by one [`phase`] guard,
+//! which also opens the phase's span. A guard records *self* time — a
+//! phase nested in another is subtracted from its parent — so the phases
+//! partition the request and their sum never exceeds `micros`. The serve
+//! loop closes the event once with [`finish`]; the service derives its
+//! request metrics and latency histograms from that finished event, then
+//! hands it to [`commit`].
+//!
+//! **Recorder off** — the default — a request still builds its event (a
+//! thread-local write, no shared state), but phase guards read no clock,
+//! and [`commit`] is a single relaxed atomic load and an early return: the
+//! event is never sealed, serialized or pushed, and the ring lock is never
+//! taken. **Recorder on**, [`commit`] pays one short mutex acquisition.
 //!
 //! **Anomaly triggers.** Each committed event is classified: a deadline
 //! miss, certifier/audit rejection, backend disagreement, admission
-//! rejection, or a latency at [`OUTLIER_MULTIPLE`]× the ring's own p99
-//! estimate freezes the surrounding window — the most recent
+//! rejection, or a latency at [`OUTLIER_MULTIPLE`]× the running p99 of
+//! committed latencies freezes the surrounding window — the most recent
 //! [`DUMP_WINDOW`] events, offender last — into an immutable [`Dump`]
 //! retrievable as NDJSON via `GET /flight/dumps` and `pipesched flight
 //! --dumps` long after the ring itself has moved on.
@@ -35,6 +43,9 @@ use std::time::Instant;
 
 use pipesched_json::{json_object, Json};
 
+use crate::hist::LatencyHistogram;
+use crate::SpanGuard;
+
 /// Default ring capacity; override with `PIPESCHED_FLIGHT_CAP` or
 /// [`set_capacity`].
 pub const DEFAULT_CAPACITY: usize = 512;
@@ -45,7 +56,7 @@ pub const DUMP_WINDOW: usize = 32;
 /// Retained anomaly dumps; older dumps fall off the front.
 pub const DUMP_CAPACITY: usize = 8;
 
-/// A latency at this multiple of the ring's p99 estimate is an anomaly.
+/// A latency at this multiple of the running p99 estimate is an anomaly.
 pub const OUTLIER_MULTIPLE: u64 = 8;
 
 /// Latency outliers only fire once this many events seeded the estimate.
@@ -59,8 +70,6 @@ pub const OUTLIER_FLOOR_MICROS: u64 = 1_000;
 /// the previous dump are suppressed (counted, not dumped) — one incident
 /// produces one dump, not one per affected request.
 pub const DUMP_COOLDOWN: u64 = DUMP_WINDOW as u64;
-
-const LAT_BUCKETS: usize = 30;
 
 /// Request phases timed inside a wide event, in emission order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +121,17 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// Every outcome, in rank order.
+    const ALL: [Outcome; 7] = [
+        Outcome::Ok,
+        Outcome::BudgetExhausted,
+        Outcome::Error,
+        Outcome::DeadlineMiss,
+        Outcome::AdmissionReject,
+        Outcome::CertReject,
+        Outcome::Disagreement,
+    ];
+
     /// Stable name used in wide events.
     pub fn name(self) -> &'static str {
         match self {
@@ -125,8 +145,8 @@ impl Outcome {
         }
     }
 
-    /// Severity rank: a later [`note_outcome`] only overrides an earlier
-    /// one of strictly lower rank, so an engine-noted disagreement
+    /// Severity rank: a later [`WideEvent::raise`] only overrides an
+    /// earlier outcome of no higher rank, so an engine-noted disagreement
     /// survives the serve loop noting plain success afterwards.
     fn rank(self) -> u8 {
         match self {
@@ -152,7 +172,7 @@ pub enum Anomaly {
     Disagreement,
     /// The admission gate refused the block.
     AdmissionReject,
-    /// Latency at [`OUTLIER_MULTIPLE`]× the ring's p99 estimate.
+    /// Latency at [`OUTLIER_MULTIPLE`]× the running p99 estimate.
     LatencyOutlier,
 }
 
@@ -259,7 +279,8 @@ impl WideEvent {
         "checksum",
     ];
 
-    fn blank(req: i64) -> Self {
+    /// A fresh event for request `req`, every other field at its default.
+    pub fn new(req: i64) -> Self {
         WideEvent {
             seq: 0,
             req,
@@ -282,6 +303,19 @@ impl WideEvent {
             micros: 0,
             phases_us: [0; 7],
             checksum: 0,
+        }
+    }
+
+    /// Record `outcome` unless the event already carries a more severe
+    /// one: outcomes only escalate, so the serve loop noting plain success
+    /// never downgrades an anomaly the engine already noted.
+    pub fn raise(&mut self, outcome: Outcome) {
+        let current = Outcome::ALL
+            .into_iter()
+            .find(|o| o.name() == self.outcome)
+            .unwrap_or(Outcome::Ok);
+        if outcome.rank() >= current.rank() {
+            self.outcome = outcome.name();
         }
     }
 
@@ -357,7 +391,7 @@ impl WideEvent {
         let doc = pipesched_json::parse(line).ok()?;
         let u = |k: &str| doc.get(k).and_then(Json::as_i64).map(|v| v as u64);
         let s = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
-        let mut ev = WideEvent::blank(doc.get("req").and_then(Json::as_i64)?);
+        let mut ev = WideEvent::new(doc.get("req").and_then(Json::as_i64)?);
         ev.seq = u("seq")?;
         ev.trace_id = u("trace_id")?;
         ev.canon = u("canon")?;
@@ -367,18 +401,7 @@ impl WideEvent {
         ev.backend = intern(&s("backend")?, &["bnb", "sat", "race", "-"])?;
         ev.threads = u("threads")? as u32;
         ev.cache = intern(&s("cache")?, &["hit", "miss", "-"])?;
-        ev.outcome = intern(
-            &s("outcome")?,
-            &[
-                Outcome::Ok.name(),
-                Outcome::BudgetExhausted.name(),
-                Outcome::Error.name(),
-                Outcome::DeadlineMiss.name(),
-                Outcome::AdmissionReject.name(),
-                Outcome::CertReject.name(),
-                Outcome::Disagreement.name(),
-            ],
-        )?;
+        ev.outcome = intern(&s("outcome")?, &Outcome::ALL.map(Outcome::name))?;
         ev.nops = u("nops")? as u32;
         ev.optimal = doc.get("optimal").and_then(Json::as_bool)?;
         ev.nodes = u("nodes")?;
@@ -483,30 +506,13 @@ struct Inner {
     dumps_taken: u64,
     ring: VecDeque<WideEvent>,
     dumps: VecDeque<Dump>,
-    /// log₂ latency buckets seeding the outlier trigger's p99 estimate.
-    lat_buckets: [u64; LAT_BUCKETS],
-    lat_count: u64,
+    /// Committed latencies, seeding the outlier trigger's p99 estimate.
+    latency: LatencyHistogram,
     /// Last dump's trigger seq per anomaly kind (cooldown).
     last_dump_seq: [Option<u64>; 5],
 }
 
 impl Inner {
-    /// Conservative p99 estimate: the upper edge of the p99 bucket.
-    fn p99_upper_micros(&self) -> u64 {
-        if self.lat_count == 0 {
-            return 0;
-        }
-        let rank = ((0.99 * self.lat_count as f64).ceil() as u64).clamp(1, self.lat_count);
-        let mut seen = 0u64;
-        for (b, &c) in self.lat_buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (b + 1);
-            }
-        }
-        1u64 << LAT_BUCKETS
-    }
-
     fn classify(&self, ev: &WideEvent) -> Option<Anomaly> {
         match ev.outcome {
             o if o == Outcome::DeadlineMiss.name() => Some(Anomaly::DeadlineMiss),
@@ -514,8 +520,8 @@ impl Inner {
             o if o == Outcome::Disagreement.name() => Some(Anomaly::Disagreement),
             o if o == Outcome::AdmissionReject.name() => Some(Anomaly::AdmissionReject),
             _ => {
-                let p99 = self.p99_upper_micros();
-                (self.lat_count >= OUTLIER_MIN_SAMPLES
+                let p99 = self.latency.quantile_micros(0.99);
+                (self.latency.count() >= OUTLIER_MIN_SAMPLES
                     && ev.micros >= OUTLIER_FLOOR_MICROS.max(p99.saturating_mul(OUTLIER_MULTIPLE)))
                 .then_some(Anomaly::LatencyOutlier)
             }
@@ -534,8 +540,7 @@ static RECORDER: Mutex<Inner> = Mutex::new(Inner {
     dumps_taken: 0,
     ring: VecDeque::new(),
     dumps: VecDeque::new(),
-    lat_buckets: [0; LAT_BUCKETS],
-    lat_count: 0,
+    latency: LatencyHistogram::new(),
     last_dump_seq: [None; 5],
 });
 
@@ -551,12 +556,21 @@ fn recorder() -> MutexGuard<'static, Inner> {
     g
 }
 
+/// This thread's event under construction.
+struct Open {
+    ev: WideEvent,
+    /// Phase self time, nanoseconds, in [`Phase`] order.
+    phases_ns: [u64; 7],
+    /// Wall clock of the guards nested in the innermost open one.
+    nested_ns: u64,
+}
+
 thread_local! {
-    static CURRENT: RefCell<Option<WideEvent>> = const { RefCell::new(None) };
+    static CURRENT: RefCell<Option<Open>> = const { RefCell::new(None) };
 }
 
 /// Globally switch wide-event recording on or off. Off is the default;
-/// when off, every entry point is a single-atomic-load no-op.
+/// when off, phases go untimed and [`commit`] keeps nothing.
 pub fn set_enabled(on: bool) {
     // relaxed-ok: a pure on/off toggle with no dependent data — readers
     // act only on the flag value itself, so no ordering is needed.
@@ -568,7 +582,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether this thread is building a wide event right now.
+/// Whether this thread's phase guards time into an open wide event: the
+/// recorder is on and [`begin`] opened an event not yet finished.
 pub fn active() -> bool {
     enabled() && CURRENT.with(|c| c.borrow().is_some())
 }
@@ -594,160 +609,113 @@ pub fn reset() {
     g.evicted = 0;
     g.suppressed = 0;
     g.dumps_taken = 0;
-    g.lat_buckets = [0; LAT_BUCKETS];
-    g.lat_count = 0;
+    g.latency = LatencyHistogram::new();
     g.last_dump_seq = [None; 5];
 }
 
 /// Open this thread's wide event for the request being served. Replaces
-/// any event left open by an earlier request that never committed.
+/// any event left open by an earlier request that never finished.
 pub fn begin(req: i64) {
-    if !enabled() {
-        return;
-    }
-    CURRENT.with(|c| *c.borrow_mut() = Some(WideEvent::blank(req)));
-}
-
-fn with_current(f: impl FnOnce(&mut WideEvent)) {
-    if !enabled() {
-        return;
-    }
     CURRENT.with(|c| {
-        if let Some(ev) = c.borrow_mut().as_mut() {
-            f(ev);
+        *c.borrow_mut() = Some(Open {
+            ev: WideEvent::new(req),
+            phases_ns: [0; 7],
+            nested_ns: 0,
+        })
+    });
+}
+
+/// Apply `f` to this thread's open wide event; a no-op when none is open
+/// (an engine called outside the serve loop).
+pub fn update(f: impl FnOnce(&mut WideEvent)) {
+    CURRENT.with(|c| {
+        if let Some(open) = c.borrow_mut().as_mut() {
+            f(&mut open.ev);
         }
     });
 }
 
-/// Attach the client request id once parsing recovered it.
-pub fn note_req(id: i64) {
-    with_current(|ev| ev.req = id);
-}
-
-/// Attach the block shape + canonical cache key.
-pub fn note_block(canon: u64, n: u32, machine_fp: u64) {
-    with_current(|ev| {
-        ev.canon = canon;
-        ev.n = n;
-        ev.machine_fp = machine_fp;
-    });
-}
-
-/// Attach the answer's provenance.
-#[allow(clippy::too_many_arguments)]
-pub fn note_answer(
-    tier: &'static str,
-    backend: &'static str,
-    threads: u32,
-    cache: &'static str,
-    nops: u32,
-    optimal: bool,
-    deadline_hit: bool,
-    proof_digest: u64,
-) {
-    with_current(|ev| {
-        ev.tier = tier;
-        ev.backend = backend;
-        ev.threads = threads;
-        ev.cache = cache;
-        ev.nops = nops;
-        ev.optimal = optimal;
-        ev.deadline_hit = deadline_hit;
-        ev.proof_digest = proof_digest;
-    });
-}
-
-/// Accumulate search effort (summed across the escalation tiers).
-pub fn note_search(nodes: u64, omega: u64, pruned: u64) {
-    with_current(|ev| {
-        ev.nodes += nodes;
-        ev.omega += omega;
-        ev.pruned += pruned;
-    });
-}
-
-/// Record the outcome code. Outcomes only escalate: a later call with a
-/// lower-severity outcome (the serve loop noting plain success) never
-/// downgrades an anomaly the engine already noted.
-pub fn note_outcome(outcome: Outcome) {
-    with_current(|ev| {
-        let current = [
-            Outcome::Ok,
-            Outcome::BudgetExhausted,
-            Outcome::Error,
-            Outcome::DeadlineMiss,
-            Outcome::AdmissionReject,
-            Outcome::CertReject,
-            Outcome::Disagreement,
-        ]
-        .into_iter()
-        .find(|o| o.name() == ev.outcome)
-        .unwrap_or(Outcome::Ok);
-        if outcome.rank() >= current.rank() {
-            ev.outcome = outcome.name();
-        }
-    });
-}
-
-/// Accumulate `micros` onto one phase's timing.
-pub fn phase_us(phase: Phase, micros: u64) {
-    with_current(|ev| ev.phases_us[phase as usize] += micros);
-}
-
-/// Lap timer attributing elapsed wall clock to request phases. Disarmed
-/// (all methods free) when the thread is not building a wide event.
+/// RAII guard for one request phase, from [`phase`]. Dropping it closes
+/// the phase's span and adds the phase's self time to the open event.
+#[must_use = "a phase ends when its guard drops"]
 #[derive(Debug)]
-pub struct PhaseClock {
-    last: Option<Instant>,
+pub struct PhaseGuard {
+    /// Phase, start, and the enclosing guard's nested time so far.
+    timed: Option<(Phase, Instant, u64)>,
+    _span: SpanGuard,
 }
 
-impl PhaseClock {
-    /// Attribute the time since the previous lap (or construction) to
-    /// `phase` and restart the lap.
-    pub fn lap(&mut self, phase: Phase) {
-        if let Some(last) = self.last {
-            let now = Instant::now();
-            phase_us(phase, now.duration_since(last).as_micros() as u64);
-            self.last = Some(now);
-        }
+/// Open a request phase: the span `span` plus, while [`active`], a clock
+/// whose *self* time — wall clock minus that of phases nested inside it —
+/// lands in the event's phase timing when the guard drops.
+pub fn phase(phase: Phase, span: &'static str) -> PhaseGuard {
+    let span = crate::span(span);
+    let timed = if enabled() {
+        CURRENT.with(|c| {
+            let mut c = c.borrow_mut();
+            let open = c.as_mut()?;
+            Some((phase, Instant::now(), std::mem::take(&mut open.nested_ns)))
+        })
+    } else {
+        None
+    };
+    PhaseGuard { timed, _span: span }
+}
+
+impl Drop for PhaseGuard {
+    fn drop(&mut self) {
+        let Some((phase, start, outer)) = self.timed else {
+            return;
+        };
+        let elapsed = start.elapsed().as_nanos() as u64;
+        CURRENT.with(|c| {
+            if let Some(open) = c.borrow_mut().as_mut() {
+                open.phases_ns[phase as usize] += elapsed.saturating_sub(open.nested_ns);
+                open.nested_ns = outer + elapsed;
+            }
+        });
     }
 }
 
-/// Start a phase clock; armed only while this thread records a wide event.
-pub fn clock() -> PhaseClock {
-    PhaseClock {
-        last: active().then(Instant::now),
-    }
-}
-
-/// Seal and publish this thread's wide event: stamp the total latency and
-/// trace id, assign its ring sequence number, run the anomaly triggers,
-/// and return the sequence number (None when nothing was recording).
-pub fn commit(micros: u64, trace_id: u64) -> Option<u64> {
-    if !enabled() {
-        CURRENT.with(|c| c.borrow_mut().take());
-        return None;
-    }
-    let mut ev = CURRENT.with(|c| c.borrow_mut().take())?;
+/// Close this thread's wide event: stamp the whole-request latency and
+/// the trace id, and fold the phases' self time in. `None` when no event
+/// was open.
+pub fn finish(micros: u64, trace_id: u64) -> Option<WideEvent> {
+    let Open {
+        mut ev, phases_ns, ..
+    } = CURRENT.with(|c| c.borrow_mut().take())?;
     ev.micros = micros;
     ev.trace_id = trace_id;
+    for (us, ns) in ev.phases_us.iter_mut().zip(phases_ns) {
+        *us += ns / 1_000;
+    }
+    Some(ev)
+}
 
-    let dump_text = {
+/// Publish a finished event when the recorder is on: assign its ring
+/// sequence number, seal it, run the anomaly triggers, and return the
+/// sequence number. When the recorder is off, the event is dropped and
+/// `None` comes back.
+pub fn commit(mut ev: WideEvent) -> Option<u64> {
+    if !enabled() {
+        return None;
+    }
+    let (seq, dump_file) = {
         let mut g = recorder();
-        ev.seq = g.next_seq;
+        let seq = g.next_seq;
         g.next_seq += 1;
+        ev.seq = seq;
         ev.seal();
         debug_assert!(ev.verify());
 
         // Classify against the ring state *before* this event lands, so
         // the offender's own latency cannot inflate the p99 it is judged
         // against.
+        // Lock order: the histogram's tail lock (slow requests only) is
+        // taken inside the recorder lock here, and never the other way.
         let anomaly = g.classify(&ev);
-        let b = (63 - micros.max(1).leading_zeros() as usize).min(LAT_BUCKETS - 1);
-        g.lat_buckets[b] += 1;
-        g.lat_count += 1;
+        g.latency.record(ev.micros);
 
-        let seq = ev.seq;
         g.ring.push_back(ev);
         g.recorded += 1;
         while g.ring.len() > g.cap {
@@ -755,7 +723,7 @@ pub fn commit(micros: u64, trace_id: u64) -> Option<u64> {
             g.evicted += 1;
         }
 
-        anomaly.and_then(|kind| {
+        let dump_file = anomaly.and_then(|kind| {
             let cooled = g.last_dump_seq[kind.index()]
                 .is_some_and(|last| seq.saturating_sub(last) < DUMP_COOLDOWN);
             if cooled {
@@ -784,19 +752,17 @@ pub fn commit(micros: u64, trace_id: u64) -> Option<u64> {
                 g.dumps.pop_front();
             }
             Some((dump_file_name(g.dumps_taken, kind), text))
-        })
+        });
+        (seq, dump_file)
     };
 
     // File I/O happens outside the recorder lock.
-    if let Some((name, text)) = &dump_text {
+    if let Some((name, text)) = &dump_file {
         if let Ok(dir) = std::env::var("PIPESCHED_FLIGHT_DIR") {
             let _ = std::fs::write(std::path::Path::new(&dir).join(name), text);
         }
     }
-    CURRENT.with(|c| {
-        let _ = c.borrow_mut().take();
-    });
-    recorder().ring.back().map(|e| e.seq)
+    Some(seq)
 }
 
 fn dump_file_name(id: u64, kind: Anomaly) -> String {
@@ -920,11 +886,14 @@ mod tests {
 
     fn record_one(req: i64, micros: u64, outcome: Outcome) -> Option<u64> {
         begin(req);
-        note_block(0xabcd, 6, 0x1234);
-        note_answer("bnb", "bnb", 1, "miss", 2, true, false, 77);
-        note_search(10, 12, 3);
-        note_outcome(outcome);
-        commit(micros, 0)
+        update(|ev| {
+            (ev.canon, ev.n, ev.machine_fp) = (0xabcd, 6, 0x1234);
+            (ev.tier, ev.backend, ev.cache) = ("bnb", "bnb", "miss");
+            (ev.nops, ev.optimal, ev.proof_digest) = (2, true, 77);
+            (ev.nodes, ev.omega, ev.pruned) = (10, 12, 3);
+            ev.raise(outcome);
+        });
+        commit(finish(micros, 0)?)
     }
 
     #[test]
@@ -933,11 +902,38 @@ mod tests {
         set_enabled(false);
         reset();
         begin(1);
-        note_block(1, 2, 3);
+        update(|ev| (ev.canon, ev.n, ev.machine_fp) = (1, 2, 3));
         assert!(!active());
-        assert_eq!(commit(10, 0), None);
+        {
+            let _p = phase(Phase::Search, "search");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let ev = finish(10, 0).expect("the event is built with the recorder off");
+        assert_eq!(ev.phases_us, [0; 7], "phases go untimed");
+        assert_eq!(commit(ev), None);
         assert_eq!(stats().recorded, 0);
         assert!(recent(10).is_empty());
+    }
+
+    #[test]
+    fn nested_phases_record_self_time() {
+        let _l = locked();
+        set_enabled(true);
+        begin(1);
+        {
+            let _search = phase(Phase::Search, "search");
+            let _prove = phase(Phase::Prove, "prove");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let ev = finish(10_000, 0).expect("event was open");
+        set_enabled(false);
+        let us = |p: Phase| ev.phases_us[p as usize];
+        assert!(us(Phase::Prove) >= 2_000, "{:?}", ev.phases_us);
+        assert!(
+            us(Phase::Search) < 2_000,
+            "the search phase must not count the nested proof: {:?}",
+            ev.phases_us
+        );
     }
 
     #[test]
@@ -1067,8 +1063,9 @@ mod tests {
         for i in 0..OUTLIER_MIN_SAMPLES as i64 {
             record_one(i, 100, Outcome::Ok);
         }
-        // p99 upper edge is 128 µs; 8× that is ~1 ms, near the floor, so
-        // the trigger threshold is ~1 ms — 50 ms trips it.
+        // The p99 estimate lands at the top of the [64, 128) µs bucket;
+        // 8× that is ~1 ms, near the floor, so the trigger threshold is
+        // ~1 ms — 50 ms trips it.
         record_one(777, 50_000, Outcome::Ok);
         set_enabled(false);
         let dumps = dumps();
@@ -1083,9 +1080,11 @@ mod tests {
         set_enabled(true);
         reset();
         begin(1);
-        note_outcome(Outcome::Disagreement);
-        note_outcome(Outcome::Ok); // the serve loop's routine success note
-        commit(10, 0);
+        update(|ev| {
+            ev.raise(Outcome::Disagreement);
+            ev.raise(Outcome::Ok); // the serve loop's routine success note
+        });
+        commit(finish(10, 0).unwrap());
         set_enabled(false);
         assert_eq!(recent(1)[0].outcome, "disagreement");
     }
@@ -1096,10 +1095,12 @@ mod tests {
         set_enabled(true);
         reset();
         begin(3);
-        note_answer("cache", "bnb", 1, "hit", 0, true, false, 0);
-        phase_us(Phase::Parse, 10);
-        phase_us(Phase::Cache, 30);
-        commit(50, 9);
+        update(|ev| {
+            (ev.tier, ev.backend, ev.cache, ev.optimal) = ("cache", "bnb", "hit", true);
+            ev.phases_us[Phase::Parse as usize] = 10;
+            ev.phases_us[Phase::Cache as usize] = 30;
+        });
+        commit(finish(50, 9).unwrap());
         set_enabled(false);
         let events = recent(10);
         let table = render_table(&events);

@@ -27,11 +27,15 @@
 //! A trace is recorded by exactly one thread; completed traces land in the
 //! process-wide [`store`] where `GET /trace/<id>` and the CLI read them
 //! back. [`render`] reconstructs span trees, NDJSON dumps, and folded
-//! flamegraph stacks; [`prom`] writes Prometheus text exposition.
+//! flamegraph stacks; [`prom`] writes Prometheus text exposition;
+//! [`flight`] keeps one wide event per served request, timed phase by
+//! phase, and [`hist`] is the latency histogram both the service's SLOs
+//! and the flight recorder's outlier trigger read.
 
 #![warn(missing_docs)]
 
 pub mod flight;
+pub mod hist;
 pub mod prom;
 pub mod render;
 pub mod store;

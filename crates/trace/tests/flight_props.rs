@@ -1,12 +1,15 @@
 //! Property tests for the flight recorder under concurrent writers: the
 //! ring never tears (every stored event passes its self-checksum and
 //! sequence numbers stay unique and ordered), an anomaly dump is a
-//! consistent frozen snapshot that contains its triggering event, and the
-//! accounting (recorded = stored + evicted) balances exactly.
+//! consistent frozen snapshot that contains its triggering event, the
+//! accounting (recorded = stored + evicted) balances exactly, and the
+//! sequence number `commit` returns names the caller's own event.
 //!
 //! Runs as its own integration-test process, so it owns the process-wide
 //! recorder; the internal `#[serial]`-style mutex keeps proptest cases
 //! from interleaving with each other.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -45,13 +48,18 @@ fn decode(thread: usize, idx: usize, raw: u16) -> Req {
     }
 }
 
-fn record(req: Req) {
+/// Build and commit one request's event; returns the sequence number
+/// `commit` assigned.
+fn record(req: Req) -> Option<u64> {
     flight::begin(req.id);
-    flight::note_block(req.id as u64, 8, 0x5eed);
-    flight::note_answer("bnb", "bnb", 2, "miss", 3, true, false, 0);
-    flight::note_search(u64::from(req.micros), 5, 2);
-    flight::note_outcome(req.outcome);
-    flight::commit(u64::from(req.micros).max(1), 0);
+    flight::update(|ev| {
+        (ev.canon, ev.n, ev.machine_fp) = (req.id as u64, 8, 0x5eed);
+        (ev.tier, ev.backend, ev.threads, ev.cache) = ("bnb", "bnb", 2, "miss");
+        (ev.nops, ev.optimal) = (3, true);
+        (ev.nodes, ev.omega, ev.pruned) = (u64::from(req.micros), 5, 2);
+        ev.raise(req.outcome);
+    });
+    flight::commit(flight::finish(u64::from(req.micros).max(1), 0)?)
 }
 
 /// The ring invariants every interleaving must preserve.
@@ -203,5 +211,56 @@ fn outlier_trigger_captures_the_offender_under_concurrency() {
     assert_eq!(last.req, 666);
     assert_eq!(last.seq, dump.trigger_seq);
     assert!(dump.events.iter().all(WideEvent::verify));
+    flight::reset();
+}
+
+/// `commit` returns the sequence number it assigned to the caller's own
+/// event — never the ring's newest event, which under concurrent commits
+/// often belongs to another writer.
+#[test]
+fn commit_returns_the_callers_own_sequence_number() {
+    const WRITERS: usize = 4;
+    const COMMITS: usize = 200;
+    let _l = locked();
+    flight::set_enabled(true);
+    flight::set_capacity(WRITERS * COMMITS);
+    for round in 0..10 {
+        flight::reset();
+        let returned: Vec<(u64, i64)> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    scope.spawn(move || {
+                        (0..COMMITS)
+                            .map(|i| {
+                                let req = Req {
+                                    id: (t * 10_000 + i) as i64,
+                                    micros: 100,
+                                    outcome: Outcome::Ok,
+                                };
+                                (record(req).expect("the recorder is on"), req.id)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let req_of: HashMap<u64, i64> = flight::recent(WRITERS * COMMITS)
+            .iter()
+            .map(|ev| (ev.seq, ev.req))
+            .collect();
+        for (seq, req) in returned {
+            assert_eq!(
+                req_of.get(&seq),
+                Some(&req),
+                "round {round}: commit returned seq {seq}, which is not request {req}'s event"
+            );
+        }
+    }
+    flight::set_enabled(false);
+    flight::set_capacity(flight::DEFAULT_CAPACITY);
     flight::reset();
 }

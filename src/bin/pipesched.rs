@@ -1131,8 +1131,9 @@ fn run_serve(o: &Options) -> Result<ExitCode, String> {
     if o.flight {
         // The flight recorder is on by default: one wide event per
         // request into a bounded ring, frozen as an NDJSON dump when an
-        // anomaly fires. Disabled-path cost when opted out is a single
-        // relaxed load (`--no-flight`, measured by `repro observe`).
+        // anomaly fires. Opted out (`--no-flight`), each request still
+        // builds its event for the metrics, but phases go untimed and the
+        // event is never sealed or pushed (priced by `repro observe`).
         pipesched::trace::flight::set_enabled(true);
     }
 
@@ -1427,14 +1428,8 @@ fn run_trace(o: &Options) -> Result<ExitCode, String> {
         };
         let (out, _) =
             run(&ctx, &SearchConfig::with_lambda(o.lambda), profiled).map_err(|e| e.to_string())?;
-        for (depth, d) in profile.depths.iter().enumerate() {
-            pipesched::trace::point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
-            pipesched::trace::point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
-            pipesched::trace::point2(
-                "bnb_depth_pruned_bound",
-                depth as i64,
-                d.pruned_bound as i64,
-            );
+        for (name, depth, value) in profile.points() {
+            pipesched::trace::point2(name, depth as i64, value as i64);
         }
         out
     };
@@ -1502,9 +1497,11 @@ fn run_trace(o: &Options) -> Result<ExitCode, String> {
 }
 
 /// `pipesched flight`: render the wide-event flight recorder — the last N
-/// events as a table (default), raw NDJSON, or folded flame stacks, or
-/// the frozen anomaly dumps (`--dumps`). Reads a live server over TCP, or
+/// events as a table (default), NDJSON, or folded flame stacks, or the
+/// frozen anomaly dumps (`--dumps`). Reads a live server over TCP, or
 /// replays a request file through a fresh engine with the recorder on.
+/// Either way every rendered event's seal is verified, with a warning on
+/// stderr when any fails.
 fn run_flight(o: &Options) -> Result<ExitCode, String> {
     use pipesched::trace::flight;
 
@@ -1512,59 +1509,47 @@ fn run_flight(o: &Options) -> Result<ExitCode, String> {
         return Err("--ndjson, --flame, and --dumps are mutually exclusive".into());
     }
 
-    if let Some(addr) = &o.tcp {
+    let events: Vec<flight::WideEvent> = if let Some(addr) = &o.tcp {
         if o.dumps {
             print!("{}", http_get_body(addr, "/flight/dumps")?);
             return Ok(ExitCode::SUCCESS);
         }
-        let body = http_get_body(addr, &format!("/flight/{}", o.events))?;
-        if o.ndjson {
-            print!("{body}");
-            return Ok(ExitCode::SUCCESS);
-        }
         // Re-parse the server's NDJSON; the seal survives the round trip,
         // so client-side verification still catches tampering in transit.
-        let events: Vec<flight::WideEvent> = body
+        http_get_body(addr, &format!("/flight/{}", o.events))?
             .lines()
             .filter_map(flight::WideEvent::from_ndjson)
-            .collect();
-        let torn = events.iter().filter(|e| !e.verify()).count();
-        if o.flame {
-            print!("{}", flight::render_flame(&events));
-        } else {
-            print!("{}", flight::render_table(&events));
+            .collect()
+    } else {
+        // Local mode: replay a request file with the recorder enabled,
+        // then render what it captured.
+        let input = o
+            .inputs
+            .first()
+            .ok_or("flight needs a request file or --tcp ADDR")?;
+        let text = read_input(input)?;
+        flight::set_enabled(true);
+        flight::reset();
+        replay_local(&engine(o), &text, o)?;
+        flight::set_enabled(false);
+        if o.dumps {
+            for d in flight::dumps() {
+                print!("{}", d.to_ndjson());
+            }
+            return Ok(ExitCode::SUCCESS);
         }
-        if torn > 0 {
-            eprintln!("; warning: {torn} event(s) failed their self-checksum");
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    // Local mode: replay a request file with the recorder enabled, then
-    // render what it captured.
-    let input = o
-        .inputs
-        .first()
-        .ok_or("flight needs a request file or --tcp ADDR")?;
-    let text = read_input(input)?;
-    flight::set_enabled(true);
-    flight::reset();
-    replay_local(&engine(o), &text, o)?;
-    flight::set_enabled(false);
-
-    if o.dumps {
-        for d in flight::dumps() {
-            print!("{}", d.to_ndjson());
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    let events = flight::recent(o.events);
+        flight::recent(o.events)
+    };
     if o.ndjson {
         print!("{}", flight::to_ndjson(&events));
     } else if o.flame {
         print!("{}", flight::render_flame(&events));
     } else {
         print!("{}", flight::render_table(&events));
+    }
+    let torn = events.iter().filter(|e| !e.verify()).count();
+    if torn > 0 {
+        eprintln!("; warning: {torn} event(s) failed their self-checksum");
     }
     Ok(ExitCode::SUCCESS)
 }

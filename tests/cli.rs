@@ -311,6 +311,29 @@ fn trace_flame_breaks_search_into_depth_frames() {
     }
 }
 
+#[test]
+fn flight_replay_prints_sealed_events_whose_phases_fit_the_request() {
+    let reqs = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/data/serve_requests.ndjson"
+    );
+    let out = bin()
+        .args(["flight", reqs, "--ndjson", "-n", "8"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("; warning:"), "{stderr}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.lines().count(), 8, "{text}");
+    for line in text.lines() {
+        let ev = pipesched::trace::flight::WideEvent::from_ndjson(line).expect(line);
+        assert!(ev.verify(), "seal broken: {line}");
+        let phases: u64 = ev.phases_us.iter().sum();
+        assert!(phases <= ev.micros, "phases exceed the request: {line}");
+    }
+}
+
 /// A small NDJSON workload: two shapes, six requests, isomorphic repeats.
 fn cli_requests() -> String {
     let shapes = [
