@@ -664,6 +664,16 @@ fn run_parallel(args: &Args) -> bool {
         );
         ok = false;
     }
+    if report.curve_proof_steals == 0 {
+        eprintln!(
+            "parallel: GATE FAILED — the 2-worker proof of the {}-instruction curve block \
+             recorded no steal in {} attempts: the block is no longer hard enough to run \
+             a helper (re-pick `curve_salt`)",
+            report.block_size,
+            parallel::CURVE_PROOF_ATTEMPTS
+        );
+        ok = false;
+    }
     if report.scaling_gate_applies() {
         if report.speedup_at(4) < 2.0 {
             eprintln!(

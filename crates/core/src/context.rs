@@ -1,7 +1,11 @@
 //! Per-block scheduling context: the block's DAG bound to a machine.
 
+use std::sync::OnceLock;
+
 use pipesched_ir::{BasicBlock, BlockAnalysis, DepDag, DepKind, TupleId};
 use pipesched_machine::{Machine, PipelineId};
+
+use crate::bounds::LowerBound;
 
 /// A dependence of one tuple on an earlier one, preprocessed for the timing
 /// engine: `flow` distinguishes true (value) dependences, which wait for the
@@ -46,6 +50,10 @@ pub struct SchedContext<'a> {
     pub pipe_latency: Vec<u32>,
     /// Per-pipeline enqueue time (indexed by pipeline id).
     pub pipe_enqueue: Vec<u32>,
+    /// Static data of the critical-path bound, built on first use.
+    lower: OnceLock<LowerBound>,
+    /// [`crate::global_lower_bound`], computed on first use.
+    pub(crate) root_lb: OnceLock<u32>,
 }
 
 impl<'a> SchedContext<'a> {
@@ -101,7 +109,15 @@ impl<'a> SchedContext<'a> {
             free_class,
             pipe_latency,
             pipe_enqueue,
+            lower: OnceLock::new(),
+            root_lb: OnceLock::new(),
         }
+    }
+
+    /// The critical-path bound's static data, built on the first call
+    /// and shared by every search of this context.
+    pub fn lower_bound(&self) -> &LowerBound {
+        self.lower.get_or_init(|| LowerBound::new(self))
     }
 
     /// Number of instructions in the block.

@@ -5,7 +5,7 @@
 //! the search made: which candidate extensions were placed and explored,
 //! which were pruned, and by exactly what evidence — the concrete
 //! lower-bound derivation for a bound prune ([`ProofEvent::BoundPrune`]
-//! records μ(Φ) plus the chain and resource terms of
+//! records μ(Φ) plus the chain, resource and heads-and-tails terms of
 //! [`crate::bounds::LowerBound`]), the witness pair for an equivalence
 //! prune, and the incumbent chain of complete schedules. Replayed in
 //! order, the events reconstruct the entire case analysis: every schedule
@@ -94,6 +94,11 @@ pub enum ProofEvent {
         /// Resource-term maximum of the critical-path bound (`None` for
         /// α-β).
         resource: Option<i64>,
+        /// The heads-and-tails value the evaluation reached, stopping at
+        /// the incumbent (`None` when it was not evaluated: α-β, a
+        /// placement the cheap terms already prune, or one the term's
+        /// gate or switch-on skips).
+        term: Option<i64>,
     },
     /// A complete schedule with cost `mu ≥` incumbent was reached.
     Complete {
@@ -110,7 +115,8 @@ pub enum ProofEvent {
     /// `lb`; the search stopped with optimality proven. Always the final
     /// event of its stream.
     ProvedByBound {
-        /// The admissible global lower bound on μ.
+        /// The admissible global lower bound on μ, the heads-and-tails
+        /// term evaluated in full.
         lb: u32,
     },
 }
@@ -154,6 +160,11 @@ pub struct Certificate {
 }
 
 const FORMAT: &str = "pipesched-proof";
+/// The wire format's version. The heads-and-tails term rides in an
+/// optional seventh element of `B` records, so a certificate without one
+/// serializes exactly as before, and a reader that predates the term
+/// fails closed on one that has it: it re-derives the bound without the
+/// term and rejects the record's arithmetic.
 const VERSION: i64 = 1;
 
 fn bound_kind_name(b: BoundKind) -> &'static str {
@@ -231,14 +242,19 @@ fn event_line(ev: &ProofEvent) -> String {
             bound,
             chain,
             resource,
-        } => arr(vec![
-            tag("B"),
-            int(candidate.into()),
-            int(mu.into()),
-            int(bound.into()),
-            chain.map_or(Json::Null, Json::Int),
-            resource.map_or(Json::Null, Json::Int),
-        ]),
+            term,
+        } => {
+            let mut parts = vec![
+                tag("B"),
+                int(candidate.into()),
+                int(mu.into()),
+                int(bound.into()),
+                chain.map_or(Json::Null, Json::Int),
+                resource.map_or(Json::Null, Json::Int),
+            ];
+            parts.extend(term.map(Json::Int));
+            arr(parts)
+        }
         ProofEvent::Complete { mu } => arr(vec![tag("C"), int(mu.into())]),
         ProofEvent::Improve { mu } => arr(vec![tag("I"), int(mu.into())]),
         ProofEvent::ProvedByBound { lb } => arr(vec![tag("G"), int(lb.into())]),
@@ -285,6 +301,10 @@ fn parse_event(line: &str) -> Result<ProofEvent, String> {
             bound: nth(3)?,
             chain: opt_i64(4)?,
             resource: opt_i64(5)?,
+            term: match parts.get(6) {
+                None | Some(Json::Null) => None,
+                Some(v) => Some(v.as_i64().ok_or("bad term")?),
+            },
         }),
         "C" => Ok(ProofEvent::Complete { mu: nth(1)? }),
         "I" => Ok(ProofEvent::Improve { mu: nth(1)? }),
@@ -607,6 +627,7 @@ mod tests {
                     bound: 5,
                     chain: Some(6),
                     resource: None,
+                    term: Some(9),
                 },
                 ProofEvent::EquivalencePrune {
                     candidate: 1,

@@ -12,7 +12,13 @@
 //! * every bound prune's μ and chain/resource derivation is re-derived
 //!   from scratch and must match term by term ([`DiagCode::BoundArithmeticMismatch`]),
 //!   and the recorded bound must actually dominate the incumbent at that
-//!   point ([`DiagCode::UnjustifiedBoundPrune`]);
+//!   point ([`DiagCode::UnjustifiedBoundPrune`]). A recorded
+//!   heads-and-tails value must be exactly the value the checker's own
+//!   Jackson schedule reaches, stopping where the search stopped: at the
+//!   first running maximum that dominates the replay incumbent;
+//! * a `ProvedByBound` must cite the whole-block bound the checker
+//!   re-derives, its heads-and-tails term evaluated in full
+//!   ([`DiagCode::LowerBoundMismatch`]);
 //! * every equivalence prune's witness must have been placed at the same
 //!   node and the pair must satisfy the *restricted* interchangeability
 //!   condition — pipeline-free, dependence-free **and identical successor
@@ -35,6 +41,8 @@
 //! [`ProofVerdict::OptimalCertified`] — a strictly stronger claim than the
 //! certifier's `LegalWithCost`-style verdict, because the *no cheaper
 //! schedule exists* half no longer rests on trusting the search.
+
+use std::collections::BinaryHeap;
 
 use pipesched_analyze::certify::{extract_deps, Dep};
 use pipesched_analyze::diag::{DiagCode, Diagnostic, Report};
@@ -94,6 +102,7 @@ pub fn check_certificate(block: &BasicBlock, machine: &Machine, cert: &Certifica
 }
 
 /// One open search-tree node during replay.
+#[derive(Default)]
 struct Frame {
     /// Candidates this node has dispositioned (any event kind).
     disposed: Vec<u32>,
@@ -102,12 +111,23 @@ struct Frame {
     placed_here: Vec<u32>,
 }
 
-impl Frame {
-    fn new() -> Self {
-        Frame {
-            disposed: Vec::new(),
-            placed_here: Vec::new(),
-        }
+/// The open nodes of the replay, with closed nodes' frames kept for
+/// reuse so a long transcript allocates no frame per `Enter`.
+struct Frames {
+    open: Vec<Frame>,
+    spare: Vec<Frame>,
+}
+
+impl Frames {
+    fn open(&mut self) {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        frame.disposed.clear();
+        frame.placed_here.clear();
+        self.open.push(frame);
+    }
+
+    fn close(&mut self, frame: Frame) {
+        self.spare.push(frame);
     }
 }
 
@@ -126,6 +146,9 @@ struct Checker<'a> {
     succ_ids: Vec<Vec<u32>>,
     /// Static chain tails, mirroring the bound's definition.
     tail: Vec<i64>,
+    /// Cheapest flow latency per tuple: the distance tails and the heads
+    /// of unplaced producers use.
+    latency: Vec<i64>,
     /// Per-pipe enqueue times.
     enqueue: Vec<i64>,
     // --- dynamic prefix state ---
@@ -136,6 +159,19 @@ struct Checker<'a> {
     /// Per push: previous `t_prev` and, when σ ≠ ∅, the pipe's previous
     /// `free` value.
     undo: Vec<(i64, Option<(usize, i64)>)>,
+    /// Unscheduled tuples per pipe, kept by `push`/`pop`.
+    left_on_pipe: Vec<i64>,
+    // --- buffers reused across events ---
+    /// Coverage stamps: `stamp[i] == epoch` ⇔ `i` was counted by the
+    /// current coverage check.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Heads of the unscheduled tuples.
+    head: Vec<i64>,
+    /// One machine's jobs as `(head, tail)`.
+    jobs: Vec<(i64, i64)>,
+    /// Released jobs as `(tail, pieces left)`.
+    queue: BinaryHeap<(i64, i64)>,
 }
 
 impl<'a> Checker<'a> {
@@ -169,22 +205,32 @@ impl<'a> Checker<'a> {
         // producer's cheapest allowed latency, other edges one tick — the
         // same definition the search's bound uses, re-derived here from the
         // checker's own dependences.
+        let latency: Vec<i64> = block
+            .tuples()
+            .iter()
+            .map(|t| {
+                machine
+                    .pipelines_for(t.op)
+                    .iter()
+                    .map(|&p| i64::from(machine.pipeline(p).latency))
+                    .min()
+                    .unwrap_or(1)
+            })
+            .collect();
         let mut tail = vec![0i64; n];
         for i in (0..n).rev() {
-            let own_latency: i64 = machine
-                .pipelines_for(block.tuple(TupleId(i as u32)).op)
-                .iter()
-                .map(|&p| i64::from(machine.pipeline(p).latency))
-                .min()
-                .unwrap_or(1);
             for &(to, flow) in &succs[i] {
-                let delay = if flow { own_latency } else { 1 };
+                let delay = if flow { latency[i] } else { 1 };
                 tail[i] = tail[i].max(delay + tail[to as usize]);
             }
         }
         let enqueue: Vec<i64> = (0..machine.pipeline_count())
             .map(|p| i64::from(machine.pipeline(PipelineId(p as u32)).enqueue))
             .collect();
+        let mut left_on_pipe = vec![0i64; enqueue.len()];
+        for p in sigma.iter().flatten() {
+            left_on_pipe[p.index()] += 1;
+        }
         Checker {
             n,
             block,
@@ -193,12 +239,19 @@ impl<'a> Checker<'a> {
             succs,
             succ_ids,
             tail,
+            latency,
             enqueue,
             issue: vec![None; n],
             prefix: Vec::new(),
             t_prev: -1,
             free: vec![0; machine.pipeline_count()],
             undo: Vec::new(),
+            left_on_pipe,
+            stamp: vec![0; n],
+            epoch: 0,
+            head: vec![0; n],
+            jobs: Vec::new(),
+            queue: BinaryHeap::new(),
         }
     }
 
@@ -229,6 +282,7 @@ impl<'a> Checker<'a> {
         let pipe_undo = self.sigma[t].map(|p| {
             let prev = self.free[p.index()];
             self.free[p.index()] = cycle + self.enqueue[p.index()];
+            self.left_on_pipe[p.index()] -= 1;
             (p.index(), prev)
         });
         self.undo.push((self.t_prev, pipe_undo));
@@ -242,6 +296,7 @@ impl<'a> Checker<'a> {
         self.t_prev = prev_t_prev;
         if let Some((p, prev)) = pipe_undo {
             self.free[p] = prev;
+            self.left_on_pipe[p] += 1;
         }
     }
 
@@ -268,21 +323,100 @@ impl<'a> Checker<'a> {
             chain = chain.max(self.earliest(t) + self.tail[t]);
         }
         let mut resource = base;
-        let mut counts = vec![0i64; self.enqueue.len()];
-        for t in 0..self.n {
-            if self.issue[t].is_none() {
-                if let Some(p) = self.sigma[t] {
-                    counts[p.index()] += 1;
-                }
-            }
-        }
-        for (p, &k) in counts.iter().enumerate() {
+        for (p, &k) in self.left_on_pipe.iter().enumerate() {
             if k > 0 {
                 resource = resource.max(self.t_prev + 1 + self.enqueue[p] * (k - 1));
             }
         }
         let bound = (chain.max(resource) - (n - 1)).max(0) as u32;
         (chain, resource, bound)
+    }
+
+    /// The bound a heads-and-tails value gives: `max(0, value − (n − 1))`.
+    fn bound_of(&self, value: i64) -> u32 {
+        value
+            .saturating_sub(self.n as i64 - 1)
+            .clamp(0, i64::from(u32::MAX)) as u32
+    }
+
+    /// Re-derive the heads-and-tails value for the current prefix as the
+    /// certificate format defines it: heads from the replayed timing,
+    /// propagated in index order; Jackson's rule in unit pieces on the
+    /// issue slot (one piece per unscheduled tuple), then on each pipe of
+    /// enqueue `e > 1` (`e` pieces per unscheduled op on it), a piece run
+    /// at cycle `t` reaching `t + tail − (pieces − 1)`. Stops at the first
+    /// running maximum at or above `target`; otherwise returns the largest
+    /// value reached (`i64::MIN` on a complete prefix).
+    fn jackson(&mut self, target: i64) -> i64 {
+        for t in 0..self.n {
+            if self.issue[t].is_some() {
+                continue;
+            }
+            let mut head = self.t_prev + 1;
+            if let Some(p) = self.sigma[t] {
+                head = head.max(self.free[p.index()]);
+            }
+            for d in &self.deps[t] {
+                let from = d.from.index();
+                head = head.max(match self.issue[from] {
+                    Some(at) => at + d.delay as i64,
+                    None => self.head[from] + if d.flow { self.latency[from] } else { 1 },
+                });
+            }
+            self.head[t] = head;
+        }
+        let mut value = self.machine(None, 1, target);
+        for p in 0..self.enqueue.len() {
+            if value >= target {
+                break;
+            }
+            if self.enqueue[p] > 1 {
+                value = value.max(self.machine(Some(p), self.enqueue[p], target));
+            }
+        }
+        value
+    }
+
+    /// One machine of [`Checker::jackson`]: the unscheduled tuples on
+    /// `pipe` (every one for the issue slot), `pieces` unit pieces each,
+    /// run one piece per cycle.
+    fn machine(&mut self, pipe: Option<usize>, pieces: i64, target: i64) -> i64 {
+        self.jobs.clear();
+        for t in 0..self.n {
+            let on = pipe.is_none() || self.sigma[t].map(PipelineId::index) == pipe;
+            if on && self.issue[t].is_none() {
+                self.jobs.push((self.head[t], self.tail[t]));
+            }
+        }
+        self.jobs.sort_unstable();
+        self.queue.clear();
+        let mut value = i64::MIN;
+        let mut next = 0;
+        let mut cycle = i64::MIN;
+        loop {
+            if self.queue.is_empty() {
+                match self.jobs.get(next) {
+                    Some(&(head, _)) => cycle = cycle.max(head),
+                    None => return value,
+                }
+            }
+            while let Some(&(head, tail)) = self.jobs.get(next) {
+                if head > cycle {
+                    break;
+                }
+                self.queue.push((tail, pieces));
+                next += 1;
+            }
+            let (tail, left) = self.queue.pop().expect("a job is released");
+            value = value.max(cycle + tail - (pieces - 1));
+            if value >= target {
+                return value;
+            }
+            if left > 1 {
+                self.queue.push((tail, left - 1));
+            }
+            cycle += 1;
+        }
     }
 
     /// A tuple is *free* when it uses no pipeline and has no dependences.
@@ -338,8 +472,15 @@ impl<'a> Checker<'a> {
         }
 
         // The global admissible lower bound, re-derived on the empty
-        // prefix: what any `ProvedByBound` event must match.
-        let (_, _, global_lb) = self.terms();
+        // prefix with the heads-and-tails term in full: what the
+        // `ProvedByBound` event that ends a transcript must match. Only
+        // such a transcript needs it.
+        let global_lb =
+            matches!(cert.events.last(), Some(ProofEvent::ProvedByBound { .. })).then(|| {
+                let (_, _, cheap) = self.terms();
+                let root = self.jackson(i64::MAX);
+                cheap.max(self.bound_of(root))
+            });
 
         // Validate and replay the initial incumbent.
         self.check_permutation(&cert.header.initial_order, "initial order", report)?;
@@ -375,18 +516,15 @@ impl<'a> Checker<'a> {
             return Ok(0);
         }
 
-        let mut frames: Vec<Frame> = vec![Frame::new()];
+        let mut frames = Frames {
+            open: Vec::new(),
+            spare: Vec::new(),
+        };
+        frames.open();
         let mut proved = false;
 
         for (k, ev) in cert.events.iter().enumerate() {
-            if proved {
-                return reject(
-                    report,
-                    DiagCode::CertificateMalformed,
-                    format!("event {k} follows the terminal ProvedByBound event"),
-                );
-            }
-            if frames.is_empty() {
+            if frames.open.is_empty() {
                 return reject(
                     report,
                     DiagCode::CertificateMalformed,
@@ -403,11 +541,11 @@ impl<'a> Checker<'a> {
                             format!("event {k} enters tuple {candidate} before its predecessors"),
                         );
                     }
-                    let frame = frames.last_mut().expect("non-empty");
+                    let frame = frames.open.last_mut().expect("non-empty");
                     frame.disposed.push(candidate);
                     frame.placed_here.push(candidate);
                     self.push(c);
-                    frames.push(Frame::new());
+                    frames.open();
                 }
                 ProofEvent::LegalityPrune { candidate } => {
                     let c = self.candidate_index(candidate, k, report)?;
@@ -422,6 +560,7 @@ impl<'a> Checker<'a> {
                         );
                     }
                     frames
+                        .open
                         .last_mut()
                         .expect("non-empty")
                         .disposed
@@ -429,7 +568,7 @@ impl<'a> Checker<'a> {
                 }
                 ProofEvent::EquivalencePrune { candidate, witness } => {
                     let c = self.candidate_index(candidate, k, report)?;
-                    let frame_placed = &frames.last().expect("non-empty").placed_here;
+                    let frame_placed = &frames.open.last().expect("non-empty").placed_here;
                     if !frame_placed.contains(&witness) {
                         return reject(
                             report,
@@ -452,6 +591,7 @@ impl<'a> Checker<'a> {
                         );
                     }
                     frames
+                        .open
                         .last_mut()
                         .expect("non-empty")
                         .disposed
@@ -463,6 +603,7 @@ impl<'a> Checker<'a> {
                     bound,
                     chain,
                     resource,
+                    term,
                 } => {
                     let c = self.candidate_index(candidate, k, report)?;
                     if !self.legal(c) {
@@ -484,7 +625,11 @@ impl<'a> Checker<'a> {
                     } else {
                         match cert.header.bound {
                             BoundKind::AlphaBeta => {
-                                if chain.is_some() || resource.is_some() || bound != mu {
+                                if chain.is_some()
+                                    || resource.is_some()
+                                    || term.is_some()
+                                    || bound != mu
+                                {
                                     Some(format!(
                                         "event {k}: the α-β bound is μ itself ({mu}), \
                                          recorded bound {bound}"
@@ -494,12 +639,25 @@ impl<'a> Checker<'a> {
                                 }
                             }
                             BoundKind::CriticalPath => {
-                                let (dc, dr, db) = self.terms();
-                                if chain != Some(dc) || resource != Some(dr) || bound != db {
+                                let (dc, dr, mut db) = self.terms();
+                                // The search stopped the term at the first
+                                // value dominating the incumbent; so does
+                                // the checker's schedule.
+                                let reached = term.map(|_| {
+                                    self.jackson(i64::from(incumbent) + self.n as i64 - 1)
+                                });
+                                if let Some(v) = term {
+                                    db = db.max(self.bound_of(v));
+                                }
+                                if chain != Some(dc)
+                                    || resource != Some(dr)
+                                    || term != reached
+                                    || bound != db
+                                {
                                     Some(format!(
-                                        "event {k}: recorded (chain, resource, bound) = \
-                                         ({chain:?}, {resource:?}, {bound}), re-derived \
-                                         ({dc}, {dr}, {db})"
+                                        "event {k}: recorded (chain, resource, term, bound) \
+                                         = ({chain:?}, {resource:?}, {term:?}, {bound}), \
+                                         re-derived ({dc}, {dr}, {reached:?}, {db})"
                                     ))
                                 } else {
                                     None
@@ -522,14 +680,15 @@ impl<'a> Checker<'a> {
                             ),
                         );
                     }
-                    let frame = frames.last_mut().expect("non-empty");
+                    let frame = frames.open.last_mut().expect("non-empty");
                     frame.disposed.push(candidate);
                     frame.placed_here.push(candidate);
                 }
                 ProofEvent::Leave => {
-                    let frame = frames.pop().expect("non-empty");
+                    let frame = frames.open.pop().expect("non-empty");
                     self.check_coverage(&frame, k, report)?;
-                    if frames.is_empty() {
+                    frames.close(frame);
+                    if frames.open.is_empty() {
                         // Root closed: the whole space is covered. Any
                         // further event is caught at the top of the loop.
                     } else {
@@ -557,7 +716,9 @@ impl<'a> Checker<'a> {
                             ),
                         );
                     }
-                    frames.pop();
+                    if let Some(frame) = frames.open.pop() {
+                        frames.close(frame);
+                    }
                     self.pop();
                 }
                 ProofEvent::Improve { mu } => {
@@ -581,11 +742,21 @@ impl<'a> Checker<'a> {
                         );
                     }
                     incumbent = mu;
-                    best_order = self.prefix.clone();
-                    frames.pop();
+                    best_order.clear();
+                    best_order.extend_from_slice(&self.prefix);
+                    if let Some(frame) = frames.open.pop() {
+                        frames.close(frame);
+                    }
                     self.pop();
                 }
                 ProofEvent::ProvedByBound { lb } => {
+                    let Some(global_lb) = global_lb.filter(|_| k + 1 == cert.events.len()) else {
+                        return reject(
+                            report,
+                            DiagCode::CertificateMalformed,
+                            format!("event {k}: ProvedByBound must end the transcript"),
+                        );
+                    };
                     if lb != global_lb {
                         return reject(
                             report,
@@ -620,13 +791,13 @@ impl<'a> Checker<'a> {
                     .to_string(),
             );
         }
-        if !proved && !frames.is_empty() {
+        if !proved && !frames.open.is_empty() {
             return reject(
                 report,
                 DiagCode::ProofCoverageGap,
                 format!(
                     "transcript ends with {} search node(s) still open",
-                    frames.len()
+                    frames.open.len()
                 ),
             );
         }
@@ -694,14 +865,23 @@ impl<'a> Checker<'a> {
 
     /// A closing node's dispositions must cover exactly its unscheduled
     /// instructions — no gaps, no duplicates.
-    fn check_coverage(&self, frame: &Frame, event: usize, report: &mut Report) -> Result<(), ()> {
+    fn check_coverage(
+        &mut self,
+        frame: &Frame,
+        event: usize,
+        report: &mut Report,
+    ) -> Result<(), ()> {
         let unscheduled = self.n - self.prefix.len();
-        let mut seen = vec![false; self.n];
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
         let mut distinct = 0usize;
         for &d in &frame.disposed {
             let i = d as usize;
-            if i < self.n && self.issue[i].is_none() && !seen[i] {
-                seen[i] = true;
+            if i < self.n && self.issue[i].is_none() && self.stamp[i] != self.epoch {
+                self.stamp[i] = self.epoch;
                 distinct += 1;
             }
         }

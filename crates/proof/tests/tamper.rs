@@ -1,7 +1,8 @@
 //! Property tests for the certificate checker: real certificates are
 //! accepted verbatim, and *any* single-record tamper — dropping a prune,
-//! lowering a bound, swapping an equivalence pair — is rejected with the
-//! specific `A04xx` code the corruption deserves.
+//! lowering a bound, swapping an equivalence pair, forging a
+//! heads-and-tails term — is rejected with the specific `A04xx` code the
+//! corruption deserves.
 
 use proptest::prelude::*;
 
@@ -337,4 +338,174 @@ proptest! {
             "expected A0408, got:\n{}", check.report
         );
     }
+}
+
+/// Corpus blocks (paper simulation machine) whose serial proof records
+/// heads-and-tails terms: searches past the term's switch-on, on blocks
+/// large enough for its gate. Returns each block with its certificate.
+fn term_certificates(want: usize) -> Vec<(BasicBlock, Certificate)> {
+    let spec = pipesched_synth::CorpusSpec::paper_default();
+    let machine = presets::paper_simulation();
+    let mut found = Vec::new();
+    for k in 0.. {
+        assert!(
+            k < 4_000,
+            "only {} corpus blocks record a term",
+            found.len()
+        );
+        let block = spec.block(k);
+        if block.len() < 20 {
+            continue;
+        }
+        let dag = DepDag::build(&block);
+        let ctx = SchedContext::new(&block, &dag, &machine);
+        let (out, cert) = prove(&ctx, &SearchConfig::default());
+        let terms = cert
+            .events
+            .iter()
+            .filter(|e| matches!(e, ProofEvent::BoundPrune { term: Some(_), .. }))
+            .count();
+        if out.optimal && terms > 0 {
+            let check = check_certificate(&block, &machine, &cert);
+            assert!(check.is_certified(), "{}", check.report);
+            found.push((block, cert));
+            if found.len() == want {
+                return found;
+            }
+        }
+    }
+    unreachable!()
+}
+
+/// Where the term-bearing bound prunes of `cert` are.
+fn term_prunes(cert: &Certificate) -> Vec<usize> {
+    cert.events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| matches!(e, ProofEvent::BoundPrune { term: Some(_), .. }))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// A heads-and-tails value raised by one is not the value the checker's
+/// own Jackson schedule reaches where the search stopped: `A0403`.
+#[test]
+fn raised_heads_and_tails_term_is_an_arithmetic_mismatch() {
+    let machine = presets::paper_simulation();
+    for (block, cert) in term_certificates(3) {
+        let prunes = term_prunes(&cert);
+        for &i in [
+            prunes[0],
+            prunes[prunes.len() / 2],
+            prunes[prunes.len() - 1],
+        ]
+        .iter()
+        {
+            let mut forged = cert.clone();
+            if let ProofEvent::BoundPrune { term: Some(t), .. } = &mut forged.events[i] {
+                *t += 1;
+            }
+            let check = check_certificate(&block, &machine, &forged);
+            assert!(!check.is_certified(), "event {i} accepted raised");
+            assert!(
+                check.report.has_code(DiagCode::BoundArithmeticMismatch),
+                "expected A0403, got:\n{}",
+                check.report
+            );
+        }
+    }
+}
+
+/// A term no Jackson schedule of the prefix reaches — with the bound
+/// recomputed from it, so only the term itself is wrong — is rejected
+/// with `A0403`.
+#[test]
+fn unreachable_heads_and_tails_term_is_an_arithmetic_mismatch() {
+    let machine = presets::paper_simulation();
+    for (block, cert) in term_certificates(3) {
+        let slack = block.len() as i64 - 1;
+        for i in term_prunes(&cert) {
+            let mut forged = cert.clone();
+            if let ProofEvent::BoundPrune {
+                term: Some(t),
+                bound,
+                ..
+            } = &mut forged.events[i]
+            {
+                *t += 1_000;
+                *bound = (*t - slack) as u32;
+            }
+            let check = check_certificate(&block, &machine, &forged);
+            assert!(!check.is_certified(), "event {i} accepted unreachable");
+            assert!(
+                check.report.has_code(DiagCode::BoundArithmeticMismatch),
+                "expected A0403, got:\n{}",
+                check.report
+            );
+        }
+    }
+}
+
+/// The whole-block bound without its heads-and-tails term — the chain
+/// and resource terms alone, re-derived here from the tails — is not the
+/// bound a `ProvedByBound` must cite: `A0408`, while the full bound on
+/// the same schedule is accepted.
+#[test]
+fn proved_by_bound_without_the_root_term_is_rejected() {
+    let spec = pipesched_synth::CorpusSpec::paper_default();
+    let machine = presets::paper_simulation();
+    let mut forged_some = 0;
+    for k in 0..2_000 {
+        let block = spec.block(k);
+        let dag = DepDag::build(&block);
+        let ctx = SchedContext::new(&block, &dag, &machine);
+        let n = block.len() as i64;
+        let lb = ctx.lower_bound();
+        let chain = block
+            .ids()
+            .filter(|&t| ctx.preds[t.index()].is_empty())
+            .map(|t| lb.tail(t))
+            .max()
+            .unwrap_or(0);
+        let resource = (0..machine.pipeline_count())
+            .map(|p| {
+                let k = block
+                    .ids()
+                    .filter(|&t| ctx.sigma(t).is_some_and(|u| u.index() == p))
+                    .count() as i64;
+                i64::from(ctx.pipe_enqueue[p]) * (k - 1)
+            })
+            .max()
+            .unwrap_or(0);
+        let cheap = (chain.max(resource).max(n - 1) - (n - 1)).max(0) as u32;
+        let full = global_lower_bound(&ctx);
+        assert!(cheap <= full);
+        if cheap == full {
+            continue;
+        }
+        let out = search(&ctx, &SearchConfig::default());
+        if !out.optimal || out.nops != full {
+            continue;
+        }
+        let order: Vec<u32> = out.order.iter().map(|t| t.0).collect();
+        let honest = Certificate::by_bound(block.len() as u32, order.clone(), out.nops, full);
+        let check = check_certificate(&block, &machine, &honest);
+        assert!(check.is_certified(), "{}", check.report);
+        let forged = Certificate::by_bound(block.len() as u32, order, out.nops, cheap);
+        let check = check_certificate(&block, &machine, &forged);
+        assert!(!check.is_certified());
+        assert!(
+            check.report.has_code(DiagCode::LowerBoundMismatch),
+            "expected A0408, got:\n{}",
+            check.report
+        );
+        forged_some += 1;
+        if forged_some == 20 {
+            break;
+        }
+    }
+    assert!(
+        forged_some >= 5,
+        "only {forged_some} blocks gain from the root term"
+    );
 }

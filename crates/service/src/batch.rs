@@ -347,8 +347,10 @@ mod tests {
                 "{{\"id\": {}, \"block\": \"1: Load #a{i}\\n2: Mul @1, @1\\n3: Store #b{i}, @2\", \"machine\": \"paper-simulation\"}}\n",
                 2 * i
             ));
+            // Two multiplies contending for the multiplier: the
+            // whole-block bound cannot settle it, so a miss searches.
             text.push_str(&format!(
-                "{{\"id\": {}, \"block\": \"1: Load #p{i}\\n2: Load #q{i}\\n3: Add @1, @2\\n4: Store #r{i}, @3\", \"machine\": \"paper-simulation\"}}\n",
+                "{{\"id\": {}, \"block\": \"1: Load #p{i}\\n2: Load #q{i}\\n3: Mul @1, @2\\n4: Mul @1, @1\\n5: Add @3, @4\\n6: Store #r{i}, @5\", \"machine\": \"paper-simulation\"}}\n",
                 2 * i + 1
             ));
         }

@@ -338,7 +338,9 @@ fn flight_replay_prints_sealed_events_whose_phases_fit_the_request() {
 fn cli_requests() -> String {
     let shapes = [
         "1: Load #x\n2: Mul @1, @1\n3: Store #y, @2",
-        "1: Load #a\n2: Load #b\n3: Add @1, @2\n4: Store #c, @3",
+        // Two multiplies contending for the multiplier: the whole-block
+        // bound cannot settle it, so a search runs.
+        "1: Load #a\n2: Load #b\n3: Mul @1, @2\n4: Mul @1, @1\n5: Add @3, @4\n6: Store #c, @5",
     ];
     (0..6)
         .map(|i| {

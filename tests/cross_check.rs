@@ -1,0 +1,192 @@
+//! The tier-1 soundness net: the exact backends against ground truth, and
+//! every term of the pruning bound against the completions it bounds.
+//!
+//! * **Differential.** On small random blocks and every machine preset,
+//!   exhaustive enumeration, the serial branch-and-bound, the two-worker
+//!   pool and the SAT backend must find the same optimal NOP count. The
+//!   certifier replays every schedule, the proof checker replays the
+//!   serial and the pooled certificates, and the SAT answer passes its
+//!   audit.
+//! * **Admissibility.** Random place/undo walks visit partial schedules
+//!   from a cold and from a carried boundary, with pipeline selection off
+//!   and on. At every node, each term of the critical-path bound — chain,
+//!   resource and heads-and-tails, the last evaluated in full whatever its
+//!   gate says — must be at most the best completion of that node, found
+//!   by exhaustive search from it. An inadmissible term prunes optima
+//!   silently; this is where it shows.
+
+use pipesched::analyze::certify_scheduled;
+use pipesched::core::baselines::enumerate_legal;
+use pipesched::core::bounds::term_bounds;
+use pipesched::core::{
+    parallel_prove, prove, search, BoundaryState, ParallelConfig, SchedContext, SearchConfig,
+    TimingEngine,
+};
+use pipesched::ir::{BasicBlock, DepDag, TupleId};
+use pipesched::machine::{presets, PipelineId};
+use pipesched::proof::{check_certificate, ProofVerdict};
+use pipesched::solve::{audit_outcome, solve_schedule, SolveConfig};
+use pipesched::synth::{generate_block, GeneratorConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Generated blocks of 3–8 instructions, small enough to enumerate.
+fn small_blocks(count: u64) -> Vec<BasicBlock> {
+    (0..)
+        .map(|seed| generate_block(&GeneratorConfig::new(2 + seed as usize % 3, 3, 2, seed)))
+        .filter(|b| (3..=8).contains(&b.len()))
+        .take(count as usize)
+        .collect()
+}
+
+#[test]
+fn exact_backends_agree_and_every_answer_checks() {
+    let exact = SearchConfig {
+        lambda: u64::MAX,
+        ..SearchConfig::default()
+    };
+    let pair = ParallelConfig::with_threads(2);
+    for block in small_blocks(16) {
+        let dag = DepDag::build(&block);
+        for machine in presets::all_presets() {
+            let ctx = SchedContext::new(&block, &dag, &machine);
+            let tag = format!("{} instructions on {}:\n{block}", block.len(), machine.name);
+            let truth = enumerate_legal(&ctx, u64::MAX);
+            assert!(!truth.truncated, "{tag}");
+            let optimum = truth.best_nops;
+
+            let serial = search(&ctx, &exact);
+            let (proved, cert) = prove(&ctx, &exact);
+            let (pooled, proof) = parallel_prove(&ctx, &exact, &pair);
+            for (name, out) in [("serial", &serial), ("prove", &proved), ("pool", &pooled)] {
+                assert!(out.optimal, "{name} truncated on {tag}");
+                assert_eq!(out.nops, optimum, "{name} misses the optimum on {tag}");
+                let certified = certify_scheduled(&block, &machine, out);
+                assert!(
+                    certified.is_certified(),
+                    "{name} on {tag}\n{}",
+                    certified.report
+                );
+            }
+            for (name, cert) in [("serial", cert), ("pooled", proof.merge())] {
+                let check = check_certificate(&block, &machine, &cert);
+                assert_eq!(
+                    check.verdict,
+                    ProofVerdict::OptimalCertified { nops: optimum },
+                    "{name} certificate on {tag}\n{}",
+                    check.report
+                );
+            }
+
+            let sat = solve_schedule(&ctx, &SolveConfig::default());
+            assert!(sat.optimal, "SAT undecided on {tag}");
+            assert_eq!(sat.nops, optimum, "SAT misses the optimum on {tag}");
+            let audit = audit_outcome(&block, &machine, &sat);
+            assert!(!audit.has_errors(), "SAT audit on {tag}\n{audit}");
+        }
+    }
+}
+
+/// The fewest NOPs any completion of `engine`'s partial schedule needs,
+/// trying every ready instruction next and, under `selection`, every unit
+/// it may run on. Prunes only where μ (monotone under extension) already
+/// matches the best found, so the answer is exact.
+fn best_completion(
+    ctx: &SchedContext<'_>,
+    engine: &mut TimingEngine<'_, '_>,
+    selection: bool,
+    best: &mut u32,
+) {
+    if engine.total_nops() >= *best {
+        return;
+    }
+    if engine.placed() == ctx.len() {
+        *best = engine.total_nops();
+        return;
+    }
+    for t in ctx.block.ids() {
+        let placed = |u: TupleId| engine.issue_time(u).is_some();
+        if placed(t) || !ctx.preds[t.index()].iter().all(|d| placed(TupleId(d.from))) {
+            continue;
+        }
+        let units: Vec<Option<PipelineId>> = if selection && ctx.allowed[t.index()].len() > 1 {
+            ctx.allowed[t.index()].iter().copied().map(Some).collect()
+        } else {
+            vec![ctx.sigma(t)]
+        };
+        for unit in units {
+            engine.push(t, unit);
+            best_completion(ctx, engine, selection, best);
+            engine.pop();
+        }
+    }
+}
+
+#[test]
+fn every_bound_term_is_at_most_the_best_completion() {
+    let mut rng = StdRng::seed_from_u64(0xad31_55b1);
+    let mut nodes = 0;
+    let mut tight = 0;
+    for block in small_blocks(12) {
+        let dag = DepDag::build(&block);
+        for machine in presets::all_presets() {
+            let ctx = SchedContext::new(&block, &dag, &machine);
+            for selection in [false, true] {
+                for carried in [false, true] {
+                    let mut boundary = BoundaryState::cold(machine.pipeline_count());
+                    if carried {
+                        for age in &mut boundary.pipe_age {
+                            *age = rng.gen_bool(0.7).then(|| rng.gen_range(0..4));
+                        }
+                    }
+                    let mut engine = TimingEngine::with_boundary(&ctx, &boundary);
+                    let mut placed: Vec<TupleId> = Vec::new();
+                    for step in 0..2 * block.len() {
+                        let ready: Vec<TupleId> = ctx
+                            .block
+                            .ids()
+                            .filter(|&t| {
+                                engine.issue_time(t).is_none()
+                                    && ctx.preds[t.index()]
+                                        .iter()
+                                        .all(|d| engine.issue_time(TupleId(d.from)).is_some())
+                            })
+                            .collect();
+                        // Undo a third of the time (always once complete).
+                        if !placed.is_empty() && (ready.is_empty() || rng.gen_range(0..3) == 0) {
+                            placed.pop();
+                            engine.pop();
+                        } else if !ready.is_empty() {
+                            let t = ready[rng.gen_range(0..ready.len())];
+                            let units = &ctx.allowed[t.index()];
+                            let unit = if selection && units.len() > 1 {
+                                Some(units[rng.gen_range(0..units.len())])
+                            } else {
+                                ctx.sigma(t)
+                            };
+                            engine.push(t, unit);
+                            placed.push(t);
+                        }
+                        let terms = term_bounds(&ctx, &engine, selection);
+                        let mut best = u32::MAX;
+                        best_completion(&ctx, &mut engine, selection, &mut best);
+                        let tag = format!(
+                            "{} on {}, selection {selection}, carried {carried}, step {step}, \
+                             prefix {placed:?}: {terms:?} against the best completion {best}\n{block}",
+                            block.name, machine.name
+                        );
+                        assert!(terms.chain <= best, "chain term: {tag}");
+                        assert!(terms.resource <= best, "resource term: {tag}");
+                        assert!(terms.heads_tails <= best, "heads-and-tails term: {tag}");
+                        nodes += 1;
+                        tight += usize::from(terms.heads_tails == best && best > 0);
+                    }
+                }
+            }
+        }
+    }
+    // The walks must reach nodes where the term is exact, or an
+    // inflated term could slip through unseen.
+    assert!(nodes > 2_000, "only {nodes} nodes checked");
+    assert!(tight > 200, "the term was tight at only {tight} nodes");
+}

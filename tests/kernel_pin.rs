@@ -69,10 +69,10 @@ const PINS: &[Pin] = &[
         machine: "functional-units",
         initial_nops: 21,
         nops: 18,
-        nodes_visited: 793,
-        omega_calls: 1449,
-        pruned_bound: 657,
-        digest: 0xc4890562e5e908b0,
+        nodes_visited: 769,
+        omega_calls: 1402,
+        pruned_bound: 634,
+        digest: 0x6eae00c25a1b9d09,
     },
     Pin {
         block: "dotproduct",
@@ -99,10 +99,10 @@ const PINS: &[Pin] = &[
         machine: "paper-simulation",
         initial_nops: 4,
         nops: 4,
-        nodes_visited: 1,
-        omega_calls: 2,
-        pruned_bound: 2,
-        digest: 0xd910304b18472a89,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
+        digest: 0x01c986907927c968,
     },
     Pin {
         block: "stages:square",
@@ -119,10 +119,10 @@ const PINS: &[Pin] = &[
         machine: "paper-simulation",
         initial_nops: 3,
         nops: 3,
-        nodes_visited: 1,
-        omega_calls: 2,
-        pruned_bound: 2,
-        digest: 0x8ca8f99aef320ec7,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
+        digest: 0x9ef1a5d4af0f0a1d,
     },
 ];
 
@@ -331,9 +331,9 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 21,
         nops: 18,
         optimal: true,
-        nodes_visited: 793,
-        omega_calls: 1449,
-        pruned_bound: 657,
+        nodes_visited: 769,
+        omega_calls: 1402,
+        pruned_bound: 634,
         pruned_symmetry: 0,
         schedule: 0xdc1a83f286aa74e7,
         digest: None,
@@ -370,9 +370,9 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 4,
         nops: 4,
         optimal: true,
-        nodes_visited: 1,
-        omega_calls: 2,
-        pruned_bound: 2,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
         pruned_symmetry: 0,
         schedule: 0x5ea20ab41f037a43,
         digest: None,
@@ -396,9 +396,9 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 3,
         nops: 3,
         optimal: true,
-        nodes_visited: 1,
-        omega_calls: 2,
-        pruned_bound: 2,
+        nodes_visited: 0,
+        omega_calls: 0,
+        pruned_bound: 0,
         pruned_symmetry: 0,
         schedule: 0xf1b4053ff9225be0,
         digest: None,
