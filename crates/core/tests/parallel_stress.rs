@@ -13,7 +13,10 @@
 //! `HELPER_THRESHOLD` Ω, so the small blocks below cover the path on
 //! which worker 0 runs alone; the `paper_exact()` blocks run well past
 //! the threshold, and the tests assert that helpers stole on them.
+//! The default configuration's heads-and-tails term switches on past
+//! `JACKSON_SWITCH_ON` Ω, which one default-configuration block reaches.
 
+use pipesched_core::bounds::{JACKSON_GATE, JACKSON_SWITCH_ON};
 use pipesched_core::parallel::{parallel_prove, parallel_search, ParallelConfig};
 use pipesched_core::{search, SchedContext, SearchConfig};
 use pipesched_ir::BasicBlock;
@@ -140,17 +143,39 @@ fn forced_steal_prover_still_certifies() {
     assert!(steals > 0, "no helper stole a task while proving");
 }
 
+/// A 15-instruction block whose default-configuration search runs about
+/// 1.6k Ω, past the heads-and-tails switch-on, and ends by exhaustion
+/// (its optimum stays above the whole-block bound).
+fn past_the_switch_on() -> (BasicBlock, Machine, SearchConfig) {
+    (
+        generate_block(&GeneratorConfig::new(9, 3, 2, 17)),
+        presets::functional_units(),
+        SearchConfig::with_lambda(u64::MAX),
+    )
+}
+
 /// The threads=1 counter-exactness contract survives maximal splitting:
 /// with LIFO pops the task order is the serial DFS order, so node and Ω
-/// counters match the serial kernel bit for bit.
+/// counters match the serial kernel bit for bit — also where the
+/// heads-and-tails term prices the placements, since a split placement is
+/// priced when its task is popped, at the serial kernel's Ω count.
 #[test]
 fn forced_steal_single_thread_is_counter_exact() {
     // Past the threshold the one worker draws λ in many batches.
-    for (block, machine, cfg) in cases(&[3, 17]) {
+    let cases = cases(&[3, 17]).into_iter().map(|case| (case, false));
+    for ((block, machine, cfg), term) in cases.chain([(past_the_switch_on(), true)]) {
         let dag = pipesched_ir::DepDag::build(&block);
         let ctx = SchedContext::new(&block, &dag, &machine);
 
         let serial = search(&ctx, &cfg);
+        if term {
+            assert!(ctx.len() >= JACKSON_GATE);
+            assert!(
+                serial.stats.omega_calls >= JACKSON_SWITCH_ON && !serial.stats.proved_by_bound,
+                "{} Ω does not run past the switch-on to exhaustion",
+                serial.stats.omega_calls
+            );
+        }
         let par = parallel_search(&ctx, &cfg, &forced_steal(1, ctx.len()));
         assert_eq!(par.nops, serial.nops);
         assert_eq!(
@@ -160,6 +185,10 @@ fn forced_steal_single_thread_is_counter_exact() {
         assert_eq!(
             par.stats.nodes_visited, serial.stats.nodes_visited,
             "node counter drift at threads=1 on\n{block}"
+        );
+        assert_eq!(
+            par.stats.pruned_bound, serial.stats.pruned_bound,
+            "bound-prune counter drift at threads=1 on\n{block}"
         );
     }
 }

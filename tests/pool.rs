@@ -8,10 +8,11 @@
 //! λ stays a hard pool-wide cap throughout.
 
 use pipesched::analyze::certify_scheduled;
+use pipesched::core::bounds::JACKSON_SWITCH_ON;
 use pipesched::core::parallel::{HELPER_THRESHOLD, LAMBDA_BATCH};
 use pipesched::core::{
-    parallel_prove, parallel_search, search, ParallelConfig, SchedContext, SearchConfig,
-    SearchOutcome,
+    parallel_prove, parallel_search, search, ParallelConfig, ProofEvent, SchedContext,
+    SearchConfig, SearchOutcome,
 };
 use pipesched::ir::{analysis::verify_schedule, BasicBlock, DepDag};
 use pipesched::machine::{presets, Machine};
@@ -150,6 +151,56 @@ fn above_the_threshold_helpers_steal_and_certify() {
                 );
                 steals += out.stats.steals;
             }
+        }
+    }
+}
+
+/// Past the heads-and-tails switch-on under the default configuration,
+/// the pooled certificate records the term: at the root candidates and in
+/// every phase-2 part, which count on from the Ω phase 1 ran, after
+/// helpers that priced it from their first Ω. The independent checker
+/// re-derives each recorded term and certifies the serial optimum.
+#[test]
+fn past_the_switch_on_pooled_certificates_carry_the_term() {
+    // A 22-instruction corpus block whose serial search runs about 6.9k Ω.
+    let block = CorpusSpec::paper_default().block(559);
+    let machine = presets::paper_simulation();
+    let dag = DepDag::build(&block);
+    let ctx = SchedContext::new(&block, &dag, &machine);
+    let cfg = SearchConfig::with_lambda(u64::MAX);
+    let serial = search(&ctx, &cfg);
+    assert!(serial.optimal && block.len() >= 20);
+    assert!(
+        serial.stats.omega_calls >= 4 * JACKSON_SWITCH_ON,
+        "{} Ω is not well past the switch-on",
+        serial.stats.omega_calls
+    );
+    for threads in [2usize, 4] {
+        let par = ParallelConfig::with_threads(threads);
+        let mut steals = 0;
+        for round in 0.. {
+            assert!(round < 5, "no helper stole a task at {threads} workers");
+            if steals > 0 {
+                break;
+            }
+            let (out, proof) = parallel_prove(&ctx, &cfg, &par);
+            assert!(out.optimal, "truncated at {threads} workers");
+            assert_eq!(out.nops, serial.nops, "not the serial optimum");
+            let cert = proof.merge();
+            assert!(
+                cert.events
+                    .iter()
+                    .any(|e| matches!(e, ProofEvent::BoundPrune { term: Some(_), .. })),
+                "no heads-and-tails term recorded at {threads} workers"
+            );
+            let check = check_certificate(&block, &machine, &cert);
+            assert_eq!(
+                check.verdict,
+                ProofVerdict::OptimalCertified { nops: serial.nops },
+                "{threads} workers:\n{}",
+                check.report
+            );
+            steals += out.stats.steals;
         }
     }
 }
