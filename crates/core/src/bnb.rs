@@ -63,6 +63,12 @@
 //! schedules and certificate digests are therefore bit-identical to a
 //! from-scratch scan (`tests/kernel_pin.rs`).
 //!
+//! **Windows** (see [`crate::windowed`]). With `order[..start]` committed,
+//! the kernel can search positions `start..end` alone: a schedule is then
+//! complete at its horizon `end`, the bound is that of the down-set
+//! `order[..end]` (see [`crate::bounds`]), and the window stops at its own
+//! root bound. One `Search` runs a block's windows in turn.
+//!
 //! With [`SearchConfig::pipeline_selection`] enabled the search also chooses
 //! *which* unit executes each instruction when the machine maps an
 //! operation to several pipelines (the feature §4.1 footnote 3 excludes
@@ -777,18 +783,12 @@ pub(crate) fn run_subtree<P: SearchPolicy>(
     let mut s = Search::new(ctx, cfg, boundary, order, best_nops, policy);
     s.global_lb = global_lb;
     if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-        s.stats.truncated = true;
-        s.stats.deadline_hit = true;
-        s.policy.stopping(&s.stats);
+        s.deadline_stop();
         return s.stats;
     }
     // Replay the committed prefix: timing and frontier state exactly as
     // `place_and_recurse` would have left them.
-    for d in 0..depth {
-        let xi = s.order[d];
-        s.engine.push(xi, s.ctx.sigma(xi));
-        s.frontier.commit(s.ctx, &s.engine, xi);
-    }
+    s.commit(0..depth);
     if split.is_some_and(|cheap| s.priced(cheap).1 >= s.best_nops) {
         s.stats.pruned_bound += 1;
     } else {
@@ -872,6 +872,24 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         }
     }
 
+    /// Stop, truncated by the deadline.
+    fn deadline_stop(&mut self) {
+        self.stats.truncated = true;
+        self.stats.deadline_hit = true;
+        self.stop = true;
+        self.policy.stopping(&self.stats);
+    }
+
+    /// Place `order[positions]` on their default units, as committed
+    /// placements that charge no Ω.
+    fn commit(&mut self, positions: std::ops::Range<usize>) {
+        for d in positions {
+            let xi = self.order[d];
+            self.engine.push(xi, self.ctx.sigma(xi));
+            self.frontier.commit(self.ctx, &self.engine, xi);
+        }
+    }
+
     /// Append `ev` to the proof transcript when logging is on.
     #[inline]
     fn log(&mut self, ev: ProofEvent) {
@@ -902,7 +920,9 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
     }
 
     fn dfs_inner(&mut self, depth: usize) {
-        let n = self.ctx.len();
+        // The horizon: a schedule is complete once the down-set the
+        // frontier covers is placed (the block, except in a window).
+        let n = self.frontier.covered();
         self.stats.nodes_visited += 1;
         self.prof(depth, |d| d.nodes += 1);
         if depth == n {
@@ -1086,10 +1106,7 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 .is_multiple_of(DEADLINE_CHECK_INTERVAL)
                 && std::time::Instant::now() >= deadline
             {
-                self.stats.truncated = true;
-                self.stats.deadline_hit = true;
-                self.stop = true;
-                self.policy.stopping(&self.stats);
+                self.deadline_stop();
             }
         }
 
@@ -1154,6 +1171,70 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             self.frontier.uncommit(self.ctx, xi);
         }
         self.engine.pop();
+    }
+}
+
+/// Search each of `windows`, consecutive ranges of positions of `order`
+/// from 0 to `n`, with the serial kernel and commit its best arrangement
+/// before the next (see [`crate::windowed`]): one `Search`, whose
+/// `lower_bound` must follow only chains inside a window
+/// ([`LowerBound::windowed`]). Returns the stitched schedule and the
+/// counters of every window; a window proved by its own bound proves
+/// nothing about the block, so `proved_by_bound` is never set.
+pub(crate) fn search_windows(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    lower_bound: &LowerBound,
+    order: Vec<TupleId>,
+    windows: impl IntoIterator<Item = std::ops::Range<usize>>,
+) -> (Vec<TupleId>, SearchStats) {
+    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
+    let mut s = Search::new(ctx, cfg, &cold, order, u32::MAX, NullPolicy);
+    s.lower_bound = Some(lower_bound);
+    s.frontier = Frontier::uncovered(ctx, cfg.pipeline_selection);
+    if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+        s.deadline_stop();
+    }
+    for window in windows {
+        s.window(window.start, window.end);
+    }
+    s.stats.proved_by_bound = false;
+    (s.order, s.stats)
+}
+
+impl<P: SearchPolicy> Search<'_, '_, P> {
+    /// Search the window `order[start..end]`, with `order[..start]`
+    /// committed by the earlier windows, and commit its best arrangement.
+    /// The incumbent is the window in its current order, and the search
+    /// ends early at the window's root bound. Once λ or the deadline has
+    /// stopped the search (the kernel reads the clock every
+    /// [`DEADLINE_CHECK_INTERVAL`] Ω, counted across windows), a window
+    /// keeps its order.
+    fn window(&mut self, start: usize, end: usize) {
+        let ctx = self.ctx;
+        let engine = &self.engine;
+        let members = self.order[start..end].iter().copied();
+        self.frontier.cover(ctx, members, |t| engine.dep_ready(t));
+        if !self.stop {
+            for &t in &self.order[start..end] {
+                self.engine.push_default(t);
+            }
+            self.best_nops = self.engine.total_nops();
+            for _ in start..end {
+                self.engine.pop();
+            }
+            let lb = self.lower_bound.expect("a window search is bounded");
+            let root = lb.full(ctx, &self.engine, &self.frontier, self.best_nops);
+            if root < self.best_nops {
+                self.best_order.copy_from_slice(&self.order);
+                self.global_lb = Some(root);
+                self.dfs(start);
+                self.order.copy_from_slice(&self.best_order);
+                // Reaching the root bound ends this window only.
+                self.stop = self.stats.truncated;
+            }
+        }
+        self.commit(start..end);
     }
 }
 

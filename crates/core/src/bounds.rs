@@ -36,6 +36,12 @@
 //! leave it open. The whole-block bound of [`global_lower_bound`] always
 //! includes it. The seed's skips it only where the cheap terms already
 //! reach the seed's μ: the bound is then the same with or without it.
+//!
+//! **Down-sets.** A window (see [`crate::windowed`]) is complete once the
+//! down-set `order[..end]` is placed, so its bound covers that alone: a
+//! [`Frontier`] covers a down-set, whose other tuples are never ready,
+//! never counted and never in Jackson's schedule, and `end − 1` replaces
+//! `n − 1`. [`LowerBound::windowed`]'s tails stay inside one window.
 
 use pipesched_ir::{BitSet, TupleId};
 use pipesched_machine::PipelineId;
@@ -67,6 +73,10 @@ pub const JACKSON_GATE: usize = 12;
 
 /// Marks "no tuple" in the release buckets.
 const NONE: u32 = u32::MAX;
+
+/// Added to the pending-predecessor count of a tuple outside the down-set
+/// a [`Frontier`] covers, so that it never becomes ready.
+const OUTSIDE: u32 = 1 << 31;
 
 /// Serializable choice of pruning bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,6 +132,23 @@ std::thread_local! {
 impl LowerBound {
     /// Precompute chain tails and producer latencies for `ctx`.
     pub fn new(ctx: &SchedContext<'_>) -> Self {
+        Self::following(ctx, |_, _| true)
+    }
+
+    /// The bound of windows of `window` consecutive positions of the
+    /// topological order `order`: tails follow only edges inside one
+    /// window, as every chain below a window's member does inside the
+    /// down-set that ends with the window.
+    pub(crate) fn windowed(ctx: &SchedContext<'_>, order: &[TupleId], window: usize) -> Self {
+        let mut chunk = vec![0; ctx.len()];
+        for (position, t) in order.iter().enumerate() {
+            chunk[t.index()] = position / window;
+        }
+        Self::following(ctx, |from, to| chunk[from] == chunk[to])
+    }
+
+    /// Tails along the edges `from → to` that `follows` accepts.
+    fn following(ctx: &SchedContext<'_>, follows: impl Fn(usize, usize) -> bool) -> Self {
         let n = ctx.len();
         let latency: Vec<i64> = ctx
             .allowed
@@ -137,6 +164,9 @@ impl LowerBound {
         let mut tail = vec![0i64; n];
         for i in (0..n).rev() {
             for e in ctx.dag.succs(TupleId(i as u32)) {
+                if !follows(i, e.to.index()) {
+                    continue;
+                }
                 let delay = match e.kind {
                     pipesched_ir::DepKind::Flow => latency[i],
                     _ => 1,
@@ -160,7 +190,9 @@ impl LowerBound {
     /// partial schedule, with its derivation: `(chain, resource, bound)`,
     /// the chain- and resource-term maxima, both folded over the shared
     /// base `t_prev + remaining`, so that
-    /// `bound = max(0, max(chain, resource) - (n - 1))`. The proof logger
+    /// `bound = max(0, max(chain, resource) - (end - 1))`, `end` being the
+    /// size of the down-set `frontier` covers (`n` unless in a window
+    /// search) and `remaining` its unplaced members. The proof logger
     /// records all three; the independent certificate checker re-derives
     /// them from the analyze crate's timing oracle, term by term.
     ///
@@ -174,7 +206,7 @@ impl LowerBound {
         engine: &TimingEngine<'_, '_>,
         frontier: &Frontier,
     ) -> (i64, i64, u32) {
-        let n = ctx.len() as i64;
+        let n = frontier.covered as i64;
         let placed = engine.placed() as i64;
         let remaining = n - placed;
         // t_prev reconstructed from μ(Φ) = t_prev - (placed - 1).
@@ -221,33 +253,31 @@ impl LowerBound {
         cheap: u32,
         best: u32,
     ) -> (Option<i64>, u32) {
-        if cheap >= best || ctx.len() - engine.placed() < JACKSON_GATE {
+        if cheap >= best || frontier.covered - engine.placed() < JACKSON_GATE {
             return (None, cheap);
         }
-        let slack = ctx.len() as i64 - 1;
+        let slack = frontier.covered as i64 - 1;
         let term = self.jackson(ctx, engine, frontier, i64::from(best) + slack);
         let bound = cheap.max(term.saturating_sub(slack).max(0) as u32);
         (Some(term), bound)
     }
 
-    /// The whole-block bound from `boundary`: every term, the
-    /// heads-and-tails one evaluated in full unless the cheap terms
-    /// already reach `enough`.
-    pub(crate) fn root(
+    /// The bound of `engine`'s partial schedule over the down-set
+    /// `frontier` covers: every term, the heads-and-tails one evaluated
+    /// in full unless the cheap terms already reach `enough`.
+    pub(crate) fn full(
         &self,
         ctx: &SchedContext<'_>,
-        boundary: &BoundaryState,
-        selection: bool,
+        engine: &TimingEngine<'_, '_>,
+        frontier: &Frontier,
         enough: u32,
     ) -> u32 {
-        let engine = TimingEngine::with_boundary(ctx, boundary);
-        let frontier = Frontier::new(ctx, selection);
-        let (_, _, bound) = self.bound(ctx, &engine, &frontier);
+        let (_, _, bound) = self.bound(ctx, engine, frontier);
         if bound >= enough {
             return bound;
         }
-        let term = self.jackson(ctx, &engine, &frontier, i64::MAX);
-        bound.max(term.saturating_sub(ctx.len() as i64 - 1).max(0) as u32)
+        let term = self.jackson(ctx, engine, frontier, i64::MAX);
+        bound.max(term.saturating_sub(frontier.covered as i64 - 1).max(0) as u32)
     }
 
     /// Earliest cycle unscheduled tuple `j` could issue as far as its
@@ -273,8 +303,9 @@ impl LowerBound {
     }
 
     /// The heads-and-tails term: a lower bound on the issue cycle of the
-    /// block's last instruction in any completion of `engine`'s partial
-    /// schedule (`i64::MIN` when nothing is unscheduled).
+    /// last instruction of the down-set `frontier` covers, in any
+    /// completion of `engine`'s partial schedule (`i64::MIN` when none of
+    /// its members is unscheduled).
     ///
     /// Heads come from the engine state, propagated through the DAG in
     /// index order: a tuple cannot issue before its unit is free, before
@@ -321,7 +352,7 @@ impl LowerBound {
         let mut latest = start;
         for j in 0..n {
             let t = TupleId(j as u32);
-            if engine.issue_time(t).is_some() {
+            if engine.issue_time(t).is_some() || !frontier.covers(t) {
                 continue;
             }
             let mut head = self.unit_free(ctx, engine, frontier.selection, j);
@@ -512,8 +543,11 @@ pub fn term_bounds(
 /// [`TimingEngine::dep_ready`] cycle, and the per-pipe counts the resource
 /// term reads. A [`Frontier::commit`]/[`Frontier::uncommit`] pair costs
 /// O(out-degree) plus one predecessor scan per instruction made ready.
+/// It covers a down-set of the block: the whole block, or for a window
+/// search what [`Frontier::cover`] has added.
 pub(crate) struct Frontier {
-    /// Unscheduled immediate predecessors per tuple.
+    /// Unscheduled immediate predecessors per tuple, plus [`OUTSIDE`] for
+    /// a tuple outside the covered down-set.
     pending_preds: Vec<u32>,
     /// Unscheduled tuples whose predecessors are all placed.
     ready: BitSet,
@@ -524,29 +558,62 @@ pub(crate) struct Frontier {
     /// selection, ops with a choice of units are left out so no unit's
     /// load is overstated (which would make the bound inadmissible).
     remaining_per_pipe: Vec<u32>,
+    /// Size of the covered down-set.
+    covered: usize,
     selection: bool,
 }
 
 impl Frontier {
     /// The frontier of the empty schedule.
     pub(crate) fn new(ctx: &SchedContext<'_>, selection: bool) -> Self {
+        let mut f = Frontier::uncovered(ctx, selection);
+        f.cover(ctx, ctx.block.ids(), |_| 0);
+        f
+    }
+
+    /// The frontier of the empty schedule over the empty down-set.
+    pub(crate) fn uncovered(ctx: &SchedContext<'_>, selection: bool) -> Self {
         let n = ctx.len();
-        let mut f = Frontier {
-            pending_preds: ctx.preds.iter().map(|p| p.len() as u32).collect(),
+        Frontier {
+            pending_preds: ctx.preds.iter().map(|p| p.len() as u32 + OUTSIDE).collect(),
             ready: BitSet::new(n),
             dep: vec![0; n],
             remaining_per_pipe: vec![0; ctx.machine.pipeline_count()],
+            covered: 0,
             selection,
-        };
-        for i in 0..n {
-            if f.pending_preds[i] == 0 {
-                f.ready.insert(i);
-            }
-            if let Some(p) = f.counted_pipe(ctx, TupleId(i as u32)) {
-                f.remaining_per_pipe[p.index()] += 1;
-            }
         }
-        f
+    }
+
+    /// Add `members`, unplaced, to the covered down-set, which they must
+    /// keep a down-set. `dep_ready` prices a member made ready.
+    pub(crate) fn cover(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        members: impl IntoIterator<Item = TupleId>,
+        dep_ready: impl Fn(TupleId) -> i64,
+    ) {
+        for t in members {
+            let i = t.index();
+            self.pending_preds[i] -= OUTSIDE;
+            if self.pending_preds[i] == 0 {
+                self.ready.insert(i);
+                self.dep[i] = dep_ready(t);
+            }
+            if let Some(p) = self.counted_pipe(ctx, t) {
+                self.remaining_per_pipe[p.index()] += 1;
+            }
+            self.covered += 1;
+        }
+    }
+
+    /// Size of the covered down-set.
+    pub(crate) fn covered(&self) -> usize {
+        self.covered
+    }
+
+    /// True when `t` is in the covered down-set.
+    fn covers(&self, t: TupleId) -> bool {
+        self.pending_preds[t.index()] < OUTSIDE
     }
 
     fn counted_pipe(&self, ctx: &SchedContext<'_>, t: TupleId) -> Option<PipelineId> {
@@ -621,7 +688,10 @@ pub(crate) fn root_lower_bound(
     if let Some(&lb) = ctx.root_lb.get().filter(|_| cold) {
         return lb;
     }
-    let lb = ctx.lower_bound().root(ctx, boundary, selection, enough);
+    let engine = TimingEngine::with_boundary(ctx, boundary);
+    let lb = ctx
+        .lower_bound()
+        .full(ctx, &engine, &Frontier::new(ctx, selection), enough);
     if cold {
         let _ = ctx.root_lb.set(lb);
     }
@@ -637,10 +707,8 @@ pub(crate) fn root_lower_bound(
 /// at all. Computed on the first call and kept in the context, so the
 /// seed, the service's tiers and SAT's descent share one evaluation.
 pub fn global_lower_bound(ctx: &SchedContext<'_>) -> u32 {
-    *ctx.root_lb.get_or_init(|| {
-        let cold = BoundaryState::cold(ctx.machine.pipeline_count());
-        ctx.lower_bound().root(ctx, &cold, false, u32::MAX)
-    })
+    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
+    root_lower_bound(ctx, &cold, false, u32::MAX)
 }
 
 #[cfg(test)]

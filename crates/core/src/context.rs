@@ -80,22 +80,27 @@ impl<'a> SchedContext<'a> {
         let pipe_latency = machine.pipelines().iter().map(|p| p.latency).collect();
         let pipe_enqueue = machine.pipelines().iter().map(|p| p.enqueue).collect();
 
-        // Free-instruction interchangeability classes, keyed by succ sets.
-        let mut class_table: std::collections::HashMap<Vec<u32>, u32> =
-            std::collections::HashMap::new();
-        let mut free_class = vec![None; n];
-        for i in 0..n {
-            if sigma[i].is_some() || !preds[i].is_empty() {
-                continue;
-            }
-            let mut succs: Vec<u32> = dag
-                .succs(TupleId(i as u32))
-                .iter()
-                .map(|e| e.to.0)
-                .collect();
-            succs.sort_unstable();
-            let next = class_table.len() as u32;
-            free_class[i] = Some(*class_table.entry(succs).or_insert(next));
+        // Free-instruction interchangeability classes, keyed by succ sets:
+        // an earlier free tuple with the same successors is a predecessor
+        // of the first of them.
+        let mut free_class: Vec<Option<u32>> = vec![None; n];
+        let mut classes = 0;
+        for i in (0..n).filter(|&i| sigma[i].is_none() && preds[i].is_empty()) {
+            let succs = dag.succs(TupleId(i as u32));
+            let same = |r: &usize| {
+                let theirs = dag.succs(TupleId(*r as u32));
+                free_class[*r].is_some()
+                    && theirs.len() == succs.len()
+                    && theirs.iter().all(|e| succs.iter().any(|f| f.to == e.to))
+            };
+            let earlier = match succs.first() {
+                Some(e) => dag.preds(e.to).iter().map(|p| p.from.index()).find(same),
+                None => (0..i).find(same),
+            };
+            free_class[i] = earlier.and_then(|r| free_class[r]).or_else(|| {
+                classes += 1;
+                Some(classes - 1)
+            });
         }
 
         SchedContext {

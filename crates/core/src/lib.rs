@@ -29,7 +29,8 @@
 //! * [`profile`] — per-depth search profiling (nodes, prune counts, time),
 //!   attached through `Run::profile` like the proof logger;
 //! * [`windowed`] — §5.3's future-work feature: locally-optimal scheduling
-//!   of very large blocks by partitioning the list schedule into windows;
+//!   of very large blocks by partitioning the list schedule into windows,
+//!   each searched by the [`bnb`] kernel;
 //! * [`sequence`] — footnote 1's block-interaction machinery: scheduling a
 //!   straight-line sequence of blocks with pipeline state carried across
 //!   each boundary;

@@ -7,21 +7,28 @@
 //!
 //! That is exactly what this module does: compute the machine-independent
 //! list schedule, partition it into windows of `window` instructions, and
-//! run the branch-and-bound search *within* each window while the timing
-//! engine carries the committed prefix's pipeline state across the window
-//! boundary (the paper's footnote 1: adjacent regions interact only through
-//! "the initial conditions in the analysis").
+//! run the branch-and-bound kernel of [`crate::bnb`] *within* each window
+//! while the timing engine carries the committed prefix's pipeline state
+//! across the window boundary (the paper's footnote 1: adjacent regions
+//! interact only through "the initial conditions in the analysis"). A
+//! window's search is complete once the down-set that ends with it is
+//! placed, and it is pruned by that down-set's critical-path bound alone.
 //!
 //! Windowed schedules are locally optimal per window, globally heuristic:
-//! `μ(optimal) ≤ μ(windowed) ≤ μ(list schedule)` — both inequalities are
-//! asserted by the test suite.
+//! `μ(optimal) ≤ μ(windowed) ≤ μ(list schedule)`. Optimal windows alone do
+//! not give the second inequality — a window-optimal arrangement can issue
+//! a long-latency op later than the list did, and the next window pays —
+//! so a stitched schedule worse than the list schedule gives way to it.
+//! `tests/cross_check.rs` holds every window of every other schedule to
+//! the exhaustive best arrangement of its members.
 
 use pipesched_ir::TupleId;
 
-use crate::bnb::SearchStats;
+use crate::bnb::{search_windows, SearchConfig, SearchStats};
+use crate::bounds::LowerBound;
 use crate::context::SchedContext;
 use crate::list_sched::list_schedule;
-use crate::timing::TimingEngine;
+use crate::timing::evaluate_schedule;
 
 /// Result of a windowed scheduling run.
 #[derive(Debug, Clone)]
@@ -60,25 +67,22 @@ pub fn windowed_schedule_bounded(
     assert!(window >= 1, "window must be at least 1 instruction");
     let n = ctx.len();
     let base = list_schedule(ctx.dag, &ctx.analysis);
-    let (_, initial_nops) = crate::timing::evaluate_schedule(ctx, &base);
+    let (base_etas, initial_nops) = evaluate_schedule(ctx, &base);
 
-    let mut engine = TimingEngine::new(ctx);
-    let mut order: Vec<TupleId> = Vec::with_capacity(n);
-    let mut etas: Vec<u32> = Vec::with_capacity(n);
-    let mut stats = SearchStats::default();
-    let mut windows = 0usize;
-
-    for chunk in base.chunks(window) {
-        windows += 1;
-        let best = optimize_window(ctx, &mut engine, chunk, lambda, deadline, &mut stats);
-        // Commit the window's best order permanently.
-        for &t in &best {
-            let eta = engine.push_default(t);
-            order.push(t);
-            etas.push(eta);
-        }
+    let cfg = SearchConfig {
+        lambda,
+        deadline,
+        ..SearchConfig::default()
+    };
+    let lower_bound = LowerBound::windowed(ctx, &base, window);
+    let starts = (0..n).step_by(window);
+    let windows = starts.len();
+    let ranges = starts.map(|start| start..(start + window).min(n));
+    let (mut order, stats) = search_windows(ctx, &cfg, &lower_bound, base.clone(), ranges);
+    let (mut etas, mut nops) = evaluate_schedule(ctx, &order);
+    if nops > initial_nops {
+        (order, etas, nops) = (base, base_etas, initial_nops);
     }
-    let nops = engine.total_nops();
 
     WindowedOutcome {
         order,
@@ -88,168 +92,6 @@ pub fn windowed_schedule_bounded(
         window,
         windows,
         stats,
-    }
-}
-
-/// Find the minimum-NOP ordering of `chunk`'s instructions given the
-/// engine's committed prefix. The chunk is a contiguous slice of a
-/// topological order, so every predecessor of a chunk member is either
-/// already committed or inside the chunk.
-fn optimize_window<'c, 'a>(
-    ctx: &'c SchedContext<'a>,
-    engine: &mut TimingEngine<'c, 'a>,
-    chunk: &[TupleId],
-    lambda: u64,
-    deadline: Option<std::time::Instant>,
-    stats: &mut SearchStats,
-) -> Vec<TupleId> {
-    let k = chunk.len();
-    if k <= 1 {
-        return chunk.to_vec();
-    }
-    if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-        // Out of time: keep the list order for this and later windows.
-        stats.truncated = true;
-        stats.deadline_hit = true;
-        return chunk.to_vec();
-    }
-
-    // Pending-predecessor counts *within the chunk*.
-    let in_chunk = |t: TupleId| chunk.contains(&t);
-    let mut pending: Vec<u32> = chunk
-        .iter()
-        .map(|&t| {
-            ctx.preds[t.index()]
-                .iter()
-                .filter(|p| in_chunk(TupleId(p.from)))
-                .count() as u32
-        })
-        .collect();
-
-    // Incumbent: the chunk in list-schedule order.
-    let base_mu = {
-        let mark = engine.placed();
-        for &t in chunk {
-            engine.push_default(t);
-        }
-        let mu = engine.total_nops();
-        while engine.placed() > mark {
-            engine.pop();
-        }
-        mu
-    };
-
-    let mut dfs = WindowDfs {
-        ctx,
-        chunk,
-        engine,
-        pending: &mut pending,
-        placed: vec![false; k],
-        current: Vec::with_capacity(k),
-        best_order: chunk.to_vec(),
-        best_mu: base_mu,
-        lambda,
-        deadline,
-        stats,
-        stop: false,
-    };
-    dfs.run(0);
-    dfs.best_order
-}
-
-struct WindowDfs<'w, 'c, 'a> {
-    ctx: &'c SchedContext<'a>,
-    chunk: &'w [TupleId],
-    engine: &'w mut TimingEngine<'c, 'a>,
-    pending: &'w mut [u32],
-    placed: Vec<bool>,
-    current: Vec<TupleId>,
-    best_order: Vec<TupleId>,
-    best_mu: u32,
-    lambda: u64,
-    deadline: Option<std::time::Instant>,
-    stats: &'w mut SearchStats,
-    stop: bool,
-}
-
-impl WindowDfs<'_, '_, '_> {
-    fn run(&mut self, depth: usize) {
-        let k = self.chunk.len();
-        if depth == k {
-            self.stats.complete_schedules += 1;
-            let mu = self.engine.total_nops();
-            if mu < self.best_mu {
-                self.stats.improvements += 1;
-                self.best_mu = mu;
-                self.best_order.clone_from(&self.current);
-            }
-            return;
-        }
-        let mut seen_classes: Vec<u32> = Vec::new();
-        for i in 0..k {
-            if self.stop {
-                return;
-            }
-            if self.placed[i] || self.pending[i] > 0 {
-                self.stats.pruned_legality += 1;
-                continue;
-            }
-            let t = self.chunk[i];
-            // Restricted rule [5c]: one representative per
-            // interchangeable-free class.
-            if let Some(class) = self.ctx.free_class[t.index()] {
-                if seen_classes.contains(&class) {
-                    self.stats.pruned_equivalence += 1;
-                    continue;
-                }
-                seen_classes.push(class);
-            }
-
-            self.stats.omega_calls += 1;
-            if self.stats.omega_calls >= self.lambda {
-                self.stats.truncated = true;
-                self.stop = true;
-            }
-            if let Some(deadline) = self.deadline {
-                if self
-                    .stats
-                    .omega_calls
-                    .is_multiple_of(crate::bnb::DEADLINE_CHECK_INTERVAL)
-                    && std::time::Instant::now() >= deadline
-                {
-                    self.stats.truncated = true;
-                    self.stats.deadline_hit = true;
-                    self.stop = true;
-                }
-            }
-
-            self.placed[i] = true;
-            for e in self.ctx.dag.succs(t) {
-                if let Some(j) = self.chunk.iter().position(|&c| c == e.to) {
-                    self.pending[j] -= 1;
-                }
-            }
-            self.engine.push_default(t);
-            self.current.push(t);
-
-            if self.engine.total_nops() < self.best_mu && !self.stop {
-                self.run(depth + 1);
-            } else if !self.stop {
-                self.stats.pruned_bound += 1;
-            }
-
-            self.current.pop();
-            self.engine.pop();
-            for e in self.ctx.dag.succs(t) {
-                if let Some(j) = self.chunk.iter().position(|&c| c == e.to) {
-                    self.pending[j] += 1;
-                }
-            }
-            self.placed[i] = false;
-            if self.stop {
-                return;
-            }
-        }
     }
 }
 

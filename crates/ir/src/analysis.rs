@@ -1,7 +1,6 @@
 //! Dependence analyses: transitive closure, `earliest`/`latest` bounds,
 //! heights, and schedule legality checking.
 
-use crate::bitset::BitSet;
 use crate::block::BasicBlock;
 use crate::dag::DepDag;
 use crate::error::IrError;
@@ -20,12 +19,44 @@ use crate::tuple::TupleId;
 #[derive(Debug, Clone)]
 pub struct BlockAnalysis {
     n: usize,
-    ancestors: Vec<BitSet>,
-    descendants: Vec<BitSet>,
+    /// The ancestor closure as one bit matrix: row `i`, the `words` words
+    /// from `i * words`, holds the ancestors of tuple `i`.
+    ancestors: Vec<u64>,
+    words: usize,
     earliest: Vec<u32>,
     latest: Vec<u32>,
     height: Vec<u32>,
     depth: Vec<u32>,
+}
+
+/// The transitive closure of `edges` as a bit matrix of `words`-word rows,
+/// one allocation. `edges(i)` lists the neighbours of tuple `i` on the
+/// side the closure follows; `order` must visit every neighbour before
+/// the tuples that list it.
+fn closure<I: Iterator<Item = usize>>(
+    n: usize,
+    words: usize,
+    order: impl Iterator<Item = usize>,
+    edges: impl Fn(usize) -> I,
+) -> Vec<u64> {
+    let mut rows = vec![0u64; n * words];
+    for i in order {
+        for j in edges(i) {
+            // Row `i` and row `j` of `rows`, split apart (`j != i`).
+            let (row, done) = if j < i {
+                let (lo, hi) = rows.split_at_mut(i * words);
+                (&mut hi[..words], &lo[j * words..(j + 1) * words])
+            } else {
+                let (lo, hi) = rows.split_at_mut(j * words);
+                (&mut lo[i * words..(i + 1) * words], &hi[..words])
+            };
+            row[j / 64] |= 1 << (j % 64);
+            for (w, d) in row.iter_mut().zip(done) {
+                *w |= d;
+            }
+        }
+    }
+    rows
 }
 
 impl BlockAnalysis {
@@ -36,29 +67,22 @@ impl BlockAnalysis {
     /// right-to-left pass computes descendant closures.
     pub fn compute(dag: &DepDag) -> Self {
         let n = dag.len();
-        let mut ancestors: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for i in 0..n {
-            let mut acc = BitSet::new(n);
-            for e in dag.preds(TupleId(i as u32)) {
-                acc.insert(e.from.index());
-                acc.union_with(&ancestors[e.from.index()]);
-            }
-            ancestors[i] = acc;
-        }
-        let mut descendants: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
-        for i in (0..n).rev() {
-            let mut acc = BitSet::new(n);
-            for e in dag.succs(TupleId(i as u32)) {
-                acc.insert(e.to.index());
-                acc.union_with(&descendants[e.to.index()]);
-            }
-            descendants[i] = acc;
-        }
-
-        let earliest: Vec<u32> = ancestors.iter().map(|s| s.len() as u32).collect();
-        let latest: Vec<u32> = descendants
-            .iter()
-            .map(|s| (n - 1 - s.len()) as u32)
+        let words = n.div_ceil(64);
+        let ancestors = closure(n, words, 0..n, |i| {
+            dag.preds(TupleId(i as u32)).iter().map(|e| e.from.index())
+        });
+        let descendants = closure(n, words, (0..n).rev(), |i| {
+            dag.succs(TupleId(i as u32)).iter().map(|e| e.to.index())
+        });
+        let count = |rows: &[u64], i: usize| -> u32 {
+            rows[i * words..(i + 1) * words]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum()
+        };
+        let earliest: Vec<u32> = (0..n).map(|i| count(&ancestors, i)).collect();
+        let latest: Vec<u32> = (0..n)
+            .map(|i| (n - 1) as u32 - count(&descendants, i))
             .collect();
 
         let mut height = vec![0u32; n];
@@ -83,7 +107,7 @@ impl BlockAnalysis {
         BlockAnalysis {
             n,
             ancestors,
-            descendants,
+            words,
             earliest,
             latest,
             height,
@@ -125,22 +149,13 @@ impl BlockAnalysis {
 
     /// True when `a` transitively depends on `b`.
     pub fn depends_on(&self, a: TupleId, b: TupleId) -> bool {
-        self.ancestors[a.index()].contains(b.index())
+        let b = b.index();
+        b < self.n && self.ancestors[a.index() * self.words + b / 64] & (1 << (b % 64)) != 0
     }
 
     /// True when neither tuple depends on the other.
     pub fn independent(&self, a: TupleId, b: TupleId) -> bool {
         !self.depends_on(a, b) && !self.depends_on(b, a)
-    }
-
-    /// All (transitive) ancestors of `t`.
-    pub fn ancestors(&self, t: TupleId) -> &BitSet {
-        &self.ancestors[t.index()]
-    }
-
-    /// All (transitive) descendants of `t`.
-    pub fn descendants(&self, t: TupleId) -> &BitSet {
-        &self.descendants[t.index()]
     }
 
     /// Length of the longest dependence chain in the block (in instructions).

@@ -14,13 +14,19 @@
 //!   gate says — must be at most the best completion of that node, found
 //!   by exhaustive search from it. An inadmissible term prunes optima
 //!   silently; this is where it shows.
+//! * **Windows.** A windowed schedule must certify, with no fewer NOPs
+//!   than the optimum and no more than the list schedule. Unless it gave
+//!   way to the list schedule, every window must reach the least NOPs any
+//!   legal arrangement of its members reaches from the prefix the earlier
+//!   windows committed, found by exhaustive search. A window bound that
+//!   counted chains into later windows would fail here.
 
-use pipesched::analyze::certify_scheduled;
+use pipesched::analyze::{certify, certify_scheduled, Claim};
 use pipesched::core::baselines::enumerate_legal;
 use pipesched::core::bounds::term_bounds;
 use pipesched::core::{
-    parallel_prove, prove, search, BoundaryState, ParallelConfig, SchedContext, SearchConfig,
-    TimingEngine,
+    list_schedule, parallel_prove, prove, search, windowed_schedule, windowed_schedule_bounded,
+    BoundaryState, ParallelConfig, SchedContext, SearchConfig, TimingEngine,
 };
 use pipesched::ir::{BasicBlock, DepDag, TupleId};
 use pipesched::machine::{presets, PipelineId};
@@ -189,4 +195,135 @@ fn every_bound_term_is_at_most_the_best_completion() {
     // inflated term could slip through unseen.
     assert!(nodes > 2_000, "only {nodes} nodes checked");
     assert!(tight > 200, "the term was tight at only {tight} nodes");
+}
+
+/// The fewest NOPs any legal arrangement of `members` reaches after
+/// `engine`'s partial schedule, which must hold every predecessor of a
+/// member outside `members`.
+fn best_arrangement(
+    ctx: &SchedContext<'_>,
+    engine: &mut TimingEngine<'_, '_>,
+    members: &[TupleId],
+    best: &mut u32,
+) {
+    if engine.total_nops() >= *best {
+        return;
+    }
+    let placed = |engine: &TimingEngine<'_, '_>, u: TupleId| engine.issue_time(u).is_some();
+    if members.iter().all(|&t| placed(engine, t)) {
+        *best = engine.total_nops();
+        return;
+    }
+    for &t in members {
+        if placed(engine, t)
+            || !ctx.preds[t.index()]
+                .iter()
+                .all(|d| placed(engine, TupleId(d.from)))
+        {
+            continue;
+        }
+        engine.push_default(t);
+        best_arrangement(ctx, engine, members, best);
+        engine.pop();
+    }
+}
+
+#[test]
+fn every_window_reaches_its_exhaustive_optimum() {
+    let exact = SearchConfig::with_lambda(u64::MAX);
+    let mut tally = Tally::default();
+    let grid = (2..=5).flat_map(|s| (2..=4).flat_map(move |v| (1..=3).map(move |c| (s, v, c))));
+    for (statements, variables, constants) in grid {
+        for seed in 0..10 {
+            let config = GeneratorConfig::new(statements, variables, constants, seed);
+            windows_of(&generate_block(&config), &exact, &mut tally);
+        }
+    }
+    let Tally {
+        windows,
+        better,
+        gave_way,
+    } = tally;
+    assert!(windows > 20_000, "only {windows} windows checked");
+    assert!(
+        better > 50 * gave_way.max(10),
+        "{gave_way} windowed schedules gave way to the list schedule, {better} beat it"
+    );
+}
+
+/// What [`windows_of`] saw: windows checked, and windowed schedules that
+/// beat the list schedule or gave way to it.
+#[derive(Default)]
+struct Tally {
+    windows: usize,
+    better: usize,
+    gave_way: usize,
+}
+
+/// Check the windows of `block` on every preset at windows 2 to 5.
+fn windows_of(block: &BasicBlock, exact: &SearchConfig, tally: &mut Tally) {
+    let dag = DepDag::build(block);
+    for machine in presets::all_presets() {
+        let ctx = SchedContext::new(block, &dag, &machine);
+        let optimum = search(&ctx, exact).nops;
+        for window in [2, 3, 4, 5] {
+            let w = windowed_schedule(&ctx, window, u64::MAX);
+            let tag = format!("{} on {}, window {window}", block.name, machine.name);
+            assert!(!w.stats.truncated, "{tag}: truncated");
+            assert!(!w.stats.proved_by_bound, "{tag}: claims the block");
+            let certified = certify(
+                block,
+                &machine,
+                Claim {
+                    order: &w.order,
+                    etas: Some(&w.etas),
+                    nops: Some(w.nops),
+                    ..Claim::default()
+                },
+            );
+            assert!(certified.is_certified(), "{tag}\n{}", certified.report);
+            assert!(optimum <= w.nops, "{tag}: beats the optimum {optimum}");
+            assert!(
+                w.nops <= w.initial_nops,
+                "{tag}: worse than the list schedule"
+            );
+            tally.better += usize::from(w.nops < w.initial_nops);
+            // An improved window changes the order for good, so a schedule
+            // in list order after an improvement gave way to the list.
+            if w.stats.improvements > 0 && w.order == list_schedule(&dag, &ctx.analysis) {
+                tally.gave_way += 1;
+                continue;
+            }
+
+            let mut engine = TimingEngine::new(&ctx);
+            for (start, members) in (0..).step_by(window).zip(w.order.chunks(window)) {
+                let mut best = u32::MAX;
+                best_arrangement(&ctx, &mut engine, members, &mut best);
+                for &t in members {
+                    engine.push_default(t);
+                }
+                assert_eq!(
+                    engine.total_nops(),
+                    best,
+                    "{tag}: the window at position {start} is not optimal\n{block}"
+                );
+                tally.windows += 1;
+            }
+        }
+    }
+}
+
+#[test]
+fn windowed_schedule_past_its_deadline_keeps_list_order() {
+    let block = generate_block(&GeneratorConfig::new(12, 8, 4, 5));
+    let dag = DepDag::build(&block);
+    let machine = presets::paper_simulation();
+    let ctx = SchedContext::new(&block, &dag, &machine);
+    let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+    let w = windowed_schedule_bounded(&ctx, 4, u64::MAX, Some(past));
+    assert!(w.windows > 1, "{} instructions", block.len());
+    assert_eq!(w.order, list_schedule(&dag, &ctx.analysis));
+    assert_eq!(w.nops, w.initial_nops);
+    assert_eq!(w.stats.omega_calls, 0);
+    assert!(w.stats.truncated && w.stats.deadline_hit);
 }
