@@ -195,6 +195,10 @@ diag_codes! {
     /// A `ProvedByBound` event's global lower bound does not match the
     /// checker's re-derivation, or the incumbent does not reach it.
     LowerBoundMismatch = ("A0408", Error, "claimed global lower bound fails re-derivation"),
+    /// A dominance prune whose witness is missing, still open, of a
+    /// different instruction set, or later than the candidate in some
+    /// slot of the re-derived state.
+    UnjustifiedDominancePrune = ("A0409", Error, "dominance prune lacks a closed dominating witness"),
 
     /// A store no live tuple ever reads (found by the coupled liveness
     /// dataflow; fires only where the simple overwrite scan `A0109`

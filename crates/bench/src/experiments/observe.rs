@@ -12,8 +12,9 @@
 //!
 //! A separate metrics pass (tracing off) collects the fleet-wide view:
 //! latency quantiles from the service histogram, per-tier answer and Ω
-//! counts, and the aggregated `1 + Ω − bound-pruned == nodes` identity
-//! over all eligible searches. Everything lands in `BENCH_sched.json` so
+//! counts, and the aggregated
+//! `1 + Ω − bound-pruned − dominance-pruned == nodes` identity over all
+//! eligible searches. Everything lands in `BENCH_sched.json` so
 //! CI can diff runs.
 
 use std::sync::atomic::Ordering;
@@ -46,8 +47,8 @@ pub struct ObserveReport {
     pub tier_answers: [u64; 4],
     /// Ω calls per tier, same order.
     pub tier_omega: [u64; 4],
-    /// Aggregate `1 + Ω − bound-pruned == nodes` identity over all
-    /// eligible searches (must hold).
+    /// Aggregate `1 + Ω − bound-pruned − dominance-pruned == nodes`
+    /// identity over all eligible searches (must hold).
     pub identity_ok: bool,
     /// Whole-replay wall clock with tracing disabled, pass 1 (min over
     /// repetitions), microseconds.

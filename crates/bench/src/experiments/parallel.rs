@@ -200,8 +200,8 @@ fn best_of_three<T>(mut body: impl FnMut() -> T) -> (u64, T) {
 /// curve-proof steal gate fails once the block stops being hard.
 fn curve_salt(size: usize) -> u64 {
     match size {
-        28 => 9,  // ~26k Ω calls to prove optimal
-        30 => 41, // ~610k Ω calls to prove optimal
+        28 => 35, // ~2.8k Ω calls to prove optimal
+        30 => 41, // ~9.1k Ω calls to prove optimal
         _ => 17,
     }
 }

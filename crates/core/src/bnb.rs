@@ -40,10 +40,15 @@
 //!   (optionally strengthened by [`BoundKind::CriticalPath`]) is strictly
 //!   below the incumbent's. The strengthened bound adds its
 //!   heads-and-tails term only where a prune pays for it: once the search
-//!   has run [`JACKSON_SWITCH_ON`] Ω (as the pool counts it, see
+//!   has run [`SearchConfig::switch_on`] Ω (as the pool counts it, see
 //!   [`crate::parallel`]), on placements that leave at least
 //!   [`crate::bounds::JACKSON_GATE`] instructions unscheduled and that the
 //!   cheap terms leave open (see [`crate::bounds`]).
+//! * **dominance** (extension) — past the same switch-on, the
+//!   strengthened bound's searches keep a table of closed prefixes: a
+//!   placement the bound leaves open is pruned when an explored prefix of
+//!   the same instruction set reached a state no later in any slot (see
+//!   [`crate::dominance`]).
 //! * **[4] curtail point λ** — hard cap on Ω calls; hitting it returns the
 //!   best schedule found with `optimal = false`.
 //!
@@ -80,8 +85,9 @@ use pipesched_ir::{analysis::verify_schedule, TupleId};
 use pipesched_machine::PipelineId;
 
 pub use crate::bounds::BoundKind;
-use crate::bounds::{Frontier, LowerBound, JACKSON_SWITCH_ON};
+use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
+use crate::dominance::Dominance;
 use crate::parallel::ParallelConfig;
 use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
@@ -152,6 +158,18 @@ pub struct SearchConfig {
     /// Checked every [`DEADLINE_CHECK_INTERVAL`] Ω calls so the hot path
     /// never reads the clock. `None` disables the deadline (the default).
     pub deadline: Option<std::time::Instant>,
+    /// Ω a search runs before the critical-path bound's heads-and-tails
+    /// term prices its interior placements and before it builds its
+    /// dominance table ([`crate::dominance`]), as the pool counts Ω (see
+    /// [`crate::parallel`]). Most blocks settle in a few hundred Ω, where
+    /// neither pays for itself: on the 16,000-block corpus, evaluating the
+    /// term from the first Ω cut Ω only 9.92M → 9.24M but raised the
+    /// serial p50 from 25–32 µs to 36–46 µs (three alternating passes,
+    /// shared 2-vCPU x86-64 host). The default, 1,000, equals
+    /// [`crate::parallel::HELPER_THRESHOLD`], so a pool's helpers, which
+    /// start only past it, price and keep tables from their first Ω.
+    /// Tests set 0 to run both from the first Ω.
+    pub switch_on: u64,
 }
 
 /// Ω calls between wall-clock reads when a deadline is set. A power of two
@@ -178,6 +196,7 @@ impl Default for SearchConfig {
             initial: InitialHeuristic::MaxDistance,
             terminate_on_lower_bound: true,
             deadline: None,
+            switch_on: 1_000,
         }
     }
 }
@@ -216,7 +235,8 @@ pub struct SearchStats {
     /// Search-tree nodes visited: one per committed prefix whose
     /// extensions were enumerated (the root counts; complete schedules
     /// count). For a completed, non-stopped, non-selection search this
-    /// satisfies `nodes_visited == 1 + omega_calls - pruned_bound`.
+    /// satisfies
+    /// `nodes_visited == 1 + omega_calls - pruned_bound - pruned_dominance`.
     pub nodes_visited: u64,
     /// Ω calls: incremental NOP-insertion evaluations (one per placement).
     pub omega_calls: u64,
@@ -234,6 +254,9 @@ pub struct SearchStats {
     pub pruned_bound: u64,
     /// Pipeline-unit choices skipped by symmetry breaking.
     pub pruned_symmetry: u64,
+    /// Placements the bound left open that a closed prefix of the same
+    /// instruction set dominated (see [`crate::dominance`]).
+    pub pruned_dominance: u64,
     /// Subtrees offloaded to a work-stealing pool at a split point
     /// (always 0 in serial searches).
     pub splits: u64,
@@ -260,6 +283,7 @@ impl SearchStats {
             + self.pruned_equivalence
             + self.pruned_bound
             + self.pruned_symmetry
+            + self.pruned_dominance
     }
 
     /// Add `other`'s counters to these and OR in its flags: the workers
@@ -275,6 +299,7 @@ impl SearchStats {
         self.pruned_equivalence += other.pruned_equivalence;
         self.pruned_bound += other.pruned_bound;
         self.pruned_symmetry += other.pruned_symmetry;
+        self.pruned_dominance += other.pruned_dominance;
         self.splits += other.splits;
         self.steals += other.steals;
         self.truncated |= other.truncated;
@@ -585,7 +610,7 @@ pub(crate) trait SearchPolicy {
     }
 
     /// The Ω the search has run, as far as this worker knows, given the
-    /// kernel run's own count `local`: what [`JACKSON_SWITCH_ON`] is
+    /// kernel run's own count `local`: what [`SearchConfig::switch_on`] is
     /// measured against. The serial kernel's own count is the search's.
     #[inline]
     fn search_omega(&self, local: u64) -> u64 {
@@ -760,13 +785,18 @@ fn kernel<P: SearchPolicy>(
 /// is seeded from `best_nops` (typically a snapshot of the shared atomic),
 /// so only the statistics are meaningful on return — improvements are
 /// published through [`SearchPolicy::improved`], not through the returned
-/// schedule.
+/// schedule. `table` is the caller's dominance table, which the run reads
+/// and extends (see [`crate::dominance`]).
 ///
 /// `split` is `Some(cheap)` when the last placement of the prefix was
 /// split off as a task priced by the chain and resource terms alone (to
-/// `cheap`): its heads-and-tails term is priced here, at the Ω count the
-/// serial kernel would price it at (see [`crate::parallel`]), and a
-/// subtree it prunes is not entered.
+/// `cheap`): its heads-and-tails term and its dominance check happen
+/// here, at the Ω count the serial kernel would make them at (see
+/// [`crate::parallel`]), and a subtree either prunes is not entered.
+///
+/// Returns the counters and whether the prefix's node closed: pruned
+/// here, or searched with no stop and no subtree split off, in which case
+/// the table holds it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_subtree<P: SearchPolicy>(
     ctx: &SchedContext<'_>,
@@ -777,24 +807,36 @@ pub(crate) fn run_subtree<P: SearchPolicy>(
     best_nops: u32,
     global_lb: Option<u32>,
     split: Option<u32>,
+    table: &mut Dominance,
     policy: P,
-) -> SearchStats {
+) -> (SearchStats, bool) {
     debug_assert!(depth <= order.len());
     let mut s = Search::new(ctx, cfg, boundary, order, best_nops, policy);
     s.global_lb = global_lb;
     if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
         s.deadline_stop();
-        return s.stats;
+        return (s.stats, false);
     }
     // Replay the committed prefix: timing and frontier state exactly as
     // `place_and_recurse` would have left them.
     s.commit(0..depth);
-    if split.is_some_and(|cheap| s.priced(cheap).1 >= s.best_nops) {
+    s.table = std::mem::take(table);
+    s.table.sync(&s.order[..depth]);
+    let closed = if split.is_some() && s.dominance && s.dominated(depth, None) {
+        true
+    } else if split.is_some_and(|cheap| s.priced(cheap).1 >= s.best_nops) {
         s.stats.pruned_bound += 1;
+        true
     } else {
         s.dfs(depth);
-    }
-    s.stats
+        let closed = !s.stop && s.stats.splits == 0;
+        if closed && s.interior(depth) && s.track() {
+            s.table.store(ctx, &s.engine, 1);
+        }
+        closed
+    };
+    *table = std::mem::take(&mut s.table);
+    (s.stats, closed)
 }
 
 /// Evaluate a complete schedule under an explicit pipeline assignment.
@@ -833,6 +875,11 @@ struct Search<'c, 'a, P: SearchPolicy> {
     best_assign: Vec<Option<PipelineId>>,
     stats: SearchStats,
     stop: bool,
+    /// Whether this search keeps a dominance table: the critical-path
+    /// bound's, outside windows.
+    dominance: bool,
+    /// The table of closed prefixes, built at the switch-on.
+    table: Dominance,
 }
 
 impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
@@ -869,6 +916,8 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             best_assign,
             stats: SearchStats::default(),
             stop: false,
+            dominance: lower_bound.is_some(),
+            table: Dominance::default(),
         }
     }
 
@@ -1068,13 +1117,69 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         }
     }
 
+    /// True once the search has run [`SearchConfig::switch_on`] Ω.
+    #[inline]
+    fn switched_on(&self) -> bool {
+        self.policy.search_omega(self.stats.omega_calls) >= self.cfg.switch_on
+    }
+
+    /// True when a prefix of `len` instructions may enter the dominance
+    /// table: neither the root nor a complete schedule.
+    #[inline]
+    fn interior(&self, len: usize) -> bool {
+        len >= 1 && len < self.frontier.covered()
+    }
+
+    /// True when the dominance table is built, building it from the
+    /// current prefix (`order[..placed]`) if the search has just crossed
+    /// the switch-on.
+    #[inline]
+    fn track(&mut self) -> bool {
+        if !self.table.built() && self.dominance && self.switched_on() {
+            let prefix = &self.order[..self.engine.placed()];
+            self.table
+                .build(self.ctx, self.cfg.pipeline_selection, prefix);
+        }
+        self.table.built()
+    }
+
+    /// The dominance check of the prefix `order[..len]`, just placed and
+    /// left open by the bound, whose last instruction `xi` the table does
+    /// not hold yet when given: true when a closed prefix dominates it,
+    /// which is then counted (and logged) as pruned. On false the table's
+    /// current prefix is `order[..len]`.
+    #[inline(never)]
+    fn dominated(&mut self, len: usize, xi: Option<TupleId>) -> bool {
+        let built = self.table.built();
+        if let Some(xi) = xi.filter(|_| built) {
+            self.table.flip(xi);
+        }
+        if !self.interior(len) || !self.track() {
+            return false;
+        }
+        let Some(witness) = self.table.dominated(self.ctx, &self.engine) else {
+            return false;
+        };
+        self.stats.pruned_dominance += 1;
+        self.prof(len - 1, |d| d.pruned_dominance += 1);
+        let candidate = self.order[len - 1].0;
+        // Nodes entered after the witness: a reference that survives the
+        // concatenation of a pooled proof's parts.
+        let back = self.stats.nodes_visited.saturating_sub(witness);
+        self.log(ProofEvent::DominancePrune { candidate, back });
+        if xi.is_some() {
+            self.table.flip(TupleId(candidate));
+        }
+        true
+    }
+
     /// The bound of the placement just made, from its cheap terms' bound
     /// `cheap`: the heads-and-tails term joins once the search has run
-    /// [`JACKSON_SWITCH_ON`] Ω (see [`crate::bounds`]). Returns the value
-    /// the term reached, when it was evaluated, and the bound.
+    /// [`SearchConfig::switch_on`] Ω (see [`crate::bounds`]). Returns the
+    /// value the term reached, when it was evaluated, and the bound.
     #[inline]
     fn priced(&self, cheap: u32) -> (Option<i64>, u32) {
-        let on = self.policy.search_omega(self.stats.omega_calls) >= JACKSON_SWITCH_ON;
+        let on = self.switched_on();
         match self.lower_bound {
             Some(lb) if on => lb.with_term(
                 self.ctx,
@@ -1141,28 +1246,49 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             if self.policy.spawn(&self.order, depth + 1, cheap) {
                 self.stats.splits += 1;
             } else {
-                let (term, bound) = self.priced(cheap);
-                if bound < self.best_nops {
-                    self.log(ProofEvent::Enter { candidate: xi.0 });
-                    if !eager {
-                        self.frontier.commit(self.ctx, &self.engine, xi);
+                // Dominance before the heads-and-tails term: a lookup is
+                // cheaper than the term, and a dominated placement needs
+                // neither. Before the switch-on this is two comparisons.
+                let checked = self.dominance && cheap < self.best_nops;
+                let live = checked && (self.table.built() || self.switched_on());
+                if !(live && self.dominated(depth + 1, Some(xi))) {
+                    let (term, bound) = self.priced(cheap);
+                    if bound < self.best_nops {
+                        // The node's id in the table: the visit count `dfs`
+                        // gives it, which a certificate cites.
+                        let node = self.stats.nodes_visited + 1;
+                        self.log(ProofEvent::Enter { candidate: xi.0 });
+                        if !eager {
+                            self.frontier.commit(self.ctx, &self.engine, xi);
+                        }
+                        self.dfs(depth + 1);
+                        if !eager {
+                            self.frontier.uncommit(self.ctx, xi);
+                        }
+                        // The table may have been built below this node.
+                        let live = checked && (self.table.built() || self.switched_on());
+                        if live && self.track() {
+                            if !self.stop && self.interior(depth + 1) {
+                                self.table.store(self.ctx, &self.engine, node);
+                            }
+                            self.table.flip(xi);
+                        }
+                    } else {
+                        if live && self.table.built() {
+                            self.table.flip(xi);
+                        }
+                        self.stats.pruned_bound += 1;
+                        self.prof(depth, |d| d.pruned_bound += 1);
+                        let mu = self.engine.total_nops();
+                        self.log(ProofEvent::BoundPrune {
+                            candidate: xi.0,
+                            mu,
+                            bound,
+                            chain,
+                            resource,
+                            term,
+                        });
                     }
-                    self.dfs(depth + 1);
-                    if !eager {
-                        self.frontier.uncommit(self.ctx, xi);
-                    }
-                } else {
-                    self.stats.pruned_bound += 1;
-                    self.prof(depth, |d| d.pruned_bound += 1);
-                    let mu = self.engine.total_nops();
-                    self.log(ProofEvent::BoundPrune {
-                        candidate: xi.0,
-                        mu,
-                        bound,
-                        chain,
-                        resource,
-                        term,
-                    });
                 }
             }
         }
@@ -1191,6 +1317,9 @@ pub(crate) fn search_windows(
     let cold = BoundaryState::cold(ctx.machine.pipeline_count());
     let mut s = Search::new(ctx, cfg, &cold, order, u32::MAX, NullPolicy);
     s.lower_bound = Some(lower_bound);
+    // A window's incumbent restarts from its list order, so an earlier
+    // window's closed prefixes prove nothing there: windows keep no table.
+    s.dominance = false;
     s.frontier = Frontier::uncovered(ctx, cfg.pipeline_selection);
     if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
         s.deadline_stop();

@@ -31,7 +31,7 @@
 //! The chain and resource terms cost O(|ready| + pipes) and price every
 //! placement. The heads-and-tails term costs O(n + edges) and prices a
 //! placement only where a prune is worth that: once the search has run
-//! [`JACKSON_SWITCH_ON`] Ω, when the placement leaves at least
+//! [`crate::SearchConfig::switch_on`] Ω, when the placement leaves at least
 //! [`JACKSON_GATE`] instructions unscheduled, and when the cheap terms
 //! leave it open. The whole-block bound of [`global_lower_bound`] always
 //! includes it. The seed's skips it only where the cheap terms already
@@ -48,16 +48,6 @@ use pipesched_machine::PipelineId;
 
 use crate::context::SchedContext;
 use crate::timing::{BoundaryState, TimingEngine};
-
-/// Ω a search runs before its interior placements price the
-/// heads-and-tails term. Most blocks settle in a few hundred Ω, where an
-/// evaluation (two to three Ω's worth of time) costs more than its
-/// prunes save: on the 16,000-block corpus, evaluating from the first Ω
-/// cut Ω only 9.92M → 9.24M but raised the serial p50 from 25–32 µs to
-/// 36–46 µs (three alternating passes, shared 2-vCPU x86-64 host). Equal
-/// to [`crate::parallel::HELPER_THRESHOLD`], so a pool's helpers, which
-/// start only past it, evaluate from their first Ω.
-pub const JACKSON_SWITCH_ON: u64 = 1_000;
 
 /// Fewest instructions a placement must leave unscheduled for the
 /// heads-and-tails term to price it. A prune there cuts a large subtree;

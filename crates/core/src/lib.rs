@@ -21,6 +21,8 @@
 //!   profile, and a combination without meaning returns a [`RunError`];
 //! * [`bounds`] — the paper's α-β bound plus an optional admissible
 //!   critical-path strengthening (extension);
+//! * [`dominance`] — the history-based dominance table the strengthened
+//!   bound's searches keep past their switch-on (extension);
 //! * [`baselines`] — exhaustive search, legality-only-pruned search, and a
 //!   Gross-style greedy scheduler, used by the paper's Table 1 comparison;
 //! * [`parallel`] — the work-stealing pool [`run`] uses for
@@ -45,6 +47,7 @@ pub mod baselines;
 pub mod bnb;
 pub mod bounds;
 pub mod context;
+pub mod dominance;
 pub mod list_sched;
 pub mod parallel;
 pub mod profile;

@@ -22,8 +22,9 @@
 //! no thread and behaves exactly like the one-worker pool. A pooled
 //! proof's phase 2 starts helpers only if phase 1 did.
 //!
-//! The heads-and-tails term of the bound switches on once the *search*
-//! has run [`JACKSON_SWITCH_ON`] Ω, which no one worker sees. Each worker
+//! The heads-and-tails term of the bound and the dominance table switch
+//! on once the *search* has run [`SearchConfig::switch_on`] Ω, which no
+//! one worker sees. Each worker
 //! counts the Ω it runs across its tasks: worker 0 from the search's
 //! start, and a helper from [`HELPER_THRESHOLD`], which the search has
 //! passed by the time the helper starts. A placement split off as a task
@@ -32,6 +33,21 @@
 //! task counts that Ω then and prices the term. The serial kernel reaches
 //! such a placement only after the subtrees queued ahead of it, so at one
 //! worker the count at every term decision is the serial kernel's.
+//!
+//! # Dominance across tasks
+//!
+//! Each worker keeps one dominance table ([`crate::dominance`]) across its
+//! tasks. A node whose children were split off is not closed when its
+//! `dfs` returns: its task leaves a `Pending` countdown of its children,
+//! which each child task carries. A child *finishes* when its node closes
+//! (searched with no stop, or dropped at pop by the bound or by
+//! dominance); the worker whose child finishes last stores the node, and
+//! the countdown climbs to the node's own parent. A split placement's
+//! dominance check happens when its task is popped, next to its
+//! heads-and-tails term. At one worker the pops follow the serial DFS
+//! order, so every store and check happens where, and with the Ω count
+//! at which, the serial kernel makes it, and the one-worker pool stays
+//! counter-exact with the serial kernel, `pruned_dominance` included.
 //!
 //! Two properties worth stating precisely:
 //!
@@ -102,6 +118,7 @@
 //! sound (enforced by the `lint-atomics` source lint in CI).
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use pipesched_check::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
@@ -114,8 +131,9 @@ use crate::bnb::{
     run, run_subtree, structural_classes, EquivalenceMode, Run, SearchConfig, SearchOutcome,
     SearchPolicy, SearchStats,
 };
-use crate::bounds::{BoundKind, Frontier, JACKSON_SWITCH_ON};
+use crate::bounds::{BoundKind, Frontier};
 use crate::context::SchedContext;
+use crate::dominance::Dominance;
 use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger};
 use crate::seed::SearchSeed;
 use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
@@ -200,6 +218,32 @@ struct Task {
     /// computed when the subtree was split off. Compared against the
     /// incumbent at *pop* time, where the heads-and-tails term joins it.
     bound: u32,
+    /// The countdown of the node this task's placement extends, when that
+    /// node's children were split off (see `Pending`).
+    parent: Option<Arc<Pending>>,
+}
+
+/// A node whose children were split off as tasks: it closes when the
+/// last of them finishes.
+struct Pending {
+    /// Children not finished yet.
+    left: AtomicUsize,
+    /// The node's own countdown, when its placement was itself split off.
+    parent: Option<Arc<Pending>>,
+    /// The node's prefix.
+    prefix: Vec<TupleId>,
+}
+
+impl Pending {
+    /// Record that one child finished; true for the finish that closes
+    /// the node, which exactly one child makes.
+    fn finish(&self) -> bool {
+        // AcqRel: the count is the protocol, so exactly one finisher sees
+        // 1; the Acquire half orders the closing finisher after every
+        // other child's last act, and the Release half publishes each
+        // child's. Explored by crates/check/tests/model_countdown.rs.
+        self.left.fetch_sub(1, Ordering::AcqRel) == 1
+    }
 }
 
 /// State shared by every worker of a pool run.
@@ -292,7 +336,7 @@ struct Budget<'s> {
     shared: &'s Shared,
     left: u64,
     /// The search's Ω as this worker counts them, across its tasks: what
-    /// [`JACKSON_SWITCH_ON`] is measured against. Worker 0 counts from
+    /// [`SearchConfig::switch_on`] is measured against. Worker 0 counts from
     /// the search's start (phase 2: from the Ω phase 1 ran); a helper
     /// starts at [`HELPER_THRESHOLD`], which the search has passed by the
     /// time the helper exists, and so prices from its first Ω. The Ω of a
@@ -409,6 +453,7 @@ impl SearchPolicy for PoolPolicy<'_, '_> {
                 order: order.to_vec(),
                 depth,
                 bound,
+                parent: None,
             });
             true
         } else {
@@ -487,6 +532,7 @@ fn worker_loop(
 ) -> SearchStats {
     let shared = budget.shared;
     let mut stats = SearchStats::default();
+    let mut table = Dominance::default();
     let mut policy = PoolPolicy {
         budget,
         split_depth,
@@ -519,17 +565,18 @@ fn worker_loop(
         policy.budget.seen += u64::from(split);
         // Deferred step [6]: the bound recorded at split time against the
         // incumbent of *this* moment (it can only have tightened since),
-        // then, in `run_subtree`, with the heads-and-tails term.
+        // then, in `run_subtree`, with the heads-and-tails term and the
+        // dominance check.
         // relaxed-ok: monotone bound via fetch_min, used only to prune —
         // a stale read admits a subtree the serial search would cut, but
         // never cuts one it would keep.
         let best = shared.best_nops.load(Ordering::Relaxed);
-        if task.bound < best {
+        let closed = if task.bound < best {
             if !policy.budget.ready() {
                 shared.note_truncated();
                 break;
             }
-            let st = run_subtree(
+            let (st, closed) = run_subtree(
                 ctx,
                 cfg,
                 boundary,
@@ -538,20 +585,36 @@ fn worker_loop(
                 best,
                 shared.global_lb,
                 split.then_some(task.bound),
+                &mut table,
                 &mut policy,
             );
             stats.merge(&st);
             // Publish before completing the task so `pending` never dips
             // to 0 while spawned work exists; reversed so LIFO pops keep
-            // the serial DFS order.
-            shared
-                .pending
-                .fetch_add(policy.spawned.len() as u64, Ordering::AcqRel);
-            for t in policy.spawned.drain(..).rev() {
-                own.push(t);
+            // the serial DFS order. The task's node closes when the last
+            // of them finishes.
+            if let Some(child) = policy.spawned.first() {
+                let node = Arc::new(Pending {
+                    left: AtomicUsize::new(policy.spawned.len()),
+                    parent: task.parent.clone(),
+                    prefix: child.order[..task.depth].to_vec(),
+                });
+                shared
+                    .pending
+                    .fetch_add(policy.spawned.len() as u64, Ordering::AcqRel);
+                for mut t in policy.spawned.drain(..).rev() {
+                    t.parent = Some(Arc::clone(&node));
+                    own.push(t);
+                }
             }
+            closed
         } else {
             stats.pruned_bound += 1;
+            true
+        };
+        if closed {
+            let on = table.built() || policy.budget.seen >= cfg.switch_on;
+            close_ancestors(ctx, boundary, task.parent.as_deref(), on, &mut table);
         }
         // AcqRel: the Release half publishes this task's deque pushes to
         // whichever worker's Acquire read of `pending` observes the count;
@@ -561,6 +624,36 @@ fn worker_loop(
         shared.pending.fetch_sub(1, Ordering::AcqRel);
     }
     stats
+}
+
+/// A task's node closed: count it finished in its parent's countdown
+/// `parent`, and store each ancestor that closes with it in `table`
+/// (built from the ancestor's prefix if the search has passed the
+/// switch-on, `on`).
+fn close_ancestors(
+    ctx: &SchedContext<'_>,
+    boundary: &BoundaryState,
+    parent: Option<&Pending>,
+    on: bool,
+    table: &mut Dominance,
+) {
+    let mut node = parent;
+    while let Some(p) = node.filter(|p| p.finish()) {
+        let prefix = &p.prefix;
+        if on && !prefix.is_empty() && prefix.len() < ctx.len() {
+            if table.built() {
+                table.sync(prefix);
+            } else {
+                table.build(ctx, false, prefix);
+            }
+            let mut engine = TimingEngine::with_boundary(ctx, boundary);
+            for &t in prefix {
+                engine.push_default(t);
+            }
+            table.store(ctx, &engine, 0);
+        }
+        node = p.parent.as_deref();
+    }
 }
 
 /// Result of the phase-1 pool run.
@@ -600,6 +693,7 @@ fn pool_phase(
         order: seed.order.clone(),
         depth: 0,
         bound: 0,
+        parent: None,
     });
 
     let helper_stats = Mutex::new(SearchStats::default());
@@ -807,7 +901,7 @@ impl ParallelProof {
 /// incumbent `best` exactly as the serial kernel's `place_and_recurse`
 /// would: the `BoundPrune` it earns, or `None` when its subtree must be
 /// searched. `jackson` says whether the search has passed
-/// [`JACKSON_SWITCH_ON`]. `frontier` is the empty schedule's, and is left
+/// [`SearchConfig::switch_on`]. `frontier` is the empty schedule's, and is left
 /// that way.
 fn root_prune(
     ctx: &SchedContext<'_>,
@@ -890,7 +984,7 @@ fn certify_phase(
     // Phase 2 is the same search's certification: it counts on from the
     // Ω phase 1 ran, for the switch-on as for λ.
     let spent = pool.stats.omega_calls;
-    let jackson = spent >= JACKSON_SWITCH_ON;
+    let jackson = spent >= cfg.switch_on;
     let global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
 
     // Root dispositions in merge order: best subtree first, then the other
@@ -1004,8 +1098,10 @@ fn certify_phase(
                 };
                 return (policy.events, st);
             }
-            // The root placement is priced already, term and all.
-            let st = run_subtree(
+            // The root placement is priced already, term and all. Each
+            // part starts with an empty table, so every witness a part
+            // cites precedes the citation within the part.
+            let (st, _) = run_subtree(
                 ctx,
                 &worker_cfg,
                 boundary,
@@ -1014,6 +1110,7 @@ fn certify_phase(
                 *seed_nops,
                 *global_lb,
                 None,
+                &mut Dominance::default(),
                 &mut policy,
             );
             (policy.events, st)

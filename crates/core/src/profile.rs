@@ -28,6 +28,8 @@ pub struct DepthStats {
     pub pruned_equivalence: u64,
     /// Subtrees abandoned by the α-β / lower-bound test [6].
     pub pruned_bound: u64,
+    /// Placements pruned by a closed prefix of the same set.
+    pub pruned_dominance: u64,
     /// Inclusive wall time spent in `dfs` calls at this depth, ns. A
     /// depth-`d+1` call nests in exactly one depth-`d` call, so
     /// `time_ns` is monotonically nonincreasing in `d`.
@@ -99,6 +101,7 @@ impl SearchProfile {
                         ("pruned_legality", d.pruned_legality as i64),
                         ("pruned_equivalence", d.pruned_equivalence as i64),
                         ("pruned_bound", d.pruned_bound as i64),
+                        ("pruned_dominance", d.pruned_dominance as i64),
                         ("time_ns", d.time_ns as i64),
                     ]
                 })

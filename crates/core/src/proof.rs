@@ -7,7 +7,8 @@
 //! lower-bound derivation for a bound prune ([`ProofEvent::BoundPrune`]
 //! records μ(Φ) plus the chain, resource and heads-and-tails terms of
 //! [`crate::bounds::LowerBound`]), the witness pair for an equivalence
-//! prune, and the incumbent chain of complete schedules. Replayed in
+//! prune, the closed node a dominance prune cites, and the incumbent chain
+//! of complete schedules. Replayed in
 //! order, the events reconstruct the entire case analysis: every schedule
 //! of the block either extends an `Enter`ed prefix (and was searched) or
 //! extends a pruned one (and is dominated by the recorded evidence).
@@ -24,7 +25,11 @@
 //! The stream is the depth-first traversal order of the search tree. A
 //! node at depth `d` (a committed prefix of `d` instructions) emits one
 //! event per unscheduled instruction — `Enter`, `LegalityPrune`,
-//! `EquivalencePrune` or `BoundPrune` — followed by [`ProofEvent::Leave`].
+//! `EquivalencePrune`, `BoundPrune` or `DominancePrune` — followed by
+//! [`ProofEvent::Leave`]. Nodes are numbered by their `Enter`s in stream
+//! order, the root 0, so a dominance prune cites its witness by how many
+//! nodes were entered after it: a reference that survives concatenating a
+//! pooled proof's parts, each of which starts with an empty table.
 //! An `Enter` descends: the events of the child node follow immediately,
 //! and a child at depth `n` emits [`ProofEvent::Complete`] or
 //! [`ProofEvent::Improve`] instead of a `Leave`. When the incumbent
@@ -100,6 +105,18 @@ pub enum ProofEvent {
         /// gate or switch-on skips).
         term: Option<i64>,
     },
+    /// `candidate` was placed and the bound left it open, but a node
+    /// closed earlier placed the same set of instructions in a state no
+    /// later in any slot (see `pipesched_core::dominance`): every
+    /// completion of the extended prefix costs at least as much as the
+    /// same completion of that node, which already met the incumbent.
+    DominancePrune {
+        /// Rejected tuple (placed, compared, then removed).
+        candidate: u32,
+        /// Nodes entered after the witness: the witness is the node of
+        /// the `Enter` that many `Enter`s back.
+        back: u64,
+    },
     /// A complete schedule with cost `mu ≥` incumbent was reached.
     Complete {
         /// μ of the completed schedule.
@@ -164,7 +181,8 @@ const FORMAT: &str = "pipesched-proof";
 /// optional seventh element of `B` records, so a certificate without one
 /// serializes exactly as before, and a reader that predates the term
 /// fails closed on one that has it: it re-derives the bound without the
-/// term and rejects the record's arithmetic.
+/// term and rejects the record's arithmetic. Dominance prunes are `D`
+/// records, which a reader that predates them rejects as an unknown tag.
 const VERSION: i64 = 1;
 
 fn bound_kind_name(b: BoundKind) -> &'static str {
@@ -255,6 +273,11 @@ fn event_line(ev: &ProofEvent) -> String {
             parts.extend(term.map(Json::Int));
             arr(parts)
         }
+        ProofEvent::DominancePrune { candidate, back } => arr(vec![
+            tag("D"),
+            int(candidate.into()),
+            int(i64::try_from(back).unwrap_or(i64::MAX)),
+        ]),
         ProofEvent::Complete { mu } => arr(vec![tag("C"), int(mu.into())]),
         ProofEvent::Improve { mu } => arr(vec![tag("I"), int(mu.into())]),
         ProofEvent::ProvedByBound { lb } => arr(vec![tag("G"), int(lb.into())]),
@@ -305,6 +328,14 @@ fn parse_event(line: &str) -> Result<ProofEvent, String> {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(v.as_i64().ok_or("bad term")?),
             },
+        }),
+        "D" => Ok(ProofEvent::DominancePrune {
+            candidate: nth(1)?,
+            back: parts
+                .get(2)
+                .and_then(Json::as_i64)
+                .and_then(|b| u64::try_from(b).ok())
+                .ok_or("expected a non-negative witness distance")?,
         }),
         "C" => Ok(ProofEvent::Complete { mu: nth(1)? }),
         "I" => Ok(ProofEvent::Improve { mu: nth(1)? }),
@@ -632,6 +663,10 @@ mod tests {
                 ProofEvent::EquivalencePrune {
                     candidate: 1,
                     witness: 0,
+                },
+                ProofEvent::DominancePrune {
+                    candidate: 2,
+                    back: 3,
                 },
                 ProofEvent::Leave,
                 ProofEvent::Complete { mu: 7 },

@@ -319,7 +319,7 @@ fn prune_counters_sum_to_nodes_visited() {
         assert!(out.optimal && !out.stats.truncated);
         assert_eq!(
             out.stats.nodes_visited,
-            1 + out.stats.omega_calls - out.stats.pruned_bound,
+            1 + out.stats.omega_calls - out.stats.pruned_bound - out.stats.pruned_dominance,
             "counter identity broken on {}: {:?}",
             machine.name,
             out.stats

@@ -14,9 +14,10 @@
 //! which worker 0 runs alone; the `paper_exact()` blocks run well past
 //! the threshold, and the tests assert that helpers stole on them.
 //! The default configuration's heads-and-tails term switches on past
-//! `JACKSON_SWITCH_ON` Ω, which one default-configuration block reaches.
+//! `SearchConfig::switch_on` Ω, which one default-configuration block
+//! reaches.
 
-use pipesched_core::bounds::{JACKSON_GATE, JACKSON_SWITCH_ON};
+use pipesched_core::bounds::JACKSON_GATE;
 use pipesched_core::parallel::{parallel_prove, parallel_search, ParallelConfig};
 use pipesched_core::{search, SchedContext, SearchConfig};
 use pipesched_ir::BasicBlock;
@@ -144,8 +145,9 @@ fn forced_steal_prover_still_certifies() {
 }
 
 /// A 15-instruction block whose default-configuration search runs about
-/// 1.6k Ω, past the heads-and-tails switch-on, and ends by exhaustion
-/// (its optimum stays above the whole-block bound).
+/// 1.2k Ω, past the switch-on of the heads-and-tails term and the
+/// dominance table, and ends by exhaustion (its optimum stays above the
+/// whole-block bound).
 fn past_the_switch_on() -> (BasicBlock, Machine, SearchConfig) {
     (
         generate_block(&GeneratorConfig::new(9, 3, 2, 17)),
@@ -157,8 +159,10 @@ fn past_the_switch_on() -> (BasicBlock, Machine, SearchConfig) {
 /// The threads=1 counter-exactness contract survives maximal splitting:
 /// with LIFO pops the task order is the serial DFS order, so node and Ω
 /// counters match the serial kernel bit for bit — also where the
-/// heads-and-tails term prices the placements, since a split placement is
-/// priced when its task is popped, at the serial kernel's Ω count.
+/// heads-and-tails term prices the placements and the dominance table
+/// prunes them, since a split placement is priced and checked when its
+/// task is popped, at the serial kernel's Ω count, and a split node is
+/// stored when its last child task finishes.
 #[test]
 fn forced_steal_single_thread_is_counter_exact() {
     // Past the threshold the one worker draws λ in many batches.
@@ -171,7 +175,7 @@ fn forced_steal_single_thread_is_counter_exact() {
         if term {
             assert!(ctx.len() >= JACKSON_GATE);
             assert!(
-                serial.stats.omega_calls >= JACKSON_SWITCH_ON && !serial.stats.proved_by_bound,
+                serial.stats.omega_calls >= cfg.switch_on && !serial.stats.proved_by_bound,
                 "{} Ω does not run past the switch-on to exhaustion",
                 serial.stats.omega_calls
             );
@@ -190,5 +194,15 @@ fn forced_steal_single_thread_is_counter_exact() {
             par.stats.pruned_bound, serial.stats.pruned_bound,
             "bound-prune counter drift at threads=1 on\n{block}"
         );
+        assert_eq!(
+            par.stats.pruned_dominance, serial.stats.pruned_dominance,
+            "dominance-prune counter drift at threads=1 on\n{block}"
+        );
+        if term {
+            assert!(
+                serial.stats.pruned_dominance > 0,
+                "no dominance prune past the switch-on on\n{block}"
+            );
+        }
     }
 }

@@ -26,6 +26,14 @@
 //!   ([`DiagCode::StaleEquivalenceWitness`]). Certificates recorded under
 //!   the paper's unrestricted rule are checked against the restricted
 //!   condition and rejected where they over-prune;
+//! * every dominance prune must cite a node the replay has already
+//!   closed, which placed exactly the candidate prefix's set of
+//!   instructions in a state no later in any slot than the candidate's:
+//!   `t`, each pipe an unplaced instruction uses, and each placed
+//!   producer with an unplaced consumer, all re-derived from the replay
+//!   ([`DiagCode::UnjustifiedDominancePrune`]). Along any completion the
+//!   witness then issues every instruction no later, and it met the
+//!   incumbent when it closed;
 //! * every node's dispositions cover *exactly* its unscheduled
 //!   instructions ([`DiagCode::ProofCoverageGap`]);
 //! * the incumbent chain is replayed — each improvement's μ re-derived —
@@ -42,7 +50,7 @@
 //! certifier's `LegalWithCost`-style verdict, because the *no cheaper
 //! schedule exists* half no longer rests on trusting the search.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use pipesched_analyze::certify::{extract_deps, Dep};
 use pipesched_analyze::diag::{DiagCode, Diagnostic, Report};
@@ -104,10 +112,12 @@ pub fn check_certificate(block: &BasicBlock, machine: &Machine, cert: &Certifica
 /// One open search-tree node during replay.
 #[derive(Default)]
 struct Frame {
+    /// The node's number: its `Enter`'s ordinal in the stream, the root 0.
+    id: u64,
     /// Candidates this node has dispositioned (any event kind).
     disposed: Vec<u32>,
-    /// Candidates actually placed at this node (`Enter` or `BoundPrune`) —
-    /// the only valid equivalence witnesses.
+    /// Candidates actually placed at this node (`Enter`, `BoundPrune` or
+    /// `DominancePrune`) — the only valid equivalence witnesses.
     placed_here: Vec<u32>,
 }
 
@@ -119,8 +129,9 @@ struct Frames {
 }
 
 impl Frames {
-    fn open(&mut self) {
+    fn open(&mut self, id: u64) {
         let mut frame = self.spare.pop().unwrap_or_default();
+        frame.id = id;
         frame.disposed.clear();
         frame.placed_here.clear();
         self.open.push(frame);
@@ -129,6 +140,13 @@ impl Frames {
     fn close(&mut self, frame: Frame) {
         self.spare.push(frame);
     }
+}
+
+/// The replayed placed set and state of a closed node a dominance prune
+/// cites.
+struct Witness {
+    set: Vec<u64>,
+    state: Vec<i64>,
 }
 
 /// Replay state: static block/machine data plus an undoable prefix timing
@@ -303,6 +321,44 @@ impl<'a> Checker<'a> {
     /// μ of the current prefix: NOPs between its issues.
     fn mu(&self) -> u32 {
         (self.t_prev + 1 - self.prefix.len() as i64) as u32
+    }
+
+    /// The current prefix's placed set as a bitset.
+    fn placed_set(&self) -> Vec<u64> {
+        let mut set = vec![0u64; self.n.div_ceil(64)];
+        for &t in &self.prefix {
+            set[t as usize / 64] |= 1 << (t % 64);
+        }
+        set
+    }
+
+    /// The current prefix's dominance state, re-derived from the replay:
+    /// `t`, then `max(free, t + 1)` of each pipe an unplaced tuple uses,
+    /// then, in index order, `max(issue + delay, t + 1)` of each placed
+    /// tuple over its unplaced consumers. Prefixes of one set list the
+    /// same slots.
+    fn dominance_state(&self) -> Vec<i64> {
+        let t = self.t_prev;
+        let mut state = vec![t];
+        for (p, &left) in self.left_on_pipe.iter().enumerate() {
+            if left > 0 {
+                state.push(self.free[p].max(t + 1));
+            }
+        }
+        for u in 0..self.n {
+            let Some(at) = self.issue[u] else { continue };
+            let ready = self.succs[u]
+                .iter()
+                .filter(|&&(v, _)| self.issue[v as usize].is_none())
+                .flat_map(|&(v, _)| self.deps[v as usize].iter())
+                .filter(|d| d.from.index() == u)
+                .map(|d| at + d.delay as i64)
+                .max();
+            if let Some(ready) = ready {
+                state.push(ready.max(t + 1));
+            }
+        }
+        state
     }
 
     /// Re-derive the critical-path bound's `(chain, resource, bound)` for
@@ -516,11 +572,27 @@ impl<'a> Checker<'a> {
             return Ok(0);
         }
 
+        // The nodes dominance prunes cite, found by counting `Enter`s
+        // ahead of the replay: only their states are kept when they close.
+        let mut cited = HashSet::new();
+        let mut entered = 0u64;
+        for ev in &cert.events {
+            match *ev {
+                ProofEvent::Enter { .. } => entered += 1,
+                ProofEvent::DominancePrune { back, .. } => {
+                    cited.extend(entered.checked_sub(back));
+                }
+                _ => {}
+            }
+        }
+        let mut closed: HashMap<u64, Witness> = HashMap::new();
+        let mut entered = 0u64;
+
         let mut frames = Frames {
             open: Vec::new(),
             spare: Vec::new(),
         };
-        frames.open();
+        frames.open(0);
         let mut proved = false;
 
         for (k, ev) in cert.events.iter().enumerate() {
@@ -545,7 +617,8 @@ impl<'a> Checker<'a> {
                     frame.disposed.push(candidate);
                     frame.placed_here.push(candidate);
                     self.push(c);
-                    frames.open();
+                    entered += 1;
+                    frames.open(entered);
                 }
                 ProofEvent::LegalityPrune { candidate } => {
                     let c = self.candidate_index(candidate, k, report)?;
@@ -684,9 +757,68 @@ impl<'a> Checker<'a> {
                     frame.disposed.push(candidate);
                     frame.placed_here.push(candidate);
                 }
+                ProofEvent::DominancePrune { candidate, back } => {
+                    let c = self.candidate_index(candidate, k, report)?;
+                    if !self.legal(c) {
+                        return reject(
+                            report,
+                            DiagCode::IllegalPlacement,
+                            format!(
+                                "event {k} dominance-prunes tuple {candidate}, which is not \
+                                 even legal here"
+                            ),
+                        );
+                    }
+                    let cites = entered.checked_sub(back);
+                    let Some(witness) = cites.and_then(|id| closed.get(&id)) else {
+                        let why = match cites {
+                            Some(id) if frames.open.iter().any(|f| f.id == id) => {
+                                format!("node {id}, which is still open")
+                            }
+                            Some(id) => format!("node {id}, which has not closed"),
+                            None => format!("a node {back} entries back of {entered}"),
+                        };
+                        return reject(
+                            report,
+                            DiagCode::UnjustifiedDominancePrune,
+                            format!("event {k} cites {why} as its witness"),
+                        );
+                    };
+                    self.push(c);
+                    let set = self.placed_set();
+                    let state = self.dominance_state();
+                    self.pop();
+                    if witness.set != set {
+                        return reject(
+                            report,
+                            DiagCode::UnjustifiedDominancePrune,
+                            format!(
+                                "event {k}: the witness placed a different set of \
+                                 instructions than the candidate prefix"
+                            ),
+                        );
+                    }
+                    let later = witness.state.len() != state.len()
+                        || witness.state.iter().zip(&state).any(|(w, c)| w > c);
+                    if later {
+                        return reject(
+                            report,
+                            DiagCode::UnjustifiedDominancePrune,
+                            format!(
+                                "event {k}: the witness's state {:?} is later than the \
+                                 candidate's {state:?} in some slot",
+                                witness.state
+                            ),
+                        );
+                    }
+                    let frame = frames.open.last_mut().expect("non-empty");
+                    frame.disposed.push(candidate);
+                    frame.placed_here.push(candidate);
+                }
                 ProofEvent::Leave => {
                     let frame = frames.open.pop().expect("non-empty");
                     self.check_coverage(&frame, k, report)?;
+                    self.close(&frame, &cited, &mut closed);
                     frames.close(frame);
                     if frames.open.is_empty() {
                         // Root closed: the whole space is covered. Any
@@ -717,6 +849,7 @@ impl<'a> Checker<'a> {
                         );
                     }
                     if let Some(frame) = frames.open.pop() {
+                        self.close(&frame, &cited, &mut closed);
                         frames.close(frame);
                     }
                     self.pop();
@@ -745,6 +878,7 @@ impl<'a> Checker<'a> {
                     best_order.clear();
                     best_order.extend_from_slice(&self.prefix);
                     if let Some(frame) = frames.open.pop() {
+                        self.close(&frame, &cited, &mut closed);
                         frames.close(frame);
                     }
                     self.pop();
@@ -836,6 +970,18 @@ impl<'a> Checker<'a> {
             );
         }
         Ok(cert.trailer.nops)
+    }
+
+    /// `frame`'s node closed at the current prefix: keep its set and state
+    /// if a dominance prune cites it.
+    fn close(&self, frame: &Frame, cited: &HashSet<u64>, closed: &mut HashMap<u64, Witness>) {
+        if frame.id > 0 && cited.contains(&frame.id) {
+            let witness = Witness {
+                set: self.placed_set(),
+                state: self.dominance_state(),
+            };
+            closed.insert(frame.id, witness);
+        }
     }
 
     /// Validate an event's candidate id: in range and not yet scheduled.

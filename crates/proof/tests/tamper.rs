@@ -509,3 +509,196 @@ fn proved_by_bound_without_the_root_term_is_rejected() {
         "only {forged_some} blocks gain from the root term"
     );
 }
+
+/// Corpus blocks (paper simulation machine) whose serial proof records
+/// dominance prunes, each with its certificate, which the checker accepts.
+fn dominance_certificates(want: usize) -> Vec<(BasicBlock, Certificate)> {
+    let spec = pipesched_synth::CorpusSpec::paper_default();
+    let machine = presets::paper_simulation();
+    let mut found = Vec::new();
+    for k in 0.. {
+        assert!(
+            k < 4_000,
+            "only {} corpus blocks prune by dominance",
+            found.len()
+        );
+        let block = spec.block(k);
+        if block.len() < 20 {
+            continue;
+        }
+        let dag = DepDag::build(&block);
+        let ctx = SchedContext::new(&block, &dag, &machine);
+        let (out, cert) = prove(&ctx, &SearchConfig::default());
+        if out.optimal && !dominance_prunes(&cert).is_empty() {
+            let check = check_certificate(&block, &machine, &cert);
+            assert!(check.is_certified(), "{}", check.report);
+            found.push((block, cert));
+            if found.len() == want {
+                return found;
+            }
+        }
+    }
+    unreachable!()
+}
+
+/// Where the dominance prunes of `cert` are.
+fn dominance_prunes(cert: &Certificate) -> Vec<usize> {
+    cert.events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| matches!(e, ProofEvent::DominancePrune { .. }))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// What the transcript says at event `at`: how many nodes were entered,
+/// the open nodes' numbers, and every closed node's number and prefix.
+struct Replayed {
+    entered: u64,
+    open: Vec<u64>,
+    prefix: Vec<TupleId>,
+    closed: Vec<(u64, Vec<TupleId>)>,
+}
+
+fn replay_to(cert: &Certificate, at: usize) -> Replayed {
+    let mut r = Replayed {
+        entered: 0,
+        open: vec![0],
+        prefix: Vec::new(),
+        closed: Vec::new(),
+    };
+    for ev in &cert.events[..at] {
+        match *ev {
+            ProofEvent::Enter { candidate } => {
+                r.entered += 1;
+                r.open.push(r.entered);
+                r.prefix.push(TupleId(candidate));
+            }
+            ProofEvent::Leave | ProofEvent::Complete { .. } | ProofEvent::Improve { .. } => {
+                let id = r.open.pop().expect("an open node");
+                r.closed.push((id, r.prefix.clone()));
+                r.prefix.pop();
+            }
+            _ => {}
+        }
+    }
+    r
+}
+
+/// The dominance state of `prefix` replayed from a cold boundary.
+fn state_of(
+    block: &BasicBlock,
+    machine: &Machine,
+    prefix: &[TupleId],
+) -> pipesched_core::dominance::DominanceState {
+    let dag = DepDag::build(block);
+    let ctx = SchedContext::new(block, &dag, machine);
+    let mut engine = pipesched_core::TimingEngine::new(&ctx);
+    for &t in prefix {
+        engine.push_default(t);
+    }
+    pipesched_core::dominance::DominanceState::of(&ctx, &engine, false)
+}
+
+fn set_of(prefix: &[TupleId]) -> Vec<TupleId> {
+    let mut set = prefix.to_vec();
+    set.sort_unstable();
+    set
+}
+
+/// Re-point the dominance prune at `i` to `back` and expect `A0409`.
+fn expect_a0409(block: &BasicBlock, machine: &Machine, cert: &Certificate, i: usize, back: u64) {
+    let mut forged = cert.clone();
+    if let ProofEvent::DominancePrune { back: b, .. } = &mut forged.events[i] {
+        *b = back;
+    }
+    let check = check_certificate(block, machine, &forged);
+    assert!(
+        !check.is_certified(),
+        "event {i} accepted with witness {back} back"
+    );
+    assert!(
+        check.report.has_code(DiagCode::UnjustifiedDominancePrune),
+        "expected A0409, got:\n{}",
+        check.report
+    );
+}
+
+/// A dominance prune citing no node at all, or a node still open, is
+/// rejected with `A0409`: only a closed node's subtree met the incumbent.
+#[test]
+fn dominance_prune_without_a_closed_witness_is_rejected() {
+    let machine = presets::paper_simulation();
+    for (block, cert) in dominance_certificates(2) {
+        for i in dominance_prunes(&cert).into_iter().take(8) {
+            let r = replay_to(&cert, i);
+            // No witness: further back than the stream's first node.
+            expect_a0409(&block, &machine, &cert, i, r.entered + 1);
+            // The node whose candidates are being dispositioned, and the
+            // root, are open.
+            let open = *r.open.last().expect("an open node");
+            expect_a0409(&block, &machine, &cert, i, r.entered - open);
+            expect_a0409(&block, &machine, &cert, i, r.entered);
+        }
+    }
+}
+
+/// A witness that placed a different set of instructions, or the same
+/// set in a state later than the candidate's in some slot, is rejected
+/// with `A0409`.
+#[test]
+fn dominance_prune_with_a_wrong_witness_is_rejected() {
+    let machine = presets::paper_simulation();
+    let (mut other_set, mut later_state) = (0, 0);
+    for (block, cert) in dominance_certificates(3) {
+        for i in dominance_prunes(&cert) {
+            let ProofEvent::DominancePrune { candidate, .. } = cert.events[i] else {
+                unreachable!()
+            };
+            let r = replay_to(&cert, i);
+            let mut prefix = r.prefix.clone();
+            prefix.push(TupleId(candidate));
+            let set = set_of(&prefix);
+            let state = state_of(&block, &machine, &prefix);
+            for (id, witness) in r.closed.iter().rev().take(64) {
+                if set_of(witness) != set {
+                    if other_set < 24 {
+                        expect_a0409(&block, &machine, &cert, i, r.entered - id);
+                        other_set += 1;
+                    }
+                } else if !state_of(&block, &machine, witness).at_most(&state) && later_state < 24 {
+                    expect_a0409(&block, &machine, &cert, i, r.entered - id);
+                    later_state += 1;
+                }
+            }
+        }
+    }
+    assert!(other_set > 0, "no closed node of another set was tried");
+    assert!(
+        later_state > 0,
+        "no closed node of the same set in a later state was tried"
+    );
+}
+
+/// The pool's merged certificate carries dominance prunes whose witnesses
+/// sit in the same part, and the checker accepts it.
+#[test]
+fn pooled_certificates_with_dominance_prunes_are_accepted() {
+    let machine = presets::paper_simulation();
+    let mut pooled = 0;
+    for (block, _) in dominance_certificates(3) {
+        let dag = DepDag::build(&block);
+        let ctx = SchedContext::new(&block, &dag, &machine);
+        let par = pipesched_core::ParallelConfig::with_threads(2);
+        let (out, proof) = pipesched_core::parallel_prove(&ctx, &SearchConfig::default(), &par);
+        let cert = proof.merge();
+        let check = check_certificate(&block, &machine, &cert);
+        assert!(check.is_certified(), "{}", check.report);
+        assert_eq!(
+            check.verdict,
+            ProofVerdict::OptimalCertified { nops: out.nops }
+        );
+        pooled += dominance_prunes(&cert).len();
+    }
+    assert!(pooled > 0, "no pooled certificate pruned by dominance");
+}

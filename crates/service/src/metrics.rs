@@ -7,7 +7,8 @@
 //! event the serve loop commits, so `/metrics`, `/slo` and the flight
 //! ring see the same request. [`SearchAggregate`] folds every
 //! [`SearchStats`] the engine produces into fleet-wide search effort,
-//! re-checking the `1 + Ω − bound-pruned == nodes` identity on the
+//! re-checking the `1 + Ω − bound-pruned − dominance-pruned == nodes`
+//! identity on the
 //! aggregate, and [`Metrics::write_prometheus`] renders the whole snapshot
 //! as Prometheus text for the `/metrics` endpoint.
 
@@ -25,10 +26,11 @@ use crate::engine::Tier;
 /// Fleet-wide search effort: every [`SearchStats`] the engine produces,
 /// summed. The raw columns count *all* searches (list probes, windowed
 /// sub-searches, full B&B runs); the `eligible_*` mirrors count only the
-/// completed single searches for which the paper's node identity
-/// `nodes == 1 + Ω − bound-pruned` holds per run, so the identity can be
-/// re-checked on the aggregate:
-/// `eligible_nodes == eligible_searches + eligible_Ω − eligible_pruned`.
+/// completed single searches for which the node identity
+/// `nodes == 1 + Ω − bound-pruned − dominance-pruned` holds per run, so
+/// the identity can be re-checked on the aggregate:
+/// `eligible_nodes == eligible_searches + eligible_Ω − eligible_pruned`,
+/// with both prune columns in `eligible_pruned`.
 #[derive(Debug, Default)]
 pub struct SearchAggregate {
     /// Searches recorded (all kinds).
@@ -51,6 +53,8 @@ pub struct SearchAggregate {
     pub pruned_bound: AtomicU64,
     /// Pipeline-unit choices skipped by symmetry breaking.
     pub pruned_symmetry: AtomicU64,
+    /// Placements pruned by a closed prefix of the same set.
+    pub pruned_dominance: AtomicU64,
     /// Identity-eligible searches (single, completed, not proved early).
     pub eligible_searches: AtomicU64,
     /// Nodes visited by identity-eligible searches.
@@ -59,6 +63,8 @@ pub struct SearchAggregate {
     pub eligible_omega: AtomicU64,
     /// Bound prunes of identity-eligible searches.
     pub eligible_pruned_bound: AtomicU64,
+    /// Dominance prunes of identity-eligible searches.
+    pub eligible_pruned_dominance: AtomicU64,
 }
 
 impl SearchAggregate {
@@ -81,26 +87,30 @@ impl SearchAggregate {
         add(&self.pruned_equivalence, stats.pruned_equivalence);
         add(&self.pruned_bound, stats.pruned_bound);
         add(&self.pruned_symmetry, stats.pruned_symmetry);
+        add(&self.pruned_dominance, stats.pruned_dominance);
         if single_search && !stats.truncated && !stats.proved_by_bound && stats.nodes_visited > 0 {
             add(&self.eligible_searches, 1);
             add(&self.eligible_nodes, stats.nodes_visited);
             add(&self.eligible_omega, stats.omega_calls);
             add(&self.eligible_pruned_bound, stats.pruned_bound);
+            add(&self.eligible_pruned_dominance, stats.pruned_dominance);
         }
     }
 
-    /// Re-check the paper's node identity on the eligible aggregate:
-    /// summing `nodes == 1 + Ω − bound-pruned` over k eligible runs gives
-    /// `nodes == k + Ω − bound-pruned`. Vacuously true with no eligible
-    /// runs.
+    /// Re-check the node identity on the eligible aggregate: summing
+    /// `nodes == 1 + Ω − bound-pruned − dominance-pruned` over k eligible
+    /// runs gives `nodes == k + Ω − bound-pruned − dominance-pruned`.
+    /// Vacuously true with no eligible runs.
     pub fn identity_holds(&self) -> bool {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        load(&self.eligible_nodes) + load(&self.eligible_pruned_bound)
+        load(&self.eligible_nodes)
+            + load(&self.eligible_pruned_bound)
+            + load(&self.eligible_pruned_dominance)
             == load(&self.eligible_searches) + load(&self.eligible_omega)
     }
 
     /// Per-rule prune totals in a fixed order (for label iteration).
-    pub fn prune_totals(&self) -> [(&'static str, u64); 5] {
+    pub fn prune_totals(&self) -> [(&'static str, u64); 6] {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
             ("quick", load(&self.pruned_quick)),
@@ -108,6 +118,7 @@ impl SearchAggregate {
             ("equivalence", load(&self.pruned_equivalence)),
             ("bound", load(&self.pruned_bound)),
             ("symmetry", load(&self.pruned_symmetry)),
+            ("dominance", load(&self.pruned_dominance)),
         ]
     }
 
@@ -125,6 +136,7 @@ impl SearchAggregate {
             ("pruned_equivalence", load(&self.pruned_equivalence)),
             ("pruned_bound", load(&self.pruned_bound)),
             ("pruned_symmetry", load(&self.pruned_symmetry)),
+            ("pruned_dominance", load(&self.pruned_dominance)),
             ("eligible_searches", load(&self.eligible_searches)),
             ("identity_holds", self.identity_holds()),
         ]
@@ -570,12 +582,14 @@ pub(crate) mod tests {
     #[test]
     fn aggregate_identity_holds_over_eligible_searches() {
         let agg = SearchAggregate::default();
-        // Three completed single searches obeying the per-run identity.
-        for (nodes, omega, pruned) in [(10, 12, 3), (1, 0, 0), (100, 120, 21)] {
+        // Three completed single searches obeying the per-run identity,
+        // one with dominance prunes.
+        for (nodes, omega, pruned, dominated) in [(10, 12, 3, 0), (1, 0, 0, 0), (100, 120, 16, 5)] {
             let stats = SearchStats {
                 nodes_visited: nodes,
                 omega_calls: omega,
                 pruned_bound: pruned,
+                pruned_dominance: dominated,
                 ..SearchStats::default()
             };
             agg.record(&stats, true);
@@ -630,7 +644,8 @@ pub(crate) mod tests {
             &SearchStats {
                 nodes_visited: 32,
                 omega_calls: 40,
-                pruned_bound: 9,
+                pruned_bound: 7,
+                pruned_dominance: 2,
                 ..SearchStats::default()
             },
             true,
@@ -648,7 +663,8 @@ pub(crate) mod tests {
         assert!(text.contains("pipesched_sat_propagations_total 40"));
         assert!(text.contains("pipesched_parallel_steals_total 3"));
         assert!(text.contains("pipesched_parallel_splits_total 17"));
-        assert!(text.contains("pipesched_search_pruned_total{rule=\"bound\"} 9"));
+        assert!(text.contains("pipesched_search_pruned_total{rule=\"bound\"} 7"));
+        assert!(text.contains("pipesched_search_pruned_total{rule=\"dominance\"} 2"));
         assert!(text.contains("pipesched_search_identity_ok 1"));
         assert!(text.contains("pipesched_request_latency_micros_count 1"));
     }

@@ -999,6 +999,7 @@ fn run_schedule(o: &Options) -> Result<ExitCode, String> {
             ("pruned_equivalence", stats.pruned_equivalence as i64),
             ("pruned_bound", stats.pruned_bound as i64),
             ("pruned_symmetry", stats.pruned_symmetry as i64),
+            ("pruned_dominance", stats.pruned_dominance as i64),
             ("complete_schedules", stats.complete_schedules as i64),
             ("improvements", stats.improvements as i64),
             ("proved_by_bound", stats.proved_by_bound),
@@ -1466,12 +1467,12 @@ fn run_trace(o: &Options) -> Result<ExitCode, String> {
     println!();
     println!("per-depth search profile:");
     println!(
-        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "depth", "nodes", "omega", "quick", "legality", "equiv", "bound", "self_us"
+        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "depth", "nodes", "omega", "quick", "legality", "equiv", "bound", "dominance", "self_us"
     );
     for (d, s) in profile.depths.iter().enumerate() {
         println!(
-            "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
             d,
             s.nodes,
             s.omega_calls,
@@ -1479,6 +1480,7 @@ fn run_trace(o: &Options) -> Result<ExitCode, String> {
             s.pruned_legality,
             s.pruned_equivalence,
             s.pruned_bound,
+            s.pruned_dominance,
             profile.self_time_ns(d) / 1_000,
         );
     }

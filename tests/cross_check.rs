@@ -14,6 +14,12 @@
 //!   gate says — must be at most the best completion of that node, found
 //!   by exhaustive search from it. An inadmissible term prunes optima
 //!   silently; this is where it shows.
+//! * **Dominance.** The same walks check the lemma the dominance table
+//!   rests on: of two visited prefixes of one instruction set, the one
+//!   whose state is at most the other's in every slot has a best
+//!   completion no worse, and costs no more along a random completion.
+//!   The differential runs the kernel with `switch_on: 0`, so the table
+//!   prunes from the first Ω.
 //! * **Windows.** A windowed schedule must certify, with no fewer NOPs
 //!   than the optimum and no more than the list schedule. Unless it gave
 //!   way to the list schedule, every window must reach the least NOPs any
@@ -24,6 +30,7 @@
 use pipesched::analyze::{certify, certify_scheduled, Claim};
 use pipesched::core::baselines::enumerate_legal;
 use pipesched::core::bounds::term_bounds;
+use pipesched::core::dominance::DominanceState;
 use pipesched::core::{
     list_schedule, parallel_prove, prove, search, windowed_schedule, windowed_schedule_bounded,
     BoundaryState, ParallelConfig, SchedContext, SearchConfig, TimingEngine,
@@ -47,12 +54,21 @@ fn small_blocks(count: u64) -> Vec<BasicBlock> {
 
 #[test]
 fn exact_backends_agree_and_every_answer_checks() {
-    let exact = SearchConfig {
-        lambda: u64::MAX,
-        ..SearchConfig::default()
-    };
+    // Every gate open from the first Ω: the heads-and-tails term prices
+    // every placement its gate admits, and the dominance table prunes,
+    // with the whole-block bound ending searches early and without it.
     let pair = ParallelConfig::with_threads(2);
-    for block in small_blocks(16) {
+    let mut dominance = 0;
+    for (terminate_on_lower_bound, block) in small_blocks(16)
+        .into_iter()
+        .flat_map(|b| [(true, b.clone()), (false, b)])
+    {
+        let exact = SearchConfig {
+            lambda: u64::MAX,
+            switch_on: 0,
+            terminate_on_lower_bound,
+            ..SearchConfig::default()
+        };
         let dag = DepDag::build(&block);
         for machine in presets::all_presets() {
             let ctx = SchedContext::new(&block, &dag, &machine);
@@ -64,6 +80,11 @@ fn exact_backends_agree_and_every_answer_checks() {
             let serial = search(&ctx, &exact);
             let (proved, cert) = prove(&ctx, &exact);
             let (pooled, proof) = parallel_prove(&ctx, &exact, &pair);
+            assert_eq!(
+                proved.stats, serial.stats,
+                "prove and search differ on {tag}"
+            );
+            dominance += serial.stats.pruned_dominance;
             for (name, out) in [("serial", &serial), ("prove", &proved), ("pool", &pooled)] {
                 assert!(out.optimal, "{name} truncated on {tag}");
                 assert_eq!(out.nops, optimum, "{name} misses the optimum on {tag}");
@@ -91,6 +112,7 @@ fn exact_backends_agree_and_every_answer_checks() {
             assert!(!audit.has_errors(), "SAT audit on {tag}\n{audit}");
         }
     }
+    assert!(dominance > 0, "the dominance table never pruned");
 }
 
 /// The fewest NOPs any completion of `engine`'s partial schedule needs,
@@ -195,6 +217,119 @@ fn every_bound_term_is_at_most_the_best_completion() {
     // inflated term could slip through unseen.
     assert!(nodes > 2_000, "only {nodes} nodes checked");
     assert!(tight > 200, "the term was tight at only {tight} nodes");
+}
+
+/// The lemma of `pipesched::core::dominance`, on prefixes the random
+/// walks visit: for two prefixes of one instruction set with A ≤ B in
+/// every slot of the state, A's best completion is no worse than B's, and
+/// μ(A·C) ≤ μ(B·C) along a random completion C.
+#[test]
+fn a_dominating_state_completes_no_worse() {
+    type Prefix = Vec<(TupleId, Option<PipelineId>)>;
+    let mut rng = StdRng::seed_from_u64(0xd0_5717);
+    let mut pairs = 0;
+    let mut strict = 0;
+    for block in small_blocks(12) {
+        let dag = DepDag::build(&block);
+        for machine in presets::all_presets() {
+            let ctx = SchedContext::new(&block, &dag, &machine);
+            for selection in [false, true] {
+                for carried in [false, true] {
+                    let mut boundary = BoundaryState::cold(machine.pipeline_count());
+                    if carried {
+                        for age in &mut boundary.pipe_age {
+                            *age = rng.gen_bool(0.7).then(|| rng.gen_range(0..4));
+                        }
+                    }
+                    let replay = |prefix: &Prefix| {
+                        let mut engine = TimingEngine::with_boundary(&ctx, &boundary);
+                        for &(t, unit) in prefix {
+                            engine.push(t, unit);
+                        }
+                        engine
+                    };
+                    // Visited prefixes by placed set, with state and best
+                    // completion.
+                    let mut seen: Vec<(Vec<bool>, Prefix, DominanceState, u32)> = Vec::new();
+                    let mut placed: Prefix = Vec::new();
+                    for _ in 0..6 * block.len() {
+                        let mut engine = replay(&placed);
+                        let ready = ready_units(&ctx, &engine, selection);
+                        if !placed.is_empty() && (ready.is_empty() || rng.gen_range(0..3) == 0) {
+                            placed.pop();
+                            continue;
+                        }
+                        let (t, units) = &ready[rng.gen_range(0..ready.len())];
+                        placed.push((*t, units[rng.gen_range(0..units.len())]));
+                        engine = replay(&placed);
+                        let set: Vec<bool> = block
+                            .ids()
+                            .map(|u| engine.issue_time(u).is_some())
+                            .collect();
+                        let state = DominanceState::of(&ctx, &engine, selection);
+                        let mut best = u32::MAX;
+                        best_completion(&ctx, &mut engine, selection, &mut best);
+                        seen.push((set, placed.clone(), state, best));
+                    }
+                    for (i, a) in seen.iter().enumerate() {
+                        for b in &seen[i + 1..] {
+                            let (a, b) = if a.2.at_most(&b.2) { (a, b) } else { (b, a) };
+                            if a.0 != b.0 || !a.2.at_most(&b.2) {
+                                continue;
+                            }
+                            let tag = format!(
+                                "{} on {}, selection {selection}, carried {carried}: \
+                                 {:?} ≤ {:?}\n{block}",
+                                block.name, machine.name, a.1, b.1
+                            );
+                            assert!(a.3 <= b.3, "best completion: {tag}");
+                            // One random completion, replayed after both.
+                            let (mut ea, mut eb) = (replay(&a.1), replay(&b.1));
+                            loop {
+                                let ready = ready_units(&ctx, &ea, selection);
+                                let Some((t, units)) =
+                                    ready.get(rng.gen_range(0..ready.len().max(1)))
+                                else {
+                                    break;
+                                };
+                                let unit = units[rng.gen_range(0..units.len())];
+                                ea.push(*t, unit);
+                                eb.push(*t, unit);
+                            }
+                            assert!(ea.total_nops() <= eb.total_nops(), "completion: {tag}");
+                            pairs += 1;
+                            strict += usize::from(a.2 != b.2);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(pairs > 500, "only {pairs} dominating pairs checked");
+    assert!(strict > 50, "only {strict} pairs differ in state");
+}
+
+/// The ready tuples of `engine`'s prefix, each with the units it may run
+/// on: every allowed unit under `selection`, its default unit otherwise.
+fn ready_units(
+    ctx: &SchedContext<'_>,
+    engine: &TimingEngine<'_, '_>,
+    selection: bool,
+) -> Vec<(TupleId, Vec<Option<PipelineId>>)> {
+    let placed = |u: TupleId| engine.issue_time(u).is_some();
+    ctx.block
+        .ids()
+        .filter(|&t| !placed(t) && ctx.preds[t.index()].iter().all(|d| placed(TupleId(d.from))))
+        .map(|t| {
+            let units = &ctx.allowed[t.index()];
+            let units = if selection && units.len() > 1 {
+                units.iter().copied().map(Some).collect()
+            } else {
+                vec![ctx.sigma(t)]
+            };
+            (t, units)
+        })
+        .collect()
 }
 
 /// The fewest NOPs any legal arrangement of `members` reaches after

@@ -29,6 +29,7 @@ struct Pin {
     nodes_visited: u64,
     omega_calls: u64,
     pruned_bound: u64,
+    pruned_dominance: u64,
     digest: u64,
 }
 
@@ -39,20 +40,22 @@ const PINS: &[Pin] = &[
         machine: "paper-simulation",
         initial_nops: 8,
         nops: 8,
-        nodes_visited: 502,
-        omega_calls: 1105,
-        pruned_bound: 604,
-        digest: 0xe1f8c32a79b980e5,
+        nodes_visited: 480,
+        omega_calls: 1061,
+        pruned_bound: 567,
+        pruned_dominance: 15,
+        digest: 0x71b358a7f494397d,
     },
     Pin {
         block: "dotproduct",
         machine: "paper-table2",
         initial_nops: 12,
         nops: 12,
-        nodes_visited: 1738,
-        omega_calls: 3017,
-        pruned_bound: 1280,
-        digest: 0x2a25354a87065b03,
+        nodes_visited: 649,
+        omega_calls: 1198,
+        pruned_bound: 460,
+        pruned_dominance: 90,
+        digest: 0x44b0258427b06774,
     },
     Pin {
         block: "dotproduct",
@@ -62,6 +65,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 270,
         omega_calls: 629,
         pruned_bound: 360,
+        pruned_dominance: 0,
         digest: 0x22f04d3b00ff84a9,
     },
     Pin {
@@ -69,10 +73,11 @@ const PINS: &[Pin] = &[
         machine: "functional-units",
         initial_nops: 21,
         nops: 18,
-        nodes_visited: 769,
-        omega_calls: 1402,
-        pruned_bound: 634,
-        digest: 0x6eae00c25a1b9d09,
+        nodes_visited: 617,
+        omega_calls: 1153,
+        pruned_bound: 486,
+        pruned_dominance: 51,
+        digest: 0xd675d8c02c8301e1,
     },
     Pin {
         block: "dotproduct",
@@ -82,6 +87,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 566,
         omega_calls: 1029,
         pruned_bound: 464,
+        pruned_dominance: 0,
         digest: 0xe5a771cfa1324f23,
     },
     Pin {
@@ -92,6 +98,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 0,
         omega_calls: 0,
         pruned_bound: 0,
+        pruned_dominance: 0,
         digest: 0x43f5f36b0f16947b,
     },
     Pin {
@@ -102,6 +109,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 0,
         omega_calls: 0,
         pruned_bound: 0,
+        pruned_dominance: 0,
         digest: 0x01c986907927c968,
     },
     Pin {
@@ -112,6 +120,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 0,
         omega_calls: 0,
         pruned_bound: 0,
+        pruned_dominance: 0,
         digest: 0x18a9aacd0c1d2457,
     },
     Pin {
@@ -122,6 +131,7 @@ const PINS: &[Pin] = &[
         nodes_visited: 0,
         omega_calls: 0,
         pruned_bound: 0,
+        pruned_dominance: 0,
         digest: 0x9ef1a5d4af0f0a1d,
     },
 ];
@@ -214,7 +224,8 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
         if print {
             println!(
                 "Pin {{ block: {:?}, machine: {:?}, initial_nops: {}, nops: {}, \
-                 nodes_visited: {}, omega_calls: {}, pruned_bound: {}, digest: {:#018x} }},",
+                 nodes_visited: {}, omega_calls: {}, pruned_bound: {}, pruned_dominance: {}, \
+                 digest: {:#018x} }},",
                 pin.block,
                 pin.machine,
                 plain.initial_nops,
@@ -222,6 +233,7 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
                 plain.stats.nodes_visited,
                 plain.stats.omega_calls,
                 plain.stats.pruned_bound,
+                plain.stats.pruned_dominance,
                 proof.digest(),
             );
             continue;
@@ -244,6 +256,10 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
             plain.stats.pruned_bound, pin.pruned_bound,
             "{tag}: bound prunes"
         );
+        assert_eq!(
+            plain.stats.pruned_dominance, pin.pruned_dominance,
+            "{tag}: dominance prunes"
+        );
         assert_eq!(proof.digest(), pin.digest, "{tag}: certificate digest");
         assert!(plain.optimal, "{tag}: pinned runs all complete");
 
@@ -251,8 +267,10 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
         if !plain.stats.proved_by_bound && plain.stats.nodes_visited > 0 {
             assert_eq!(
                 plain.stats.nodes_visited,
-                1 + plain.stats.omega_calls - plain.stats.pruned_bound,
-                "{tag}: 1 + Ω − bound-pruned == nodes"
+                1 + plain.stats.omega_calls
+                    - plain.stats.pruned_bound
+                    - plain.stats.pruned_dominance,
+                "{tag}: 1 + Ω − bound-pruned − dominance-pruned == nodes"
             );
         }
 
@@ -292,9 +310,9 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 8,
         nops: 8,
         optimal: true,
-        nodes_visited: 502,
-        omega_calls: 1105,
-        pruned_bound: 604,
+        nodes_visited: 480,
+        omega_calls: 1061,
+        pruned_bound: 567,
         pruned_symmetry: 0,
         schedule: 0xac0d852a7f7a57c7,
         digest: None,
@@ -305,10 +323,10 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 12,
         nops: 10,
         optimal: true,
-        nodes_visited: 3083,
-        omega_calls: 7317,
-        pruned_bound: 4235,
-        pruned_symmetry: 1544,
+        nodes_visited: 503,
+        omega_calls: 1279,
+        pruned_bound: 625,
+        pruned_symmetry: 310,
         schedule: 0xfda7789d329644ab,
         digest: None,
     },
@@ -331,9 +349,9 @@ const SELECTION_PINS: &[ConfigPin] = &[
         initial_nops: 21,
         nops: 18,
         optimal: true,
-        nodes_visited: 769,
-        omega_calls: 1402,
-        pruned_bound: 634,
+        nodes_visited: 617,
+        omega_calls: 1153,
+        pruned_bound: 486,
         pruned_symmetry: 0,
         schedule: 0xdc1a83f286aa74e7,
         digest: None,

@@ -8,7 +8,6 @@
 //! λ stays a hard pool-wide cap throughout.
 
 use pipesched::analyze::certify_scheduled;
-use pipesched::core::bounds::JACKSON_SWITCH_ON;
 use pipesched::core::parallel::{HELPER_THRESHOLD, LAMBDA_BATCH};
 use pipesched::core::{
     parallel_prove, parallel_search, search, ParallelConfig, ProofEvent, SchedContext,
@@ -155,23 +154,26 @@ fn above_the_threshold_helpers_steal_and_certify() {
     }
 }
 
-/// Past the heads-and-tails switch-on under the default configuration,
-/// the pooled certificate records the term: at the root candidates and in
-/// every phase-2 part, which count on from the Ω phase 1 ran, after
-/// helpers that priced it from their first Ω. The independent checker
-/// re-derives each recorded term and certifies the serial optimum.
+/// Past the switch-on under the default configuration, the pooled
+/// certificate records the heads-and-tails term and dominance prunes: at
+/// the root candidates and in every phase-2 part, which count on from the
+/// Ω phase 1 ran, after helpers that priced the term and kept tables from
+/// their first Ω. The independent checker re-derives each recorded term
+/// and each dominance witness, and certifies the serial optimum.
 #[test]
 fn past_the_switch_on_pooled_certificates_carry_the_term() {
-    // A 22-instruction corpus block whose serial search runs about 6.9k Ω.
-    let block = CorpusSpec::paper_default().block(559);
+    // The first corpus block of at least 20 instructions whose default
+    // serial search runs at least 4 × `switch_on` Ω and ends by
+    // exhaustion: 34 instructions, about 15.3k Ω.
+    let block = CorpusSpec::paper_default().block(554);
     let machine = presets::paper_simulation();
     let dag = DepDag::build(&block);
     let ctx = SchedContext::new(&block, &dag, &machine);
     let cfg = SearchConfig::with_lambda(u64::MAX);
     let serial = search(&ctx, &cfg);
-    assert!(serial.optimal && block.len() >= 20);
+    assert!(serial.optimal && !serial.stats.proved_by_bound && block.len() >= 20);
     assert!(
-        serial.stats.omega_calls >= 4 * JACKSON_SWITCH_ON,
+        serial.stats.omega_calls >= 4 * cfg.switch_on,
         "{} Ω is not well past the switch-on",
         serial.stats.omega_calls
     );
@@ -193,6 +195,12 @@ fn past_the_switch_on_pooled_certificates_carry_the_term() {
                     .any(|e| matches!(e, ProofEvent::BoundPrune { term: Some(_), .. })),
                 "no heads-and-tails term recorded at {threads} workers"
             );
+            assert!(
+                cert.events
+                    .iter()
+                    .any(|e| matches!(e, ProofEvent::DominancePrune { .. })),
+                "no dominance prune recorded at {threads} workers"
+            );
             let check = check_certificate(&block, &machine, &cert);
             assert_eq!(
                 check.verdict,
@@ -203,6 +211,32 @@ fn past_the_switch_on_pooled_certificates_carry_the_term() {
             steals += out.stats.steals;
         }
     }
+}
+
+/// Under default splitting past the switch-on, the one-worker pool is the
+/// serial kernel counter for counter, dominance prunes included: its
+/// tasks pop in the serial DFS order, and a split node is stored when its
+/// last child task finishes, where the serial kernel stores it.
+#[test]
+fn one_worker_pool_is_the_serial_kernel_past_the_switch_on() {
+    let block = CorpusSpec::paper_default().block(554);
+    let machine = presets::paper_simulation();
+    let dag = DepDag::build(&block);
+    let ctx = SchedContext::new(&block, &dag, &machine);
+    let cfg = SearchConfig {
+        lambda: u64::MAX,
+        terminate_on_lower_bound: false,
+        ..SearchConfig::default()
+    };
+    let serial = search(&ctx, &cfg);
+    let solo = parallel_search(&ctx, &cfg, &ParallelConfig::with_threads(1));
+    assert!(serial.stats.pruned_dominance > 0);
+    assert_eq!(solo.nops, serial.nops);
+    let without_splits = |out: &SearchOutcome| pipesched::core::SearchStats {
+        splits: 0,
+        ..out.stats
+    };
+    assert_eq!(without_splits(&solo), without_splits(&serial));
 }
 
 /// λ is a hard cap: one worker truncates after exactly λ Ω, as the
