@@ -9,13 +9,11 @@
 //! repro windowed  [--runs N]
 //! repro encodings [--runs N]
 //! repro serve     [--runs N] [--threads T]   # memoized serving throughput
-//! repro prove     [--runs N]   # proof-logging overhead + checker throughput
+//! repro prove     [--runs N]   # certificate gate + proof-logging overhead + checker throughput
 //! repro solve     [--runs N] [--quick]   # SAT-vs-B&B cross-certification + BENCH_solve.json
 //! repro parallel  [--runs N] [--quick]   # work-stealing speedup curve + BENCH_parallel.json
 //! repro observe   [--runs N] [--quick]   # tracing overhead gate + BENCH_sched.json
 //! repro verify    [--runs N]   # full end-to-end invariant gate
-//! repro bench     [--quick] [--save-baseline FILE]   # observatory run → BENCH_trajectory.json
-//! repro compare   --baseline FILE [--tolerance PCT]  # diff newest record vs baseline
 //! ```
 //!
 //! `table7` and the figures share one corpus sweep; running `all` performs
@@ -32,9 +30,10 @@ use pipesched_bench::experiments::{
     windowed,
 };
 use pipesched_bench::report::{f, percentile, TextTable};
-use pipesched_bench::{run_sweep, trajectory, RunRecord, SweepConfig, SweepResult};
+use pipesched_bench::{run_sweep, RunRecord, SweepConfig, SweepResult};
 use pipesched_synth::CorpusSpec;
 
+#[derive(Clone)]
 struct Args {
     command: String,
     runs: usize,
@@ -42,9 +41,6 @@ struct Args {
     threads: usize,
     out: PathBuf,
     quick: bool,
-    baseline: Option<String>,
-    tolerance_pct: f64,
-    save_baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -57,9 +53,6 @@ fn parse_args() -> Result<Args, String> {
         threads: 0,
         out: PathBuf::from("results"),
         quick: false,
-        baseline: None,
-        tolerance_pct: 25.0,
-        save_baseline: None,
     };
     while let Some(flag) = args.next() {
         let mut value = || {
@@ -74,18 +67,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => parsed.out = PathBuf::from(value()?),
             "--quick" => parsed.quick = true,
-            "--baseline" => parsed.baseline = Some(value()?),
-            "--save-baseline" => parsed.save_baseline = Some(value()?),
-            "--tolerance" => {
-                let raw = value()?;
-                parsed.tolerance_pct = raw
-                    .trim_end_matches('%')
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if parsed.tolerance_pct < 0.0 {
-                    return Err("--tolerance must be non-negative".into());
-                }
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -119,32 +100,10 @@ fn main() -> ExitCode {
         "windowed" => run_windowed(&args),
         "encodings" => run_encodings(&args),
         "serve" => run_serve(&args),
-        "prove" => run_prove(&args),
-        "solve" => {
-            if !run_solve(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "observe" => {
-            if !run_observe(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "parallel" => {
-            if !run_parallel(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "bench" => {
-            if !run_bench(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "compare" => {
-            if !run_compare(&args) {
-                return ExitCode::FAILURE;
-            }
-        }
+        "prove" => return verdict(run_prove(&args)),
+        "solve" => return verdict(run_solve(&args)),
+        "observe" => return verdict(run_observe(&args)),
+        "parallel" => return verdict(run_parallel(&args)),
         "verify" => {
             let runs = args.runs.min(2_000);
             eprintln!("verify: full end-to-end gate over {runs} blocks...");
@@ -165,21 +124,26 @@ fn main() -> ExitCode {
             run_fig7(&args, &result);
             let ablation_args = Args {
                 runs: args.runs.min(200),
-                ..copy_args(&args)
+                ..args.clone()
             };
             run_ablation(&ablation_args);
             run_windowed(&ablation_args);
             run_encodings(&ablation_args);
             run_serve(&ablation_args);
-            run_prove(&ablation_args);
-            run_solve(&ablation_args);
-            run_observe(&ablation_args);
-            run_parallel(&ablation_args);
+            // Every gated step runs, so one report shows each gate's
+            // verdict; any failure then fails the whole run.
+            let gates = [
+                run_prove(&ablation_args),
+                run_solve(&ablation_args),
+                run_observe(&ablation_args),
+                run_parallel(&ablation_args),
+            ];
+            return verdict(gates.iter().all(|&ok| ok));
         }
         other => {
             eprintln!(
                 "repro: unknown command `{other}`\n\
-                 commands: all table1 table7 fig1 fig4 fig5 fig6 fig7 ablation windowed encodings serve prove solve observe parallel verify bench compare"
+                 commands: all table1 table7 fig1 fig4 fig5 fig6 fig7 ablation windowed encodings serve prove solve observe parallel verify"
             );
             return ExitCode::FAILURE;
         }
@@ -187,17 +151,12 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn copy_args(a: &Args) -> Args {
-    Args {
-        command: a.command.clone(),
-        runs: a.runs,
-        lambda: a.lambda,
-        threads: a.threads,
-        out: a.out.clone(),
-        quick: a.quick,
-        baseline: a.baseline.clone(),
-        tolerance_pct: a.tolerance_pct,
-        save_baseline: a.save_baseline.clone(),
+/// The exit status of a gated command: failure iff a gate failed.
+fn verdict(ok: bool) -> ExitCode {
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -485,7 +444,10 @@ fn run_serve(args: &Args) {
     );
 }
 
-fn run_prove(args: &Args) {
+/// Certificate gate: the checker must accept every certificate a
+/// completed search emits. Returns `false` on any rejection; the
+/// disabled-path delta is timing, so over budget it only warns.
+fn run_prove(args: &Args) -> bool {
     let runs = args.runs.min(300);
     eprintln!("prove: {runs} blocks x {{plain, logged, plain}} + checker replay...");
     let report = prove::run(runs, args.lambda);
@@ -499,7 +461,8 @@ fn run_prove(args: &Args) {
         report.logging_overhead_pct(),
         report.checker_events_per_sec()
     );
-    if report.rejected > 0 {
+    let ok = report.rejected == 0;
+    if !ok {
         eprintln!("prove: GATE FAILED — the checker rejected a search certificate");
     }
     if report.disabled_overhead_pct() >= 2.0 {
@@ -514,6 +477,7 @@ fn run_prove(args: &Args) {
         &prove::render(&report),
         "Optimality certificates: logging overhead and checker throughput",
     );
+    ok
 }
 
 /// Backend-portfolio gate: SAT and B&B must agree on every proven-optimal
@@ -715,256 +679,4 @@ fn run_ablation(args: &Args) {
         &table,
         "Ablation: pruning devices, bounds, baselines",
     );
-}
-
-/// Where the observatory appends its records.
-const TRAJECTORY_PATH: &str = "BENCH_trajectory.json";
-
-/// `repro bench`: run the serve/parallel/solve/prove experiments a few
-/// times each, condense every metric to median + IQR, and append one
-/// schema-versioned record to `BENCH_trajectory.json`. Correctness
-/// counters (disagreements, audit failures, rejected certificates) are
-/// summed over the samples and gated exactly; timing metrics carry wide
-/// per-metric noise tolerances that `repro compare` applies.
-fn run_bench(args: &Args) -> bool {
-    use trajectory::Metric;
-
-    let samples = if args.quick { 3 } else { 5 };
-    eprintln!(
-        "bench: observatory run — {{serve, parallel, solve, prove}} x {samples} sample(s){}...",
-        if args.quick { " (quick)" } else { "" }
-    );
-    let existing = match trajectory::load(TRAJECTORY_PATH) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("bench: {e}");
-            return false;
-        }
-    };
-    let mut record = trajectory::Record::new(trajectory::next_seq(&existing), args.quick);
-    // An exactly-gated counter: summed over samples, zero tolerance, so
-    // a single bad sample regresses regardless of machine noise.
-    let exact = |total: f64| Metric {
-        median: total,
-        iqr: 0.0,
-        higher_is_better: false,
-        tolerance_pct: 0.0,
-    };
-
-    // Serve: memoized serving throughput on the repeated-shapes workload.
-    {
-        let (requests, shapes, workers) = if args.quick {
-            (200, 8, 4)
-        } else {
-            (1_000, 16, 4)
-        };
-        let (mut rps, mut speedup, mut hit_rate) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..samples {
-            let r = serve::run(requests, shapes, workers);
-            rps.push(r.throughput_rps);
-            speedup.push(r.speedup());
-            hit_rate.push(r.cache_hits as f64 / r.requests.max(1) as f64);
-        }
-        let mut m = trajectory::Metrics::new();
-        m.insert(
-            "throughput_rps".into(),
-            Metric::from_samples(&rps, true, 50.0),
-        );
-        m.insert(
-            "hit_miss_speedup".into(),
-            Metric::from_samples(&speedup, true, 60.0),
-        );
-        m.insert(
-            "cache_hit_rate".into(),
-            Metric::from_samples(&hit_rate, true, 20.0),
-        );
-        eprintln!(
-            "bench: serve — median {:.0} req/s over {requests} requests",
-            m["throughput_rps"].median
-        );
-        record.insert("serve", m);
-    }
-
-    // Parallel: pool-vs-serial consistency (exact) + scaling timings.
-    {
-        let (runs, curve_size) = if args.quick { (24, 28) } else { (60, 30) };
-        let (mut serial_us, mut x4, mut disagree, mut rejected) =
-            (Vec::new(), Vec::new(), 0u64, 0u64);
-        let mut gate_applies = false;
-        for _ in 0..samples {
-            let r = parallel::run(runs, args.lambda, curve_size);
-            serial_us.push(r.serial_micros as f64);
-            disagree += r.disagreements as u64;
-            rejected += r.certificates_rejected as u64;
-            if r.scaling_gate_applies() {
-                gate_applies = true;
-                x4.push(r.speedup_at(4));
-            }
-        }
-        let mut m = trajectory::Metrics::new();
-        m.insert(
-            "serial_micros".into(),
-            Metric::from_samples(&serial_us, false, 60.0),
-        );
-        if gate_applies {
-            m.insert("speedup_x4".into(), Metric::from_samples(&x4, true, 60.0));
-        }
-        m.insert("disagreements".into(), exact(disagree as f64));
-        m.insert("certificates_rejected".into(), exact(rejected as f64));
-        eprintln!(
-            "bench: parallel — {disagree} disagreement(s), {rejected} rejected certificate(s)"
-        );
-        record.insert("parallel", m);
-    }
-
-    // Solve: backend-portfolio agreement (exact) + per-backend timings.
-    {
-        let runs = if args.quick { 40 } else { 150 };
-        let (mut bnb_us, mut sat_us, mut disagree, mut audit) =
-            (Vec::new(), Vec::new(), 0u64, 0u64);
-        for _ in 0..samples {
-            let r = solve::run(runs, args.lambda);
-            bnb_us.push(r.bnb_micros as f64);
-            sat_us.push(r.sat_micros as f64);
-            disagree += r.disagreements as u64;
-            audit += r.audit_failures as u64;
-        }
-        let mut m = trajectory::Metrics::new();
-        m.insert(
-            "bnb_micros".into(),
-            Metric::from_samples(&bnb_us, false, 60.0),
-        );
-        m.insert(
-            "sat_micros".into(),
-            Metric::from_samples(&sat_us, false, 60.0),
-        );
-        m.insert("disagreements".into(), exact(disagree as f64));
-        m.insert("audit_failures".into(), exact(audit as f64));
-        eprintln!("bench: solve — {disagree} disagreement(s), {audit} audit failure(s)");
-        record.insert("solve", m);
-    }
-
-    // Prove: certificate acceptance (exact) + checker throughput.
-    {
-        let runs = if args.quick { 40 } else { 150 };
-        let (mut checker, mut rejected) = (Vec::new(), 0u64);
-        for _ in 0..samples {
-            let r = prove::run(runs, args.lambda);
-            checker.push(r.checker_events_per_sec());
-            rejected += r.rejected as u64;
-        }
-        let mut m = trajectory::Metrics::new();
-        m.insert(
-            "checker_events_per_sec".into(),
-            Metric::from_samples(&checker, true, 60.0),
-        );
-        m.insert("certificates_rejected".into(), exact(rejected as f64));
-        eprintln!("bench: prove — {rejected} rejected certificate(s)");
-        record.insert("prove", m);
-    }
-
-    let (seq, rev) = (record.seq, record.git_rev.clone());
-    if let Some(path) = &args.save_baseline {
-        let text = record.to_json().to_pretty() + "\n";
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("bench: write {path}: {e}");
-            return false;
-        }
-        println!("(baseline record saved to {path})");
-    }
-    if let Err(e) = trajectory::append(TRAJECTORY_PATH, record) {
-        eprintln!("bench: {e}");
-        return false;
-    }
-    println!("bench: appended record seq {seq} (rev {rev}) to {TRAJECTORY_PATH}");
-    true
-}
-
-/// `repro compare`: diff the newest trajectory record against a pinned
-/// baseline record, metric by metric, failing on any regression beyond
-/// tolerance.
-fn run_compare(args: &Args) -> bool {
-    let Some(baseline_path) = &args.baseline else {
-        eprintln!("compare: --baseline FILE is required");
-        return false;
-    };
-    let base = match trajectory::load(baseline_path) {
-        Ok(records) => match records.into_iter().last() {
-            Some(r) => r,
-            None => {
-                eprintln!("compare: {baseline_path} holds no records");
-                return false;
-            }
-        },
-        Err(e) => {
-            eprintln!("compare: {e}");
-            return false;
-        }
-    };
-    let cand = match trajectory::load(TRAJECTORY_PATH) {
-        Ok(records) => match records.into_iter().last() {
-            Some(r) => r,
-            None => {
-                eprintln!("compare: {TRAJECTORY_PATH} holds no records — run `repro bench` first");
-                return false;
-            }
-        },
-        Err(e) => {
-            eprintln!("compare: {e}");
-            return false;
-        }
-    };
-    if base.schema_version != cand.schema_version {
-        eprintln!(
-            "compare: schema mismatch — baseline v{} vs candidate v{}; re-pin the baseline",
-            base.schema_version, cand.schema_version
-        );
-        return false;
-    }
-    eprintln!(
-        "compare: baseline seq {} (rev {}) vs candidate seq {} (rev {}), floor tolerance {}%{}",
-        base.seq,
-        base.git_rev,
-        cand.seq,
-        cand.git_rev,
-        args.tolerance_pct,
-        if base.fingerprint != cand.fingerprint {
-            " — fingerprints differ, timing tolerances doubled"
-        } else {
-            ""
-        }
-    );
-
-    let cmp = trajectory::compare(&base, &cand, args.tolerance_pct);
-    let mut table = TextTable::new([
-        "metric", "baseline", "current", "worse-by", "tol", "verdict",
-    ]);
-    for d in &cmp.diffs {
-        table.row([
-            d.name.clone(),
-            f(d.base, 2),
-            d.new.map_or_else(|| "missing".to_string(), |v| f(v, 2)),
-            if d.degradation_pct.is_finite() {
-                format!("{:+.1}%", d.degradation_pct)
-            } else {
-                "—".to_string()
-            },
-            format!("{:.0}%", d.tolerance_pct),
-            if d.regressed { "REGRESSED" } else { "ok" }.to_string(),
-        ]);
-    }
-    println!("{}", table.render());
-    if cmp.regressions > 0 {
-        eprintln!(
-            "compare: GATE FAILED — {} metric(s) regressed beyond tolerance",
-            cmp.regressions
-        );
-        false
-    } else {
-        println!(
-            "compare: OK — {} metric(s) within tolerance",
-            cmp.diffs.len()
-        );
-        true
-    }
 }

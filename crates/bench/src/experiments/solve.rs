@@ -1,4 +1,4 @@
-//! Backend-vs-backend trajectory: SAT portfolio against the paper's B&B.
+//! Backend-vs-backend comparison: SAT portfolio against the paper's B&B.
 //!
 //! Every corpus block is scheduled twice — once by the branch-and-bound
 //! of §4.2 and once by the `pipesched-solve` descending-feasibility SAT
@@ -10,10 +10,10 @@
 //!    `pipesched-analyze` certification of the schedule plus a from-scratch
 //!    replay of the query trail (gate: zero audit failures).
 //!
-//! Beyond the gates, the experiment records the performance trajectory —
-//! which backend was faster per block, total conflicts/decisions, how
-//! often the global lower bound closed a query without search — and lands
-//! everything in `BENCH_solve.json` so CI can diff runs.
+//! Beyond the gates, the experiment records performance — which backend
+//! was faster per block, total conflicts/decisions, how often the global
+//! lower bound closed a query without search — and lands everything in
+//! `BENCH_solve.json`.
 
 use std::time::Instant;
 

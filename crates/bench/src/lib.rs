@@ -19,6 +19,5 @@
 
 pub mod experiments;
 pub mod report;
-pub mod trajectory;
 
 pub use experiments::sweep::{run_sweep, RunRecord, SweepConfig, SweepResult};
