@@ -10,15 +10,16 @@
 //! repro encodings [--runs N]
 //! repro serve     [--runs N] [--threads T]   # memoized serving throughput
 //! repro prove     [--runs N]   # certificate gate + proof-logging overhead + checker throughput
-//! repro solve     [--runs N] [--quick]   # SAT-vs-B&B cross-certification + BENCH_solve.json
-//! repro parallel  [--runs N] [--quick]   # work-stealing speedup curve + BENCH_parallel.json
-//! repro observe   [--runs N] [--quick]   # tracing overhead gate + BENCH_sched.json
+//! repro solve     [--runs N] [--quick]   # SAT-vs-B&B cross-certification + OUT/BENCH_solve.json
+//! repro parallel  [--runs N] [--quick]   # work-stealing speedup curve + OUT/BENCH_parallel.json
+//! repro observe   [--runs N] [--quick]   # tracing overhead gate + OUT/BENCH_sched.json
 //! repro verify    [--runs N]   # full end-to-end invariant gate
 //! ```
 //!
 //! `table7` and the figures share one corpus sweep; running `all` performs
-//! the sweep once and derives everything from it. Output goes to
-//! `results/` as aligned text and CSV.
+//! the sweep once and derives everything from it. Output goes to `--out`
+//! (default `results/`) as aligned text and CSV, with each gate's
+//! `BENCH_*.json` summary beside its table.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -185,6 +186,14 @@ fn save(args: &Args, name: &str, table: &TextTable, caption: &str) {
     println!("\n== {caption} ==\n{}", table.render());
     table.save(&args.out, name).expect("write results");
     println!("(saved to {}/{name}.txt and .csv)", args.out.display());
+}
+
+/// Write a `BENCH_*.json` summary into `--out`, beside its table.
+fn save_summary(args: &Args, name: &str, doc: &pipesched_json::Json) {
+    let path = args.out.join(name);
+    std::fs::write(&path, format!("{}\n", doc.to_pretty()))
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("(benchmark summary saved to {})", path.display());
 }
 
 fn run_table1(args: &Args) {
@@ -519,12 +528,7 @@ fn run_solve(args: &Args) -> bool {
         &report.table(),
         "Backend portfolio: SAT descent vs branch-and-bound, cross-certified",
     );
-    std::fs::write(
-        "BENCH_solve.json",
-        format!("{}\n", report.to_json().to_pretty()),
-    )
-    .expect("write BENCH_solve.json");
-    println!("(benchmark summary saved to BENCH_solve.json)");
+    save_summary(args, "BENCH_solve.json", &report.to_json());
     ok
 }
 
@@ -577,12 +581,7 @@ fn run_observe(args: &Args) -> bool {
         &report.table(),
         "Tracing: disabled-path delta, tracing-on overhead, fleet-wide metrics",
     );
-    std::fs::write(
-        "BENCH_sched.json",
-        format!("{}\n", report.to_json().to_pretty()),
-    )
-    .expect("write BENCH_sched.json");
-    println!("(benchmark summary saved to BENCH_sched.json)");
+    save_summary(args, "BENCH_sched.json", &report.to_json());
     ok
 }
 
@@ -590,7 +589,7 @@ fn run_observe(args: &Args) -> bool {
 /// every corpus block, every merged multi-worker certificate must pass
 /// the independent checker, and — on hosts with at least 4 cores — the
 /// 4-worker speedup on the hard block must reach 2×. The full 1/2/4/8
-/// curve lands in `BENCH_parallel.json` either way.
+/// curve lands in `BENCH_parallel.json` in `--out` either way.
 fn run_parallel(args: &Args) -> bool {
     let (runs, curve_size) = if args.quick {
         (24, 28)
@@ -659,12 +658,7 @@ fn run_parallel(args: &Args) -> bool {
         &report.table(),
         "Work-stealing parallel search: speedup curve and consistency gates",
     );
-    std::fs::write(
-        "BENCH_parallel.json",
-        format!("{}\n", report.to_json().to_pretty()),
-    )
-    .expect("write BENCH_parallel.json");
-    println!("(benchmark summary saved to BENCH_parallel.json)");
+    save_summary(args, "BENCH_parallel.json", &report.to_json());
     ok
 }
 

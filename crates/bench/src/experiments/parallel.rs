@@ -7,7 +7,7 @@
 //!    row records wall clock, steal/split counters, and the speedup over
 //!    serial. The ≥2× gate at 4 workers only applies when the host
 //!    actually has 4 cores (`std::thread::available_parallelism`) — the
-//!    curve itself is always published in `BENCH_parallel.json`.
+//!    curve itself is always published in `BENCH_parallel.json` (in `--out`).
 //! 2. **Is it still exact?** Every corpus block is scheduled serially and
 //!    in parallel (cycling through the thread counts) — any optimal-NOP
 //!    disagreement fails the gate — and a slice of the blocks runs the

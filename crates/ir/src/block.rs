@@ -1,6 +1,5 @@
 //! Basic blocks and variable interning.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::IrError;
@@ -12,11 +11,43 @@ use crate::tuple::{Tuple, TupleId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
-/// Bidirectional interning table for variable names.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Bidirectional interning table for variable names. The names are
+/// stored back to back in one buffer; an open-addressing table of ids
+/// finds a name again.
+#[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, VarId>,
+    /// Every distinct name, concatenated in id order.
+    text: String,
+    /// `ends[id]` is where name `id` ends in `text`.
+    ends: Vec<u32>,
+    /// Ids ([`EMPTY`] for a free slot), a power of two at least twice as
+    /// long as `ends`, probed linearly.
+    slots: Vec<u32>,
+}
+
+const EMPTY: u32 = u32::MAX;
+
+/// Two tables are equal when they hold the same names in the same order.
+impl PartialEq for SymbolTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text && self.ends == other.ends
+    }
+}
+
+impl Eq for SymbolTable {}
+
+/// A name's home slot: its bytes folded eight at a time through a 64×64 →
+/// 128-bit multiply, which spreads every input bit over the low bits the
+/// slot mask keeps.
+fn slot_hash(name: &str) -> usize {
+    let mut h = name.len() as u64;
+    for chunk in name.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        let m = u128::from(h ^ u64::from_le_bytes(word)) * 0x9E37_79B9_7F4A_7C15;
+        h = (m as u64) ^ ((m >> 64) as u64);
+    }
+    h as usize
 }
 
 impl SymbolTable {
@@ -25,45 +56,66 @@ impl SymbolTable {
         Self::default()
     }
 
+    /// The name of id `i`, which exists.
+    fn name_at(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The slot holding `name`, or the free slot where it belongs.
+    fn probe(&self, name: &str) -> (usize, Option<VarId>) {
+        let mask = self.slots.len() - 1;
+        let mut slot = slot_hash(name) & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return (slot, None),
+                i if self.name_at(i as usize) == name => return (slot, Some(VarId(i))),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
     /// Intern `name`, returning its stable id.
     pub fn intern(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.index.get(name) {
-            return id;
+        let len = self.ends.len();
+        if self.slots.len() < 2 * (len + 1) {
+            self.slots = vec![EMPTY; (2 * (len + 1)).next_power_of_two().max(32)];
+            for i in 0..len {
+                let (slot, _) = self.probe(self.name_at(i));
+                self.slots[slot] = i as u32;
+            }
         }
-        let id = VarId(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
-        id
+        let (slot, found) = self.probe(name);
+        found.unwrap_or_else(|| {
+            self.text.push_str(name);
+            self.ends.push(self.text.len() as u32);
+            self.slots[slot] = len as u32;
+            VarId(len as u32)
+        })
     }
 
     /// Look up a previously interned name.
     pub fn lookup(&self, name: &str) -> Option<VarId> {
-        self.index.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(name).1
     }
 
     /// The name for `id`, if it exists.
     pub fn name(&self, id: VarId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        let i = id.0 as usize;
+        (i < self.ends.len()).then(|| self.name_at(i))
     }
 
     /// Number of interned variables.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True when no variables have been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Rebuild the name→id map (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), VarId(i as u32)))
-            .collect();
+        self.ends.is_empty()
     }
 }
 

@@ -137,20 +137,29 @@ impl fmt::Display for Op {
 impl FromStr for Op {
     type Err = IrError;
 
+    /// A mnemonic as written (`Load`), in lower case or in upper case.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "Const" | "const" | "CONST" => Ok(Op::Const),
-            "Load" | "load" | "LOAD" => Ok(Op::Load),
-            "Store" | "store" | "STORE" => Ok(Op::Store),
-            "Add" | "add" | "ADD" => Ok(Op::Add),
-            "Sub" | "sub" | "SUB" => Ok(Op::Sub),
-            "Mul" | "mul" | "MUL" => Ok(Op::Mul),
-            "Div" | "div" | "DIV" => Ok(Op::Div),
-            "Neg" | "neg" | "NEG" => Ok(Op::Neg),
-            "Mov" | "mov" | "MOV" => Ok(Op::Mov),
-            "Nop" | "nop" | "NOP" => Ok(Op::Nop),
-            other => Err(IrError::UnknownOp(other.to_string())),
-        }
+        let candidates: &[Op] = match s.as_bytes().first().map(u8::to_ascii_lowercase) {
+            Some(b'a') => &[Op::Add],
+            Some(b'c') => &[Op::Const],
+            Some(b'd') => &[Op::Div],
+            Some(b'l') => &[Op::Load],
+            Some(b'm') => &[Op::Mul, Op::Mov],
+            Some(b'n') => &[Op::Neg, Op::Nop],
+            Some(b's') => &[Op::Store, Op::Sub],
+            _ => &[],
+        };
+        candidates
+            .iter()
+            .copied()
+            .find(|op| {
+                let m = op.mnemonic();
+                s == m
+                    || s.eq_ignore_ascii_case(m)
+                        && (s.bytes().all(|b| b.is_ascii_lowercase())
+                            || s.bytes().all(|b| b.is_ascii_uppercase()))
+            })
+            .ok_or_else(|| IrError::UnknownOp(s.to_string()))
     }
 }
 

@@ -216,15 +216,18 @@ impl ScheduleCache {
                 entries.push(doc);
             }
         }
-        pipesched_json::json_object![("version", 1i64), ("entries", Json::Array(entries)),]
+        pipesched_json::json_object![
+            ("version", CACHE_VERSION),
+            ("entries", Json::Array(entries)),
+        ]
     }
 
     /// Load entries from a persisted-cache JSON document, merging into the
     /// current contents. Returns the number of entries loaded; malformed
-    /// entries are skipped, an unrecognized version is an error.
+    /// entries are skipped, any version but [`CACHE_VERSION`] is an error.
     pub fn load_json(&self, doc: &Json) -> Result<usize, String> {
         match doc.get("version").and_then(Json::as_i64) {
-            Some(1) => {}
+            Some(CACHE_VERSION) => {}
             other => return Err(format!("unsupported cache version {other:?}")),
         }
         let entries = doc
@@ -258,6 +261,12 @@ impl ScheduleCache {
         self.load_json(&doc)
     }
 }
+
+/// The persisted-cache format. Version 2 keys hash a word at a time
+/// (`canon`'s mixer); version 1 keys were FNV-1a, so its entries can never
+/// match a key computed now, and a version-1 file is refused like any
+/// other unknown version rather than loaded as dead weight.
+pub const CACHE_VERSION: i64 = 2;
 
 fn hex_u64(doc: &Json, key: &str) -> Option<u64> {
     u64::from_str_radix(doc.get(key)?.as_str()?, 16).ok()
@@ -383,7 +392,7 @@ mod tests {
         assert_eq!(other.load_json(&parsed).unwrap(), 1);
         assert_eq!(other.get(&key(21), u64::MAX), Some(sat_entry));
         // A pre-portfolio document without the field loads as B&B.
-        let legacy = r#"{"version": 1, "entries": [{
+        let legacy = r#"{"version": 2, "entries": [{
             "hash": "0000000000000015", "n": 3, "machine_fp": "0000000000000007",
             "order": [0, 1, 2], "assignment": [0, 4294967295, 1],
             "etas": [0, 1, 0], "nops": 2, "optimal": true,
@@ -432,6 +441,22 @@ mod tests {
         let cache = ScheduleCache::new(8, 1);
         let doc = pipesched_json::parse(r#"{"version": 99, "entries": []}"#).unwrap();
         assert!(cache.load_json(&doc).is_err());
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused_and_loads_nothing() {
+        let cache = ScheduleCache::new(8, 1);
+        assert_eq!(cache.to_json().get("version"), Some(&Json::Int(2)));
+        let v1 = r#"{"version": 1, "entries": [{
+            "hash": "0000000000000015", "n": 3, "machine_fp": "0000000000000007",
+            "order": [0, 1, 2], "assignment": [0, 4294967295, 1],
+            "etas": [0, 1, 0], "nops": 2, "optimal": true,
+            "budget": "64", "tier": "bnb", "backend": "bnb"}]}"#;
+        assert_eq!(
+            cache.load_json(&pipesched_json::parse(v1).unwrap()),
+            Err("unsupported cache version Some(1)".to_string())
+        );
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! 1. every node gets an initial label from its operation kind and the
 //!    pipeline units the machine allows for it (the "latency class");
 //! 2. labels are refined iteratively (Weisfeiler–Leman style): each round
-//!    re-hashes a node's label with the sorted labels of its dependence
-//!    predecessors and successors, tagged with the edge kind, until the
-//!    label partition stabilizes;
+//!    re-hashes a node's label with the multisets of the labels of its
+//!    dependence predecessors and successors, tagged with the edge kind,
+//!    until the label partition stabilizes;
 //! 3. nodes are sorted into a canonical order by final label, and the key
 //!    hashes the labels plus every edge rewritten into canonical indices,
 //!    together with the machine fingerprint.
@@ -22,12 +22,14 @@
 //! the new block (see `engine::translate_hit`). A hash collision therefore
 //! costs a wasted validation, never a wrong answer.
 //!
-//! All hashing is FNV-1a over 64 bits: unlike `std`'s `DefaultHasher`, its
-//! output is stable across Rust releases, which the on-disk cache layer
-//! relies on.
+//! All hashing goes a 64-bit word at a time through one fixed mixing step
+//! (a 64×64 → 128-bit multiply folded back to 64 bits). Unlike `std`'s
+//! `DefaultHasher`, its output is stable across Rust releases and
+//! platforms, which the on-disk cache layer relies on; changing it changes
+//! every key, so the cache file's `version` goes up with it.
 
 use pipesched_core::SchedContext;
-use pipesched_ir::{DepKind, TupleId};
+use pipesched_ir::{DepDag, DepEdge, DepKind, Op, TupleId};
 use pipesched_machine::Machine;
 
 /// A canonical cache key: the refined structure hash, the block length,
@@ -64,39 +66,43 @@ impl CanonForm {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// The mixing step's multiplier (2^64 / φ, odd).
+const MIX_K: u64 = 0x9E37_79B9_7F4A_7C15;
+/// A hash's starting state (the first 64 fraction bits of π).
+const MIX_SEED: u64 = 0x243F_6A88_85A3_08D3;
 
-/// FNV-1a accumulator (build-stable, unlike `DefaultHasher`).
+/// One mixing step: `state ^ word`, multiplied by [`MIX_K`] into 128 bits
+/// and folded back to 64, so every input bit reaches every output bit.
+fn mix(state: u64, word: u64) -> u64 {
+    let m = u128::from(state ^ word) * u128::from(MIX_K);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// A build-stable hash accumulated one word at a time.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
+struct Hash(u64);
 
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(FNV_OFFSET)
+impl Hash {
+    fn new() -> Self {
+        Hash(MIX_SEED)
     }
 
-    pub(crate) fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
+    fn word(&mut self, w: u64) {
+        self.0 = mix(self.0, w);
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    pub(crate) fn str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.byte(b);
-        }
-        self.byte(0xFF); // terminator so "ab","c" ≠ "a","bc"
-    }
-
-    pub(crate) fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// An operation as one word: its mnemonic's bytes (at most eight),
+/// little-endian, so the value does not depend on `Op`'s declaration order.
+fn op_word(op: Op) -> u64 {
+    let mut word = [0u8; 8];
+    let m = op.mnemonic().as_bytes();
+    word[..m.len()].copy_from_slice(m);
+    u64::from_le_bytes(word)
 }
 
 /// Fingerprint a machine description: pipeline timing rows in id order and
@@ -104,35 +110,106 @@ impl Fnv {
 /// classes) are hashed because structural conflicts are per-unit; names are
 /// excluded so cosmetic renames don't split the cache.
 pub fn machine_fingerprint(machine: &Machine) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(machine.pipeline_count() as u64);
+    let mut h = Hash::new();
+    h.word(machine.pipeline_count() as u64);
     for p in machine.pipelines() {
-        h.u64(u64::from(p.latency));
-        h.u64(u64::from(p.enqueue));
+        h.word(u64::from(p.latency));
+        h.word(u64::from(p.enqueue));
     }
-    for (op, pipes) in machine.mapping() {
-        h.str(op.mnemonic());
-        h.u64(pipes.len() as u64);
+    for (&op, pipes) in machine.mapping() {
+        h.word(op_word(op));
+        h.word(pipes.len() as u64);
         for p in pipes {
-            h.u64(p.index() as u64);
+            h.word(p.index() as u64);
         }
     }
     h.finish()
 }
 
-fn combine(parts: &[u64]) -> u64 {
-    let mut h = Fnv::new();
-    for &p in parts {
-        h.u64(p);
-    }
-    h.finish()
-}
-
+/// An edge kind as a word to mix into an endpoint's label.
 fn edge_tag(kind: DepKind) -> u64 {
     match kind {
-        DepKind::Flow => 1,
-        DepKind::Anti => 2,
-        DepKind::Output => 3,
+        DepKind::Flow => 0x1319_8A2E_0370_7344,
+        DepKind::Anti => 0xA409_3822_299F_31D0,
+        DepKind::Output => 0x082E_FA98_EC4E_6C89,
+    }
+}
+
+/// A multiset of neighbours, each one's `value` mixed with its edge's
+/// tag, hashed as the sum of its members: order-free, so it needs no sort.
+fn multiset(
+    edges: &[DepEdge],
+    end: impl Fn(&DepEdge) -> TupleId,
+    value: impl Fn(usize) -> u64,
+) -> u64 {
+    edges
+        .iter()
+        .map(|e| mix(edge_tag(e.kind), value(end(e).index())))
+        .fold(0, u64::wrapping_add)
+}
+
+/// Refinement over one block's DAG, with the buffers its passes reuse.
+struct Refiner<'a> {
+    dag: &'a DepDag,
+    /// The labels a pass computes.
+    next: Vec<u64>,
+    /// A sorted copy of the labels, for counting classes and finding ties.
+    sorted: Vec<u64>,
+}
+
+impl<'a> Refiner<'a> {
+    fn new(dag: &'a DepDag, n: usize) -> Self {
+        Refiner {
+            dag,
+            next: Vec::with_capacity(n),
+            sorted: Vec::with_capacity(n),
+        }
+    }
+
+    /// Sort a copy of `labels` into `self.sorted`.
+    fn sort(&mut self, labels: &[u64]) -> &[u64] {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(labels);
+        self.sorted.sort_unstable();
+        &self.sorted
+    }
+
+    /// The number of distinct labels.
+    fn count_distinct(&mut self, labels: &[u64]) -> usize {
+        let sorted = self.sort(labels);
+        1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
+    }
+
+    /// The smallest label value shared by at least two nodes, if any.
+    fn smallest_tied_label(&mut self, labels: &[u64]) -> Option<u64> {
+        let sorted = self.sort(labels);
+        sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+
+    /// One Weisfeiler–Leman pass per round until the partition stops
+    /// splitting: each node's label is re-hashed with the multisets of its
+    /// tagged predecessor and successor labels. Once every label is
+    /// distinct no pass can split further, so refinement stops there.
+    fn refine(&mut self, labels: &mut Vec<u64>) {
+        let n = labels.len();
+        let mut classes = self.count_distinct(labels);
+        while classes < n {
+            self.next.clear();
+            for (i, &label) in labels.iter().enumerate() {
+                let t = TupleId(i as u32);
+                let mut h = Hash::new();
+                h.word(label);
+                h.word(multiset(self.dag.preds(t), |e| e.from, |j| labels[j]));
+                h.word(multiset(self.dag.succs(t), |e| e.to, |j| labels[j]));
+                self.next.push(h.finish());
+            }
+            std::mem::swap(labels, &mut self.next);
+            let next_classes = self.count_distinct(labels);
+            if next_classes == classes {
+                break;
+            }
+            classes = next_classes;
+        }
     }
 }
 
@@ -143,7 +220,7 @@ pub fn canonicalize(ctx: &SchedContext<'_>) -> CanonForm {
     if n == 0 {
         return CanonForm {
             key: CanonKey {
-                hash: combine(&[machine_fp]),
+                hash: mix(MIX_SEED, machine_fp),
                 n: 0,
                 machine_fp,
             },
@@ -155,11 +232,10 @@ pub fn canonicalize(ctx: &SchedContext<'_>) -> CanonForm {
     // (σ is derived from `allowed`, so hashing `allowed` covers both.)
     let mut labels: Vec<u64> = (0..n)
         .map(|i| {
-            let t = ctx.block.tuple(TupleId(i as u32));
-            let mut h = Fnv::new();
-            h.str(t.op.mnemonic());
+            let mut h = Hash::new();
+            h.word(op_word(ctx.block.tuple(TupleId(i as u32)).op));
             for p in &ctx.allowed[i] {
-                h.u64(p.index() as u64);
+                h.word(p.index() as u64);
             }
             h.finish()
         })
@@ -167,7 +243,8 @@ pub fn canonicalize(ctx: &SchedContext<'_>) -> CanonForm {
 
     // Iterative refinement until the partition stops splitting (bounded by
     // n rounds; in practice O(diameter) ≈ O(log n) rounds suffice).
-    refine(ctx, &mut labels);
+    let mut refiner = Refiner::new(ctx.dag, n);
+    refiner.refine(&mut labels);
 
     // Refinement alone cannot separate automorphic substructures (five
     // parallel Const→Store chains leave one Const class and one Store
@@ -180,43 +257,39 @@ pub fn canonicalize(ctx: &SchedContext<'_>) -> CanonForm {
     // (the common case; a miss here costs a cache miss, never a wrong
     // answer, thanks to validate-on-hit).
     for round in 0..n {
-        let Some(tied_label) = smallest_tied_label(&labels) else {
+        let Some(tied_label) = refiner.smallest_tied_label(&labels) else {
             break;
         };
-        let pick = (0..n).find(|&i| labels[i] == tied_label).unwrap();
-        labels[pick] = combine(&[labels[pick], 0xD15C, round as u64]);
-        refine(ctx, &mut labels);
+        let pick = labels.iter().position(|&l| l == tied_label).unwrap();
+        labels[pick] = mix(mix(labels[pick], 0xD15C), round as u64);
+        refiner.refine(&mut labels);
     }
 
     // Canonical order: by the (now individually distinct, or at worst
     // orbit-consistent) refined labels, ties by original tuple id.
     let mut perm: Vec<TupleId> = (0..n as u32).map(TupleId).collect();
-    perm.sort_by_key(|t| (labels[t.index()], t.0));
+    perm.sort_unstable_by_key(|t| (labels[t.index()], t.0));
     let mut inv = vec![0u32; n];
     for (c, t) in perm.iter().enumerate() {
         inv[t.index()] = c as u32;
     }
 
-    // Final hash: labels in canonical order + every edge in canonical
-    // coordinates + the machine fingerprint.
-    let mut h = Fnv::new();
-    h.u64(n as u64);
+    // Final hash: labels in canonical order, every edge in canonical
+    // coordinates (each node's predecessors, in canonical order, as a
+    // multiset of tagged canonical indices) and the machine fingerprint.
+    let mut h = Hash::new();
+    h.word(n as u64);
     for &t in &perm {
-        h.u64(labels[t.index()]);
+        h.word(labels[t.index()]);
     }
-    let mut edges: Vec<(u32, u32, u64)> = ctx
-        .dag
-        .edges()
-        .map(|e| (inv[e.from.index()], inv[e.to.index()], edge_tag(e.kind)))
-        .collect();
-    edges.sort_unstable();
-    h.u64(edges.len() as u64);
-    for (f, t, k) in edges {
-        h.u64(u64::from(f));
-        h.u64(u64::from(t));
-        h.u64(k);
+    for &t in &perm {
+        h.word(multiset(
+            ctx.dag.preds(t),
+            |e| e.from,
+            |j| u64::from(inv[j]),
+        ));
     }
-    h.u64(machine_fp);
+    h.word(machine_fp);
 
     CanonForm {
         key: CanonKey {
@@ -225,63 +298,6 @@ pub fn canonicalize(ctx: &SchedContext<'_>) -> CanonForm {
             machine_fp,
         },
         perm,
-    }
-}
-
-fn count_distinct(labels: &[u64]) -> usize {
-    let mut sorted = labels.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
-/// The smallest label value shared by at least two nodes, if any.
-fn smallest_tied_label(labels: &[u64]) -> Option<u64> {
-    let mut sorted = labels.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
-}
-
-/// One Weisfeiler–Leman pass per round until the partition stops
-/// splitting: each node's label is re-hashed with the sorted multisets of
-/// its tagged predecessor and successor labels.
-fn refine(ctx: &SchedContext<'_>, labels: &mut Vec<u64>) {
-    let n = labels.len();
-    let mut classes = count_distinct(labels);
-    let mut scratch: Vec<u64> = Vec::with_capacity(8);
-    for _ in 0..n {
-        let mut next = vec![0u64; n];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let t = TupleId(i as u32);
-            let mut h = Fnv::new();
-            h.u64(labels[i]);
-            scratch.clear();
-            for e in ctx.dag.preds(t) {
-                scratch.push(combine(&[edge_tag(e.kind), labels[e.from.index()]]));
-            }
-            scratch.sort_unstable();
-            h.u64(scratch.len() as u64);
-            for &s in &scratch {
-                h.u64(s);
-            }
-            scratch.clear();
-            for e in ctx.dag.succs(t) {
-                scratch.push(combine(&[edge_tag(e.kind), labels[e.to.index()]]));
-            }
-            scratch.sort_unstable();
-            h.u64(scratch.len() as u64);
-            for &s in &scratch {
-                h.u64(s);
-            }
-            next[i] = h.finish();
-        }
-        *labels = next;
-        let next_classes = count_distinct(labels);
-        if next_classes == classes {
-            break;
-        }
-        classes = next_classes;
     }
 }
 

@@ -62,5 +62,5 @@ pub use canon::{canonicalize, machine_fingerprint, CanonForm, CanonKey};
 pub use engine::{Answer, Budget, EngineConfig, ServiceEngine, Tier};
 pub use metrics::{LatencyHistogram, Metrics, SearchAggregate};
 pub use pipesched_core::Backend;
-pub use request::{error_json, parse_request, response_json, Request};
+pub use request::{error_json, parse_request, response_json, Request, Response};
 pub use serve::{serve_stream, serve_tcp, ServeConfig};

@@ -225,18 +225,14 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
                 flight::update(|ev| ev.raise(Outcome::BudgetExhausted));
             }
             let _p = flight::phase(Phase::Respond, "respond");
-            let mut doc = response_json(
+            let mut response = response_json(
                 req.id,
                 &answer,
                 start.elapsed().as_micros() as u64,
                 trace_id,
             );
-            if verified {
-                if let pipesched_json::Json::Object(pairs) = &mut doc {
-                    pairs.push(("opt_verified".to_string(), pipesched_json::Json::Bool(true)));
-                }
-            }
-            doc.to_compact()
+            response.opt_verified = verified;
+            response.to_compact()
         }
         Err(message) => {
             // Salvage the id for correlation even when the rest is bad.
