@@ -59,8 +59,8 @@
 //! ready instruction's dependence-ready cycle (cached when its last
 //! predecessor is placed), and the per-pipe counts of unplaced ops. One
 //! `commit`/`uncommit` pair updates all of it, for every placement the
-//! bound prices (under α-β, every placement descended into) and for
-//! `run_subtree`'s prefix replay. The bound prices each ready ξ as
+//! bound prices (under α-β, every placement descended into) and for the
+//! prefix a pool task starts from. The bound prices each ready ξ as
 //! `max(pipe_free(σ(ξ)), cached dep)`. That is the same integer the engine
 //! would compute from scratch, because ξ's predecessors stay placed for as
 //! long as ξ is ready. The bound is a max over the ready set, so the order
@@ -93,7 +93,7 @@ use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
     trailer_for, Certificate, CertificateHeader, ProofEvent, ProofLogger, ProofOutput,
 };
-use crate::seed::{seed_incumbent, SearchSeed};
+use crate::seed::{seed_with, SearchSeed};
 use crate::timing::{BoundaryState, TimingEngine};
 
 /// Which heuristic seeds the search's initial incumbent (step [1]).
@@ -437,27 +437,29 @@ pub fn run(
         mut proof,
         profile,
     } = run;
-    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
-    let boundary = boundary.unwrap_or(&cold);
-    if boundary.pipe_age.len() != cold.pipe_age.len() {
+    let pipes = ctx.machine.pipeline_count();
+    if let Some(b) = boundary.filter(|b| b.pipe_age.len() != pipes) {
         return Err(RunError::BoundaryMismatch {
-            machine: cold.pipe_age.len(),
-            boundary: boundary.pipe_age.len(),
+            machine: pipes,
+            boundary: b.pipe_age.len(),
         });
     }
     if proof.is_some() && cfg.pipeline_selection {
         return Err(RunError::ProofWithSelection);
     }
-    if proof.is_some() && boundary.pipe_age.iter().any(Option::is_some) {
+    if proof.is_some() && boundary.is_some_and(|b| b.pipe_age.iter().any(Option::is_some)) {
         return Err(RunError::ProofWithBoundary);
     }
     if profile.is_some() && parallel.is_some() {
         return Err(RunError::ProfileWithPool);
     }
 
+    // One engine and one frontier serve the seed's evaluation, its root
+    // bound, the search and the final replay.
+    let mut s = Search::new(ctx, cfg, boundary, NullPolicy);
     // Step [1]: initial incumbent from the configured heuristic, plus the
     // admissible whole-block lower bound (see `crate::seed`).
-    let seed = seed_incumbent(ctx, cfg.initial, boundary, cfg.pipeline_selection);
+    let seed = s.seed(cfg.initial, boundary);
     if let Some(logger) = &mut proof {
         logger.begin(CertificateHeader {
             n: ctx.len() as u32,
@@ -499,19 +501,15 @@ pub fn run(
             stats,
         },
         (None, Some(par)) if !cfg.pipeline_selection => {
-            crate::parallel::pool(ctx, cfg, &par, boundary, seed, proof.as_mut())
+            crate::parallel::pool(s, &par, boundary, seed, proof.as_mut())
         }
         (None, _) => match (proof.as_mut(), profile) {
-            (None, None) => kernel(ctx, cfg, boundary, seed, NullPolicy),
-            (Some(logger), None) => kernel(ctx, cfg, boundary, seed, ProofPolicy(logger)),
-            (None, Some(profile)) => kernel(ctx, cfg, boundary, seed, ProfilePolicy(profile)),
-            (Some(logger), Some(profile)) => kernel(
-                ctx,
-                cfg,
-                boundary,
-                seed,
-                ProofProfilePolicy(logger, profile),
-            ),
+            (None, None) => kernel(s, seed),
+            (Some(logger), None) => kernel(s.with_policy(ProofPolicy(logger)), seed),
+            (None, Some(profile)) => kernel(s.with_policy(ProfilePolicy(profile)), seed),
+            (Some(logger), Some(profile)) => {
+                kernel(s.with_policy(ProofProfilePolicy(logger, profile)), seed)
+            }
         },
     };
     let proof = proof.map(|logger| logger.finish(trailer_for(&outcome)));
@@ -648,60 +646,8 @@ pub(crate) trait SearchPolicy {
     }
 }
 
-/// Forwarding impl so a caller can lend a policy to one kernel run (e.g.
-/// [`run_subtree`] per work-stealing task) and keep using it afterwards.
-impl<P: SearchPolicy> SearchPolicy for &mut P {
-    const PROOF: bool = P::PROOF;
-    const PROFILE: bool = P::PROFILE;
-
-    #[inline]
-    fn log(&mut self, ev: ProofEvent) {
-        (**self).log(ev);
-    }
-
-    #[inline]
-    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        (**self).prof(depth, bump);
-    }
-
-    #[inline]
-    fn charge_omega(&mut self) -> bool {
-        (**self).charge_omega()
-    }
-
-    #[inline]
-    fn poll_stop(&mut self) -> bool {
-        (**self).poll_stop()
-    }
-
-    #[inline]
-    fn search_omega(&self, local: u64) -> u64 {
-        (**self).search_omega(local)
-    }
-
-    #[inline]
-    fn shared_best(&mut self, local: u32) -> u32 {
-        (**self).shared_best(local)
-    }
-
-    #[inline]
-    fn improved(&mut self, mu: u32, order: &[TupleId]) {
-        (**self).improved(mu, order);
-    }
-
-    #[inline]
-    fn stopping(&mut self, stats: &SearchStats) {
-        (**self).stopping(stats);
-    }
-
-    #[inline]
-    fn spawn(&mut self, order: &[TupleId], depth: usize, bound: u32) -> bool {
-        (**self).spawn(order, depth, bound)
-    }
-}
-
 /// The no-op policy: the plain serial search.
-struct NullPolicy;
+pub(crate) struct NullPolicy;
 
 impl SearchPolicy for NullPolicy {}
 
@@ -748,23 +694,16 @@ impl SearchPolicy for ProofProfilePolicy<'_> {
 }
 
 /// The serial kernel over the whole tree, starting from the seed's
-/// incumbent.
-fn kernel<P: SearchPolicy>(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    boundary: &BoundaryState,
-    seed: SearchSeed,
-    policy: P,
-) -> SearchOutcome {
-    let mut s = Search::new(ctx, cfg, boundary, seed.order.clone(), seed.nops, policy);
+/// incumbent, which `s` holds.
+fn kernel<P: SearchPolicy>(mut s: Search<'_, '_, P>, seed: SearchSeed) -> SearchOutcome {
     // When an incumbent matches the lower bound, optimality is proven
     // without exhausting the space.
-    s.global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
+    s.global_lb = s.cfg.terminate_on_lower_bound.then_some(seed.global_lb);
     s.dfs(0);
 
-    let (etas, nops) = evaluate_with_assignment(ctx, boundary, &s.best_order, &s.best_assign);
+    let (etas, nops) = s.engine.evaluate(&s.best_order, &s.best_assign);
     debug_assert_eq!(nops, s.best_nops);
-    debug_assert!(verify_schedule(ctx.block, ctx.dag, &s.best_order).is_ok());
+    debug_assert!(verify_schedule(s.ctx.block, s.ctx.dag, &s.best_order).is_ok());
     SearchOutcome {
         order: s.best_order,
         assignment: s.best_assign,
@@ -777,91 +716,25 @@ fn kernel<P: SearchPolicy>(
     }
 }
 
-/// Run the kernel on one subtree: the prefix `order[..depth]` is replayed
-/// as already-committed placements (no Ω charges — the splitting worker
-/// already paid for them), then the DFS explores everything below it.
+/// One search's state: the timing engine and the frontier of its partial
+/// schedule, the order it permutes, its incumbent and its dominance
+/// table, with the hook policy it runs under.
 ///
-/// This is the work-stealing pool's unit of execution. The local incumbent
-/// is seeded from `best_nops` (typically a snapshot of the shared atomic),
-/// so only the statistics are meaningful on return — improvements are
-/// published through [`SearchPolicy::improved`], not through the returned
-/// schedule. `table` is the caller's dominance table, which the run reads
-/// and extends (see [`crate::dominance`]).
-///
-/// `split` is `Some(cheap)` when the last placement of the prefix was
-/// split off as a task priced by the chain and resource terms alone (to
-/// `cheap`): its heads-and-tails term and its dominance check happen
-/// here, at the Ω count the serial kernel would make them at (see
-/// [`crate::parallel`]), and a subtree either prunes is not entered.
-///
-/// Returns the counters and whether the prefix's node closed: pruned
-/// here, or searched with no stop and no subtree split off, in which case
-/// the table holds it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_subtree<P: SearchPolicy>(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    boundary: &BoundaryState,
-    order: Vec<TupleId>,
-    depth: usize,
-    best_nops: u32,
-    global_lb: Option<u32>,
-    split: Option<u32>,
-    table: &mut Dominance,
-    policy: P,
-) -> (SearchStats, bool) {
-    debug_assert!(depth <= order.len());
-    let mut s = Search::new(ctx, cfg, boundary, order, best_nops, policy);
-    s.global_lb = global_lb;
-    if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-        s.deadline_stop();
-        return (s.stats, false);
-    }
-    // Replay the committed prefix: timing and frontier state exactly as
-    // `place_and_recurse` would have left them.
-    s.commit(0..depth);
-    s.table = std::mem::take(table);
-    s.table.sync(&s.order[..depth]);
-    let closed = if split.is_some() && s.dominance && s.dominated(depth, None) {
-        true
-    } else if split.is_some_and(|cheap| s.priced(cheap).1 >= s.best_nops) {
-        s.stats.pruned_bound += 1;
-        true
-    } else {
-        s.dfs(depth);
-        let closed = !s.stop && s.stats.splits == 0;
-        if closed && s.interior(depth) && s.track() {
-            s.table.store(ctx, &s.engine, 1);
-        }
-        closed
-    };
-    *table = std::mem::take(&mut s.table);
-    (s.stats, closed)
-}
-
-/// Evaluate a complete schedule under an explicit pipeline assignment.
-fn evaluate_with_assignment(
-    ctx: &SchedContext<'_>,
-    boundary: &BoundaryState,
-    order: &[TupleId],
-    assignment: &[Option<PipelineId>],
-) -> (Vec<u32>, u32) {
-    let mut engine = TimingEngine::with_boundary(ctx, boundary);
-    let etas: Vec<u32> = order
-        .iter()
-        .map(|&t| engine.push(t, assignment[t.index()]))
-        .collect();
-    let total = engine.total_nops();
-    (etas, total)
-}
-
-struct Search<'c, 'a, P: SearchPolicy> {
+/// A search builds these once, for the block, and everything it does
+/// runs on them: the seed's evaluation and root bound, the DFS and the
+/// final replay. A pool worker keeps one `Search` across its tasks, its
+/// proof parts and its pricing, and moves it onto each task's prefix
+/// ([`Search::rebase`]); [`Search::with_policy`] carries it from one
+/// policy to the next.
+pub(crate) struct Search<'c, 'a, P: SearchPolicy> {
     /// The compile-time hook bundle (proof, profile, shared-state hooks).
-    policy: P,
-    ctx: &'c SchedContext<'a>,
-    cfg: SearchConfig,
+    pub(crate) policy: P,
+    pub(crate) ctx: &'c SchedContext<'a>,
+    pub(crate) cfg: SearchConfig,
     engine: TimingEngine<'c, 'a>,
     /// Current ordering Π; positions < depth are the committed prefix Φ.
+    /// The engine and the frontier hold its first `engine.placed()`
+    /// positions, committed.
     order: Vec<TupleId>,
     /// Readiness, cached dependence cycles and per-pipe counts of the
     /// unscheduled instructions, updated once per placement.
@@ -883,12 +756,23 @@ struct Search<'c, 'a, P: SearchPolicy> {
 }
 
 impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
-    fn new(
+    /// A search of the whole block from `boundary` (`None`: cold), with
+    /// nothing placed and no incumbent yet.
+    pub(crate) fn new(
         ctx: &'c SchedContext<'a>,
         cfg: &SearchConfig,
-        boundary: &BoundaryState,
-        initial_order: Vec<TupleId>,
-        initial_nops: u32,
+        boundary: Option<&BoundaryState>,
+        policy: P,
+    ) -> Self {
+        let frontier = Frontier::new(ctx, cfg.pipeline_selection);
+        Self::with_frontier(ctx, cfg, boundary, frontier, policy)
+    }
+
+    fn with_frontier(
+        ctx: &'c SchedContext<'a>,
+        cfg: &SearchConfig,
+        boundary: Option<&BoundaryState>,
+        frontier: Frontier,
         policy: P,
     ) -> Self {
         let equiv_class = if cfg.equivalence == EquivalenceMode::Structural {
@@ -900,25 +784,214 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             BoundKind::AlphaBeta => None,
             BoundKind::CriticalPath => Some(ctx.lower_bound()),
         };
-        let best_assign: Vec<Option<PipelineId>> = ctx.sigma.clone();
+        let engine = match boundary {
+            Some(b) => TimingEngine::with_boundary(ctx, b),
+            None => TimingEngine::new(ctx),
+        };
+        let order: Vec<TupleId> = ctx.block.ids().collect();
         Search {
             policy,
             ctx,
             cfg: *cfg,
-            engine: TimingEngine::with_boundary(ctx, boundary),
-            order: initial_order.clone(),
-            frontier: Frontier::new(ctx, cfg.pipeline_selection),
+            engine,
+            best_order: order.clone(),
+            order,
+            frontier,
             equiv_class,
             lower_bound,
             global_lb: None,
-            best_nops: initial_nops,
-            best_order: initial_order,
-            best_assign,
+            best_nops: u32::MAX,
+            best_assign: ctx.sigma.clone(),
             stats: SearchStats::default(),
             stop: false,
             dominance: lower_bound.is_some(),
             table: Dominance::default(),
         }
+    }
+
+    /// The same search under another policy.
+    pub(crate) fn with_policy<Q: SearchPolicy>(self, policy: Q) -> Search<'c, 'a, Q> {
+        Search {
+            policy,
+            ctx: self.ctx,
+            cfg: self.cfg,
+            engine: self.engine,
+            order: self.order,
+            frontier: self.frontier,
+            equiv_class: self.equiv_class,
+            lower_bound: self.lower_bound,
+            global_lb: self.global_lb,
+            best_nops: self.best_nops,
+            best_order: self.best_order,
+            best_assign: self.best_assign,
+            stats: self.stats,
+            stop: self.stop,
+            dominance: self.dominance,
+            table: self.table,
+        }
+    }
+
+    /// Step [1] on this search's engine and frontier, both empty: the
+    /// seed (see [`crate::seed`]), which becomes the order and the
+    /// incumbent.
+    fn seed(&mut self, initial: InitialHeuristic, boundary: Option<&BoundaryState>) -> SearchSeed {
+        let cold = boundary.is_none_or(|b| b.pipe_age.iter().all(Option::is_none));
+        let seed = seed_with(self.ctx, initial, cold, &mut self.engine, &self.frontier);
+        self.order.copy_from_slice(&seed.order);
+        self.best_order.copy_from_slice(&seed.order);
+        self.best_nops = seed.nops;
+        seed
+    }
+
+    /// Make `prefix` the committed prefix: undo the placements past the
+    /// part it shares with the current one, then commit the rest. The
+    /// order past `prefix` is left as it was.
+    fn rebase(&mut self, prefix: &[TupleId]) {
+        let placed = self.engine.placed();
+        let keep = self.order[..placed]
+            .iter()
+            .zip(prefix)
+            .take_while(|(a, b)| a == b)
+            .count();
+        for d in (keep..placed).rev() {
+            self.frontier.uncommit(self.ctx, self.order[d]);
+            self.engine.pop();
+        }
+        self.order[keep..prefix.len()].copy_from_slice(&prefix[keep..]);
+        self.commit(keep..prefix.len());
+    }
+
+    /// η of `order` with every tuple on its default unit, and its μ: a
+    /// pool's final replay.
+    pub(crate) fn evaluate(&mut self, order: &[TupleId]) -> (Vec<u32>, u32) {
+        self.rebase(&[]);
+        self.engine.evaluate(order, &self.ctx.sigma)
+    }
+
+    /// Run the kernel on one subtree: the prefix `order[..depth]` is
+    /// committed (no Ω charges — the splitting worker already paid for
+    /// them), then the DFS explores everything below it.
+    ///
+    /// This is the work-stealing pool's unit of execution. The local
+    /// incumbent is seeded from `best_nops` (typically a snapshot of the
+    /// shared atomic), so only the statistics are meaningful on return —
+    /// improvements are published through [`SearchPolicy::improved`], not
+    /// through the returned schedule. The search's dominance table is read
+    /// and extended (see [`crate::dominance`]).
+    ///
+    /// `split` is `Some(cheap)` when the last placement of the prefix was
+    /// split off as a task priced by the chain and resource terms alone
+    /// (to `cheap`): its heads-and-tails term and its dominance check
+    /// happen here, at the Ω count the serial kernel would make them at
+    /// (see [`crate::parallel`]), and a subtree either prunes is not
+    /// entered.
+    ///
+    /// Returns the subtree's counters and whether the prefix's node
+    /// closed: pruned here, or searched with no stop and no subtree split
+    /// off, in which case the table holds it.
+    pub(crate) fn subtree(
+        &mut self,
+        order: &[TupleId],
+        depth: usize,
+        best_nops: u32,
+        global_lb: Option<u32>,
+        split: Option<u32>,
+    ) -> (SearchStats, bool) {
+        debug_assert!(depth <= order.len());
+        self.stats = SearchStats::default();
+        self.stop = false;
+        self.best_nops = best_nops;
+        self.global_lb = global_lb;
+        if self
+            .cfg
+            .deadline
+            .is_some_and(|d| std::time::Instant::now() >= d)
+        {
+            self.deadline_stop();
+            return (self.stats, false);
+        }
+        // Timing and frontier state exactly as `place_and_recurse` would
+        // have left them.
+        self.rebase(&order[..depth]);
+        self.order[depth..].copy_from_slice(&order[depth..]);
+        self.table.sync(&self.order[..depth]);
+        let closed = if split.is_some() && self.dominance && self.dominated(depth, None) {
+            true
+        } else if split.is_some_and(|cheap| self.priced(cheap).1 >= self.best_nops) {
+            self.stats.pruned_bound += 1;
+            true
+        } else {
+            self.dfs(depth);
+            let closed = !self.stop && self.stats.splits == 0;
+            if closed && self.interior(depth) && self.track() {
+                self.table.store(self.ctx, &self.engine, 1);
+            }
+            closed
+        };
+        (self.stats, closed)
+    }
+
+    /// True once the dominance table is built.
+    pub(crate) fn table_built(&self) -> bool {
+        self.table.built()
+    }
+
+    /// Store `prefix`, whose subtree has closed, in the dominance table,
+    /// building the table from it if need be. Only a whole-block search
+    /// with pipeline selection off stores this way (a pool worker).
+    pub(crate) fn store_closed(&mut self, prefix: &[TupleId]) {
+        if self.table.built() {
+            self.table.sync(prefix);
+        } else {
+            self.table.build(self.ctx, false, prefix);
+        }
+        self.rebase(prefix);
+        self.table.store(self.ctx, &self.engine, 0);
+    }
+
+    /// Start over with an empty dominance table (a proof part's start).
+    pub(crate) fn clear_table(&mut self) {
+        self.table = Dominance::default();
+    }
+
+    /// Root-level placement of candidate `xi`, priced against the replay
+    /// incumbent `best` exactly as [`Search::place_and_recurse`] would:
+    /// the `BoundPrune` it earns, or `None` when its subtree must be
+    /// searched. `jackson` says whether the search has passed
+    /// [`SearchConfig::switch_on`]. Nothing stays placed.
+    pub(crate) fn root_prune(
+        &mut self,
+        xi: TupleId,
+        best: u32,
+        jackson: bool,
+    ) -> Option<ProofEvent> {
+        let ctx = self.ctx;
+        self.rebase(&[]);
+        self.engine.push(xi, ctx.sigma(xi));
+        let mu = self.engine.total_nops();
+        let (bound, chain, resource, term) = match self.lower_bound {
+            None => (mu, None, None, None),
+            Some(lb) => {
+                self.frontier.commit(ctx, &self.engine, xi);
+                let (chain, resource, cheap) = lb.bound(ctx, &self.engine, &self.frontier);
+                let (term, bound) = if jackson {
+                    lb.with_term(ctx, &self.engine, &self.frontier, cheap, best)
+                } else {
+                    (None, cheap)
+                };
+                self.frontier.uncommit(ctx, xi);
+                (bound, Some(chain), Some(resource), term)
+            }
+        };
+        self.engine.pop();
+        (bound >= best).then_some(ProofEvent::BoundPrune {
+            candidate: xi.0,
+            mu,
+            bound,
+            chain,
+            resource,
+            term,
+        })
     }
 
     /// Stop, truncated by the deadline.
@@ -1300,27 +1373,31 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
     }
 }
 
-/// Search each of `windows`, consecutive ranges of positions of `order`
-/// from 0 to `n`, with the serial kernel and commit its best arrangement
-/// before the next (see [`crate::windowed`]): one `Search`, whose
-/// `lower_bound` must follow only chains inside a window
-/// ([`LowerBound::windowed`]). Returns the stitched schedule and the
-/// counters of every window; a window proved by its own bound proves
+/// Search each of `windows`, consecutive ranges of positions of the list
+/// schedule `base` from 0 to `n`, with the serial kernel and commit its
+/// best arrangement before the next (see [`crate::windowed`]): one
+/// `Search`, whose `lower_bound` must follow only chains inside a window
+/// ([`LowerBound::windowed`]). A window proved by its own bound proves
 /// nothing about the block, so `proved_by_bound` is never set.
+///
+/// Returns the stitched schedule with its η and μ, or `base` with its own
+/// when the stitched schedule needs more NOPs; `base`'s μ; and the
+/// counters of every window.
 pub(crate) fn search_windows(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     lower_bound: &LowerBound,
-    order: Vec<TupleId>,
+    base: Vec<TupleId>,
     windows: impl IntoIterator<Item = std::ops::Range<usize>>,
-) -> (Vec<TupleId>, SearchStats) {
-    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
-    let mut s = Search::new(ctx, cfg, &cold, order, u32::MAX, NullPolicy);
+) -> (Vec<TupleId>, Vec<u32>, u32, u32, SearchStats) {
+    let frontier = Frontier::uncovered(ctx, cfg.pipeline_selection);
+    let mut s = Search::with_frontier(ctx, cfg, None, frontier, NullPolicy);
+    let (base_etas, base_nops) = s.engine.evaluate(&base, &ctx.sigma);
+    s.order.copy_from_slice(&base);
     s.lower_bound = Some(lower_bound);
     // A window's incumbent restarts from its list order, so an earlier
     // window's closed prefixes prove nothing there: windows keep no table.
     s.dominance = false;
-    s.frontier = Frontier::uncovered(ctx, cfg.pipeline_selection);
     if cfg.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
         s.deadline_stop();
     }
@@ -1328,7 +1405,23 @@ pub(crate) fn search_windows(
         s.window(window.start, window.end);
     }
     s.stats.proved_by_bound = false;
-    (s.order, s.stats)
+    // Every window is committed: the engine holds the stitched schedule.
+    let nops = s.engine.total_nops();
+    if nops > base_nops {
+        return (base, base_etas, base_nops, base_nops, s.stats);
+    }
+    let mut prev = -1;
+    let etas = s
+        .order
+        .iter()
+        .map(|&t| {
+            let at = s.engine.issue_time(t).expect("every window is committed");
+            let eta = (at - prev - 1) as u32;
+            prev = at;
+            eta
+        })
+        .collect();
+    (s.order, etas, nops, base_nops, s.stats)
 }
 
 impl<P: SearchPolicy> Search<'_, '_, P> {

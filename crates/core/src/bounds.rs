@@ -47,7 +47,7 @@ use pipesched_ir::{BitSet, TupleId};
 use pipesched_machine::PipelineId;
 
 use crate::context::SchedContext;
-use crate::timing::{BoundaryState, TimingEngine};
+use crate::timing::TimingEngine;
 
 /// Fewest instructions a placement must leave unscheduled for the
 /// heads-and-tails term to price it. A prune there cuts a large subtree;
@@ -662,26 +662,25 @@ impl Frontier {
 }
 
 /// Admissible lower bound on μ over every legal schedule of the block from
-/// `boundary`, with ready instructions priced at their cheapest unit when
-/// `selection` is on (see [`crate::seed::seed_incumbent`]). The
-/// heads-and-tails term is left out when the cheap terms already reach
-/// `enough`, the μ of a schedule from `boundary`: every term is
-/// admissible, so the cheap bound is then already the full one. The cold,
-/// fixed-unit bound is kept in the context.
+/// `engine`'s state, which must be empty, with ready instructions priced
+/// at their cheapest unit when `frontier` (the empty schedule's) is under
+/// selection (see [`crate::seed::seed_incumbent`]). The heads-and-tails
+/// term is left out when the cheap terms already reach `enough`, the μ of
+/// a schedule from that state: every term is admissible, so the cheap
+/// bound is then already the full one. The bound from a `cold` boundary
+/// without selection is kept in the context.
 pub(crate) fn root_lower_bound(
     ctx: &SchedContext<'_>,
-    boundary: &BoundaryState,
-    selection: bool,
+    engine: &TimingEngine<'_, '_>,
+    frontier: &Frontier,
+    cold: bool,
     enough: u32,
 ) -> u32 {
-    let cold = !selection && boundary.pipe_age.iter().all(Option::is_none);
+    let cold = cold && !frontier.selection;
     if let Some(&lb) = ctx.root_lb.get().filter(|_| cold) {
         return lb;
     }
-    let engine = TimingEngine::with_boundary(ctx, boundary);
-    let lb = ctx
-        .lower_bound()
-        .full(ctx, &engine, &Frontier::new(ctx, selection), enough);
+    let lb = ctx.lower_bound().full(ctx, engine, frontier, enough);
     if cold {
         let _ = ctx.root_lb.set(lb);
     }
@@ -697,8 +696,11 @@ pub(crate) fn root_lower_bound(
 /// at all. Computed on the first call and kept in the context, so the
 /// seed, the service's tiers and SAT's descent share one evaluation.
 pub fn global_lower_bound(ctx: &SchedContext<'_>) -> u32 {
-    let cold = BoundaryState::cold(ctx.machine.pipeline_count());
-    root_lower_bound(ctx, &cold, false, u32::MAX)
+    if let Some(&lb) = ctx.root_lb.get() {
+        return lb;
+    }
+    let engine = TimingEngine::new(ctx);
+    root_lower_bound(ctx, &engine, &Frontier::new(ctx, false), true, u32::MAX)
 }
 
 #[cfg(test)]

@@ -12,50 +12,59 @@
 //! early pushes their consumers as far away as possible. Ties are broken by
 //! the number of immediate successors (more consumers ⇒ earlier), then by
 //! original program position (for determinism).
+//!
+//! The three criteria pack into one integer per instruction, taken when
+//! it becomes ready, so picking the next instruction compares integers
+//! and reads nothing else.
 
 use pipesched_ir::{BlockAnalysis, DepDag, TupleId};
+
+/// Bits of each packed field: a block has fewer than `2^ID_BITS`
+/// instructions, so heights, successor counts and ids all fit.
+const ID_BITS: u32 = 21;
 
 /// Compute the machine-independent initial schedule for `dag`.
 ///
 /// Returns a legal topological order of all instructions.
 pub fn list_schedule(dag: &DepDag, analysis: &BlockAnalysis) -> Vec<TupleId> {
     let n = dag.len();
-    let mut unplaced_preds: Vec<u32> = (0..n)
-        .map(|i| dag.preds(TupleId(i as u32)).len() as u32)
-        .collect();
-    let mut ready: Vec<TupleId> = (0..n as u32)
-        .map(TupleId)
-        .filter(|&t| unplaced_preds[t.index()] == 0)
-        .collect();
+    assert!(n < 1 << ID_BITS, "a block of {n} instructions");
+    let mask = (1u64 << ID_BITS) - 1;
+    // Height, then successor count, then the earlier instruction.
+    let key = |t: TupleId| {
+        u64::from(analysis.height(t)) << (2 * ID_BITS)
+            | (dag.succs(t).len() as u64) << ID_BITS
+            | (mask - u64::from(t.0))
+    };
+    // `work[..n]`: unplaced predecessors per instruction; past it, the
+    // keys of the ready instructions.
+    let mut work: Vec<u64> = Vec::with_capacity(2 * n);
+    work.extend((0..n as u32).map(|i| dag.preds(TupleId(i)).len() as u64));
+    for i in 0..n as u32 {
+        if work[i as usize] == 0 {
+            work.push(key(TupleId(i)));
+        }
+    }
     let mut order = Vec::with_capacity(n);
-
-    while let Some(pos) = pick(&ready, dag, analysis) {
-        let t = ready.swap_remove(pos);
+    while work.len() > n {
+        let mut pos = n;
+        for (i, &k) in work.iter().enumerate().skip(n + 1) {
+            if k > work[pos] {
+                pos = i;
+            }
+        }
+        let t = TupleId((mask - (work.swap_remove(pos) & mask)) as u32);
         order.push(t);
         for e in dag.succs(t) {
-            let c = &mut unplaced_preds[e.to.index()];
+            let c = &mut work[e.to.index()];
             *c -= 1;
             if *c == 0 {
-                ready.push(e.to);
+                work.push(key(e.to));
             }
         }
     }
     debug_assert_eq!(order.len(), n, "DAG must be acyclic");
     order
-}
-
-fn pick(ready: &[TupleId], dag: &DepDag, analysis: &BlockAnalysis) -> Option<usize> {
-    ready
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &t)| {
-            (
-                analysis.height(t),
-                dag.succs(t).len(),
-                std::cmp::Reverse(t.0),
-            )
-        })
-        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

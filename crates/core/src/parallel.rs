@@ -128,15 +128,13 @@ use parking_lot::Mutex;
 use pipesched_ir::TupleId;
 
 use crate::bnb::{
-    run, run_subtree, structural_classes, EquivalenceMode, Run, SearchConfig, SearchOutcome,
+    run, structural_classes, EquivalenceMode, NullPolicy, Run, Search, SearchConfig, SearchOutcome,
     SearchPolicy, SearchStats,
 };
-use crate::bounds::{BoundKind, Frontier};
 use crate::context::SchedContext;
-use crate::dominance::Dominance;
 use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger};
 use crate::seed::SearchSeed;
-use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
+use crate::timing::BoundaryState;
 
 /// Depth limit below which placements become stealable subtree tasks when
 /// the caller does not choose one. Depth 3 keeps the task count polynomial
@@ -396,6 +394,16 @@ struct PoolPolicy<'b, 's> {
     spawned: Vec<Task>,
 }
 
+impl<'b, 's> PoolPolicy<'b, 's> {
+    fn new(budget: &'b mut Budget<'s>, split_depth: usize) -> Self {
+        PoolPolicy {
+            budget,
+            split_depth,
+            spawned: Vec::new(),
+        }
+    }
+}
+
 impl SearchPolicy for PoolPolicy<'_, '_> {
     #[inline]
     fn charge_omega(&mut self) -> bool {
@@ -469,6 +477,15 @@ struct ProvePolicy<'b, 's> {
     events: Vec<ProofEvent>,
 }
 
+impl<'b, 's> ProvePolicy<'b, 's> {
+    fn new(budget: &'b mut Budget<'s>) -> Self {
+        ProvePolicy {
+            budget,
+            events: Vec::new(),
+        }
+    }
+}
+
 impl SearchPolicy for ProvePolicy<'_, '_> {
     const PROOF: bool = true;
 
@@ -519,25 +536,34 @@ fn steal_task(stealers: &[Stealer<Task>], me: usize, stats: &mut SearchStats) ->
     None
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    ctx: &SchedContext<'_>,
+/// The searches helper threads leave when they finish, for the helpers
+/// of the next phase.
+type Spare<'c, 'a> = Mutex<Vec<Search<'c, 'a, NullPolicy>>>;
+
+/// A helper's search: one a helper of an earlier phase left in `spare`,
+/// or a new one.
+fn helper_search<'c, 'a>(
+    spare: &Spare<'c, 'a>,
+    ctx: &'c SchedContext<'a>,
     cfg: &SearchConfig,
-    boundary: &BoundaryState,
-    split_depth: usize,
+    boundary: Option<&BoundaryState>,
+) -> Search<'c, 'a, NullPolicy> {
+    spare
+        .lock()
+        .pop()
+        .unwrap_or_else(|| Search::new(ctx, cfg, boundary, NullPolicy))
+}
+
+/// One worker of phase 1: pop or steal tasks and search each on the
+/// worker's one `Search`, until the tree is exhausted or the pool stops.
+fn worker_loop(
+    s: &mut Search<'_, '_, PoolPolicy<'_, '_>>,
     own: &Deque<Task>,
     stealers: &[Stealer<Task>],
     me: usize,
-    budget: &mut Budget<'_>,
 ) -> SearchStats {
-    let shared = budget.shared;
+    let shared = s.policy.budget.shared;
     let mut stats = SearchStats::default();
-    let mut table = Dominance::default();
-    let mut policy = PoolPolicy {
-        budget,
-        split_depth,
-        spawned: Vec::new(),
-    };
     loop {
         // Acquire pairs with the Release in `note_stop`: a worker that
         // exits on the stop signal also sees the cause flags.
@@ -562,47 +588,43 @@ fn worker_loop(
         // The split placement's Ω counts toward the switch-on here, where
         // the serial kernel's count reaches it (see `PoolPolicy::spawn`).
         let split = task.depth > 0;
-        policy.budget.seen += u64::from(split);
+        s.policy.budget.seen += u64::from(split);
         // Deferred step [6]: the bound recorded at split time against the
         // incumbent of *this* moment (it can only have tightened since),
-        // then, in `run_subtree`, with the heads-and-tails term and the
-        // dominance check.
+        // then, in `Search::subtree`, with the heads-and-tails term and
+        // the dominance check.
         // relaxed-ok: monotone bound via fetch_min, used only to prune —
         // a stale read admits a subtree the serial search would cut, but
         // never cuts one it would keep.
         let best = shared.best_nops.load(Ordering::Relaxed);
         let closed = if task.bound < best {
-            if !policy.budget.ready() {
+            if !s.policy.budget.ready() {
                 shared.note_truncated();
                 break;
             }
-            let (st, closed) = run_subtree(
-                ctx,
-                cfg,
-                boundary,
-                task.order,
+            let (st, closed) = s.subtree(
+                &task.order,
                 task.depth,
                 best,
                 shared.global_lb,
                 split.then_some(task.bound),
-                &mut table,
-                &mut policy,
             );
             stats.merge(&st);
             // Publish before completing the task so `pending` never dips
             // to 0 while spawned work exists; reversed so LIFO pops keep
             // the serial DFS order. The task's node closes when the last
             // of them finishes.
-            if let Some(child) = policy.spawned.first() {
+            let spawned = &mut s.policy.spawned;
+            if let Some(child) = spawned.first() {
                 let node = Arc::new(Pending {
-                    left: AtomicUsize::new(policy.spawned.len()),
+                    left: AtomicUsize::new(spawned.len()),
                     parent: task.parent.clone(),
                     prefix: child.order[..task.depth].to_vec(),
                 });
                 shared
                     .pending
-                    .fetch_add(policy.spawned.len() as u64, Ordering::AcqRel);
-                for mut t in policy.spawned.drain(..).rev() {
+                    .fetch_add(spawned.len() as u64, Ordering::AcqRel);
+                for mut t in spawned.drain(..).rev() {
                     t.parent = Some(Arc::clone(&node));
                     own.push(t);
                 }
@@ -613,8 +635,8 @@ fn worker_loop(
             true
         };
         if closed {
-            let on = table.built() || policy.budget.seen >= cfg.switch_on;
-            close_ancestors(ctx, boundary, task.parent.as_deref(), on, &mut table);
+            let on = s.table_built() || s.policy.budget.seen >= s.cfg.switch_on;
+            close_ancestors(s, task.parent.as_deref(), on);
         }
         // AcqRel: the Release half publishes this task's deque pushes to
         // whichever worker's Acquire read of `pending` observes the count;
@@ -627,30 +649,15 @@ fn worker_loop(
 }
 
 /// A task's node closed: count it finished in its parent's countdown
-/// `parent`, and store each ancestor that closes with it in `table`
-/// (built from the ancestor's prefix if the search has passed the
+/// `parent`, and store each ancestor that closes with it in the worker's
+/// table (built from the ancestor's prefix if the search has passed the
 /// switch-on, `on`).
-fn close_ancestors(
-    ctx: &SchedContext<'_>,
-    boundary: &BoundaryState,
-    parent: Option<&Pending>,
-    on: bool,
-    table: &mut Dominance,
-) {
+fn close_ancestors<P: SearchPolicy>(s: &mut Search<'_, '_, P>, parent: Option<&Pending>, on: bool) {
     let mut node = parent;
     while let Some(p) = node.filter(|p| p.finish()) {
         let prefix = &p.prefix;
-        if on && !prefix.is_empty() && prefix.len() < ctx.len() {
-            if table.built() {
-                table.sync(prefix);
-            } else {
-                table.build(ctx, false, prefix);
-            }
-            let mut engine = TimingEngine::with_boundary(ctx, boundary);
-            for &t in prefix {
-                engine.push_default(t);
-            }
-            table.store(ctx, &engine, 0);
+        if on && !prefix.is_empty() && prefix.len() < s.ctx.len() {
+            s.store_closed(prefix);
         }
         node = p.parent.as_deref();
     }
@@ -668,23 +675,21 @@ struct PoolOutcome {
 }
 
 /// Run the work-stealing pool over the whole tree (the root as one task).
-/// The caller is worker 0; the helpers start only when worker 0 passes
-/// [`HELPER_THRESHOLD`] Ω.
-fn pool_phase(
-    ctx: &SchedContext<'_>,
+/// The caller is worker 0, on its search `s`, which it returns; the
+/// helpers start only when worker 0 passes [`HELPER_THRESHOLD`] Ω, and
+/// leave their searches in `spare` when they finish. `cfg` is the
+/// search's configuration; the workers' own, `s.cfg`, has an unbounded λ.
+fn pool_phase<'c, 'a>(
+    s: Search<'c, 'a, NullPolicy>,
+    spare: &Spare<'c, 'a>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
-    boundary: &BoundaryState,
+    boundary: Option<&BoundaryState>,
     seed: &SearchSeed,
-) -> PoolOutcome {
+) -> (PoolOutcome, Search<'c, 'a, NullPolicy>) {
+    let (ctx, worker_cfg) = (s.ctx, s.cfg);
     let threads = par.resolved_threads().max(1);
     let shared = Shared::new(cfg, seed, 0);
-    // The pool owns the λ budget; workers run the kernel with an infinite
-    // local λ and charge their reserved batches through the policy.
-    let worker_cfg = SearchConfig {
-        lambda: u64::MAX,
-        ..*cfg
-    };
 
     let deques: Vec<Deque<Task>> = (0..threads).map(|_| Deque::new_lifo()).collect();
     let stealers: Vec<Stealer<Task>> = deques.iter().map(|d| d.stealer()).collect();
@@ -697,23 +702,19 @@ fn pool_phase(
     });
 
     let helper_stats = Mutex::new(SearchStats::default());
-    let (mut stats, helpers) = crossbeam::scope(|scope| {
+    let (mut stats, helpers, s) = crossbeam::scope(|scope| {
         let start_helpers = || {
             for (me, own) in deques.iter().enumerate().skip(1) {
                 let (shared, stealers) = (&shared, &stealers);
                 let (helper_stats, worker_cfg) = (&helper_stats, &worker_cfg);
                 scope.spawn(move |_| {
-                    let st = worker_loop(
-                        ctx,
-                        worker_cfg,
-                        boundary,
-                        par.split_depth,
-                        own,
-                        stealers,
-                        me,
-                        &mut Budget::new(shared, HELPER_THRESHOLD),
-                    );
+                    let mut budget = Budget::new(shared, HELPER_THRESHOLD);
+                    let policy = PoolPolicy::new(&mut budget, par.split_depth);
+                    let search = helper_search(spare, ctx, worker_cfg, boundary);
+                    let mut search = search.with_policy(policy);
+                    let st = worker_loop(&mut search, own, stealers, me);
                     helper_stats.lock().merge(&st);
+                    spare.lock().push(search.with_policy(NullPolicy));
                 });
             }
         };
@@ -721,17 +722,10 @@ fn pool_phase(
             helpers: Some(&start_helpers),
             ..Budget::new(&shared, 0)
         };
-        let st = worker_loop(
-            ctx,
-            &worker_cfg,
-            boundary,
-            par.split_depth,
-            &deques[0],
-            &stealers,
-            0,
-            &mut budget,
-        );
-        (st, budget.helpers.is_none())
+        let mut search = s.with_policy(PoolPolicy::new(&mut budget, par.split_depth));
+        let st = worker_loop(&mut search, &deques[0], &stealers, 0);
+        let s = search.with_policy(NullPolicy);
+        (st, budget.helpers.is_none(), s)
     })
     .expect("parallel search worker panicked");
 
@@ -743,34 +737,41 @@ fn pool_phase(
     stats.deadline_hit = !proved && shared.deadline_hit.load(Ordering::Relaxed);
     stats.truncated = !proved && shared.truncated.load(Ordering::Relaxed);
     let (best_order, best_nops) = shared.best.into_inner();
-    PoolOutcome {
+    let outcome = PoolOutcome {
         best_order,
         best_nops,
         stats,
         proved,
         helpers,
-    }
+    };
+    (outcome, s)
 }
 
 /// Search the tree with the work-stealing pool, from a seed that
-/// [`crate::run`]'s triage left open. With `proof`, a completed search is
-/// followed by the transcript's re-derivation (phase 2; see the module
-/// docs), logged part by part in merge order.
+/// [`crate::run`]'s triage left open, with `s`, the search that seeded
+/// it, as worker 0's. With `proof`, a completed search is followed by the
+/// transcript's re-derivation (phase 2; see the module docs), logged part
+/// by part in merge order.
 pub(crate) fn pool(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
+    mut s: Search<'_, '_, NullPolicy>,
     par: &ParallelConfig,
-    boundary: &BoundaryState,
+    boundary: Option<&BoundaryState>,
     seed: SearchSeed,
     proof: Option<&mut ProofLogger>,
 ) -> SearchOutcome {
-    let pool = pool_phase(ctx, cfg, par, boundary, &seed);
+    // The pool owns the λ budget; workers run the kernel with an infinite
+    // local λ and charge their reserved batches through the policy.
+    let cfg = s.cfg;
+    s.cfg.lambda = u64::MAX;
+    let spare = Mutex::new(Vec::new());
+    let (pool, mut s) = pool_phase(s, &spare, &cfg, par, boundary, &seed);
     let mut stats = pool.stats;
     // A truncated phase 1 has no optimality claim to certify: the logger
     // gets no events, and the incomplete trailer makes the checker reject,
     // exactly like a truncated serial proof run.
     if let Some(logger) = proof.filter(|_| !pool.stats.truncated) {
-        let (parts, phase2) = certify_phase(ctx, cfg, par, boundary, &seed, &pool);
+        let (parts, phase2, caller) = certify_phase(s, &spare, &cfg, par, boundary, &seed, &pool);
+        s = caller;
         logger.reserve(parts.iter().map(Vec::len).sum());
         for ev in parts.into_iter().flatten() {
             logger.log(ev);
@@ -780,11 +781,11 @@ pub(crate) fn pool(
         stats.merge(&phase2);
         stats.proved_by_bound = pool.proved;
     }
-    let (etas, nops) = evaluate_schedule_from(ctx, boundary, &pool.best_order);
+    let (etas, nops) = s.evaluate(&pool.best_order);
     debug_assert_eq!(nops, pool.best_nops);
     SearchOutcome {
         order: pool.best_order,
-        assignment: ctx.sigma.clone(),
+        assignment: s.ctx.sigma.clone(),
         etas,
         nops,
         initial_order: seed.order,
@@ -897,49 +898,6 @@ impl ParallelProof {
     }
 }
 
-/// Root-level placement of candidate `xi`, priced against the replay
-/// incumbent `best` exactly as the serial kernel's `place_and_recurse`
-/// would: the `BoundPrune` it earns, or `None` when its subtree must be
-/// searched. `jackson` says whether the search has passed
-/// [`SearchConfig::switch_on`]. `frontier` is the empty schedule's, and is left
-/// that way.
-fn root_prune(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    boundary: &BoundaryState,
-    frontier: &mut Frontier,
-    xi: TupleId,
-    best: u32,
-    jackson: bool,
-) -> Option<ProofEvent> {
-    let mut engine = TimingEngine::with_boundary(ctx, boundary);
-    engine.push(xi, ctx.sigma(xi));
-    let mu = engine.total_nops();
-    let (bound, chain, resource, term) = match cfg.bound {
-        BoundKind::AlphaBeta => (mu, None, None, None),
-        BoundKind::CriticalPath => {
-            frontier.commit(ctx, &engine, xi);
-            let lb = ctx.lower_bound();
-            let (chain, resource, cheap) = lb.bound(ctx, &engine, frontier);
-            let (term, bound) = if jackson {
-                lb.with_term(ctx, &engine, frontier, cheap, best)
-            } else {
-                (None, cheap)
-            };
-            frontier.uncommit(ctx, xi);
-            (bound, Some(chain), Some(resource), term)
-        }
-    };
-    (bound >= best).then_some(ProofEvent::BoundPrune {
-        candidate: xi.0,
-        mu,
-        bound,
-        chain,
-        resource,
-        term,
-    })
-}
-
 /// One root-candidate disposition of the phase-2 enumeration.
 enum RootDisp {
     /// The candidate is pruned at the root; the event is final.
@@ -958,17 +916,25 @@ enum RootDisp {
 }
 
 /// Phase 2 of a pooled proof: re-derive the transcript of a completed
-/// phase 1 with perfect foresight (see the module docs). Returns the parts
-/// in merge order and the phase's counters, whose `truncated` and
-/// `deadline_hit` say whether the certification itself ran out.
-fn certify_phase(
-    ctx: &SchedContext<'_>,
+/// phase 1 with perfect foresight (see the module docs), on the caller's
+/// search `s` and the helpers' in `spare`. Returns the parts in merge
+/// order, the phase's counters, whose `truncated` and `deadline_hit` say
+/// whether the certification itself ran out, and `s`. `cfg` is the
+/// search's configuration, as for [`pool_phase`].
+fn certify_phase<'c, 'a>(
+    mut s: Search<'c, 'a, NullPolicy>,
+    spare: &Spare<'c, 'a>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
-    boundary: &BoundaryState,
+    boundary: Option<&BoundaryState>,
     seed: &SearchSeed,
     pool: &PoolOutcome,
-) -> (Vec<Vec<ProofEvent>>, SearchStats) {
+) -> (
+    Vec<Vec<ProofEvent>>,
+    SearchStats,
+    Search<'c, 'a, NullPolicy>,
+) {
+    let (ctx, worker_cfg) = (s.ctx, s.cfg);
     let n = ctx.len();
     let mu_star = pool.best_nops;
     let initial_order = &seed.order;
@@ -980,7 +946,6 @@ fn certify_phase(
         .expect("best root candidate is in the block");
     let equiv_class =
         (cfg.equivalence == EquivalenceMode::Structural).then(|| structural_classes(ctx));
-    let mut frontier = Frontier::new(ctx, false);
     // Phase 2 is the same search's certification: it counts on from the
     // Ω phase 1 ran, for the switch-on as for λ.
     let spent = pool.stats.omega_calls;
@@ -1050,7 +1015,7 @@ fn certify_phase(
         }
         // Step [6] against the replay incumbent, which is μ* from the
         // second part on (the best subtree's Improve precedes these).
-        let prune = root_prune(ctx, cfg, boundary, &mut frontier, xi, mu_star, jackson);
+        let prune = s.root_prune(xi, mu_star, jackson);
         if let Some(ev) = prune {
             disps.push(RootDisp::Prune(ev));
         } else {
@@ -1069,61 +1034,14 @@ fn certify_phase(
     // Ω phase 1 ran (its unused batch reservations are not spent);
     // stop/proved flags reset so the subtree workers actually run.
     let shared2 = Shared::new(cfg, seed, spent);
-    let worker_cfg = SearchConfig {
-        lambda: u64::MAX,
-        ..*cfg
-    };
-    // Run one disposition on a worker's budget: a prune is its own part;
-    // an entered subtree is an `Enter` followed by one serial kernel's
-    // transcript below it.
-    let dispose = |disp: &RootDisp, budget: &mut Budget<'_>| match disp {
-        RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
-        RootDisp::Enter {
-            candidate,
-            order,
-            seed_nops,
-            global_lb,
-        } => {
-            let mut policy = ProvePolicy {
-                budget,
-                events: vec![ProofEvent::Enter {
-                    candidate: candidate.0,
-                }],
-            };
-            if !policy.budget.ready() {
-                policy.budget.shared.note_truncated();
-                let st = SearchStats {
-                    truncated: true,
-                    ..SearchStats::default()
-                };
-                return (policy.events, st);
-            }
-            // The root placement is priced already, term and all. Each
-            // part starts with an empty table, so every witness a part
-            // cites precedes the citation within the part.
-            let (st, _) = run_subtree(
-                ctx,
-                &worker_cfg,
-                boundary,
-                order.clone(),
-                1,
-                *seed_nops,
-                *global_lb,
-                None,
-                &mut Dominance::default(),
-                &mut policy,
-            );
-            (policy.events, st)
-        }
-    };
-
     let mut stats = SearchStats::default();
     let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
 
     // The best subtree runs first, on the caller: if it proves optimality
     // by bound, the certificate ends inside it and nothing else is emitted.
     let mut budget = Budget::new(&shared2, spent);
-    let (events, st) = dispose(&disps[0], &mut budget);
+    let mut caller = s.with_policy(ProvePolicy::new(&mut budget));
+    let (events, st) = dispose(&mut caller, &disps[0]);
     stats.merge(&st);
     let proved_in_part0 = st.proved_by_bound;
     parts.push(events);
@@ -1133,20 +1051,8 @@ fn certify_phase(
     if !proved_in_part0 && !shared2.stop.load(Ordering::Relaxed) {
         // Every other disposition, claimed in order by the caller and, if
         // phase 1 started helpers, by up to `threads − 1` helper threads.
-        type SubtreeSlot = Mutex<Option<(Vec<ProofEvent>, SearchStats)>>;
         let results: Vec<SubtreeSlot> = (0..disps.len()).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(1);
-        let claim = |budget: &mut Budget<'_>| loop {
-            // relaxed-ok: only the returned index is used — each claimed
-            // slot is a Mutex, and the final reads happen after scope
-            // join. Claim uniqueness needs atomicity, not ordering
-            // (merge-completeness harness).
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= disps.len() {
-                break;
-            }
-            *results[i].lock() = Some(dispose(&disps[i], budget));
-        };
         let helpers = if pool.helpers {
             par.resolved_threads().min(disps.len()).saturating_sub(1)
         } else {
@@ -1154,10 +1060,17 @@ fn certify_phase(
         };
         crossbeam::scope(|scope| {
             for _ in 0..helpers {
-                let (claim, shared2) = (&claim, &shared2);
-                scope.spawn(move |_| claim(&mut Budget::new(shared2, spent)));
+                let (shared2, disps, next, results) = (&shared2, &disps, &next, &results);
+                let worker_cfg = &worker_cfg;
+                scope.spawn(move |_| {
+                    let mut budget = Budget::new(shared2, spent);
+                    let search = helper_search(spare, ctx, worker_cfg, boundary);
+                    let mut search = search.with_policy(ProvePolicy::new(&mut budget));
+                    claim(&mut search, disps, next, results);
+                    spare.lock().push(search.with_policy(NullPolicy));
+                });
             }
-            claim(&mut budget);
+            claim(&mut caller, &disps, &next, &results);
         })
         .expect("parallel prove worker panicked");
         for slot in results.into_iter().skip(1) {
@@ -1167,12 +1080,73 @@ fn certify_phase(
         }
         parts.push(vec![ProofEvent::Leave]);
     }
+    let s = caller.with_policy(NullPolicy);
 
     // relaxed-ok (here and deadline_hit below): read after scope join /
     // single-threaded part 0 — all worker stores are already visible.
     stats.truncated = !proved_in_part0 && shared2.truncated.load(Ordering::Relaxed);
     stats.deadline_hit = stats.truncated && shared2.deadline_hit.load(Ordering::Relaxed);
-    (parts, stats)
+    (parts, stats, s)
+}
+
+/// One proof part's result slot: its events and counters.
+type SubtreeSlot = Mutex<Option<(Vec<ProofEvent>, SearchStats)>>;
+
+/// Dispose of root dispositions in claim order on one worker's search
+/// until none is left, each into its slot.
+fn claim(
+    s: &mut Search<'_, '_, ProvePolicy<'_, '_>>,
+    disps: &[RootDisp],
+    next: &AtomicUsize,
+    results: &[SubtreeSlot],
+) {
+    loop {
+        // relaxed-ok: only the returned index is used — each claimed
+        // slot is a Mutex, and the final reads happen after scope
+        // join. Claim uniqueness needs atomicity, not ordering
+        // (merge-completeness harness).
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= disps.len() {
+            break;
+        }
+        *results[i].lock() = Some(dispose(s, &disps[i]));
+    }
+}
+
+/// Run one disposition on a worker's search: a prune is its own part; an
+/// entered subtree is an `Enter` followed by one serial kernel's
+/// transcript below it.
+fn dispose(
+    s: &mut Search<'_, '_, ProvePolicy<'_, '_>>,
+    disp: &RootDisp,
+) -> (Vec<ProofEvent>, SearchStats) {
+    match disp {
+        RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
+        RootDisp::Enter {
+            candidate,
+            order,
+            seed_nops,
+            global_lb,
+        } => {
+            s.policy.events = vec![ProofEvent::Enter {
+                candidate: candidate.0,
+            }];
+            if !s.policy.budget.ready() {
+                s.policy.budget.shared.note_truncated();
+                let st = SearchStats {
+                    truncated: true,
+                    ..SearchStats::default()
+                };
+                return (std::mem::take(&mut s.policy.events), st);
+            }
+            // The root placement is priced already, term and all. Each
+            // part starts with an empty table, so every witness a part
+            // cites precedes the citation within the part.
+            s.clear_table();
+            let (st, _) = s.subtree(order, 1, *seed_nops, *global_lb, None);
+            (std::mem::take(&mut s.policy.events), st)
+        }
+    }
 }
 
 /// [`parallel_search`] while producing a machine-checkable optimality
@@ -1198,7 +1172,7 @@ pub fn parallel_prove(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bnb::{search, SearchConfig};
+    use crate::bnb::{search, BoundKind, SearchConfig};
     use pipesched_ir::{analysis::verify_schedule, BlockBuilder, DepDag};
     use pipesched_machine::presets;
 

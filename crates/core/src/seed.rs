@@ -13,9 +13,10 @@
 use pipesched_ir::TupleId;
 
 use crate::bnb::InitialHeuristic;
+use crate::bounds::Frontier;
 use crate::context::SchedContext;
 use crate::list_sched::list_schedule;
-use crate::timing::{evaluate_schedule_from, BoundaryState};
+use crate::timing::{BoundaryState, TimingEngine};
 
 /// The common starting state of an exact search: the heuristic incumbent
 /// and the admissible lower bound it is measured against.
@@ -57,14 +58,29 @@ pub fn seed_incumbent(
     boundary: &BoundaryState,
     pipeline_selection: bool,
 ) -> SearchSeed {
+    let mut engine = TimingEngine::with_boundary(ctx, boundary);
+    let frontier = Frontier::new(ctx, pipeline_selection);
+    let cold = boundary.pipe_age.iter().all(Option::is_none);
+    seed_with(ctx, initial, cold, &mut engine, &frontier)
+}
+
+/// [`seed_incumbent`] on a search's own engine and frontier, both empty
+/// (the engine from the boundary, `cold` when it carries no state, the
+/// frontier with the search's selection setting), which it leaves empty.
+pub(crate) fn seed_with(
+    ctx: &SchedContext<'_>,
+    initial: InitialHeuristic,
+    cold: bool,
+    engine: &mut TimingEngine<'_, '_>,
+    frontier: &Frontier,
+) -> SearchSeed {
     let order = match initial {
         InitialHeuristic::MaxDistance => list_schedule(ctx.dag, &ctx.analysis),
         InitialHeuristic::SourceOrder => ctx.block.ids().collect(),
         InitialHeuristic::Greedy => crate::baselines::greedy_schedule(ctx).0,
     };
-    let (etas, nops) = evaluate_schedule_from(ctx, boundary, &order);
-
-    let global_lb = crate::bounds::root_lower_bound(ctx, boundary, pipeline_selection, nops);
+    let (etas, nops) = engine.evaluate(&order, &ctx.sigma);
+    let global_lb = crate::bounds::root_lower_bound(ctx, engine, frontier, cold, nops);
 
     SearchSeed {
         order,

@@ -81,14 +81,13 @@ pub struct TimingEngine<'c, 'a> {
 impl<'c, 'a> TimingEngine<'c, 'a> {
     /// Create an engine for `ctx` with an empty partial schedule.
     pub fn new(ctx: &'c SchedContext<'a>) -> Self {
-        Self::with_boundary(ctx, &BoundaryState::cold(ctx.machine.pipeline_count()))
+        Self::starting(ctx, vec![NO_ISSUE; ctx.machine.pipeline_count()])
     }
 
     /// Create an engine whose pipelines start with the in-flight state of a
     /// preceding block: pipeline `p`'s most recent enqueue is treated as
     /// having happened `pipe_age[p]` cycles before this block's cycle 0.
     pub fn with_boundary(ctx: &'c SchedContext<'a>, boundary: &BoundaryState) -> Self {
-        let n = ctx.len();
         assert_eq!(boundary.pipe_age.len(), ctx.machine.pipeline_count());
         let last_in_pipe = boundary
             .pipe_age
@@ -98,6 +97,11 @@ impl<'c, 'a> TimingEngine<'c, 'a> {
                 None => NO_ISSUE,
             })
             .collect();
+        Self::starting(ctx, last_in_pipe)
+    }
+
+    fn starting(ctx: &'c SchedContext<'a>, last_in_pipe: Vec<i64>) -> Self {
+        let n = ctx.len();
         TimingEngine {
             ctx,
             issue: vec![NO_ISSUE; n],
@@ -249,27 +253,34 @@ impl<'c, 'a> TimingEngine<'c, 'a> {
     }
 }
 
+impl TimingEngine<'_, '_> {
+    /// Push `order`, each tuple on its unit in `assignment` (indexed by
+    /// tuple id), then pop it again: the η of each position and the μ
+    /// `order` adds to the current partial schedule.
+    pub(crate) fn evaluate(
+        &mut self,
+        order: &[TupleId],
+        assignment: &[Option<PipelineId>],
+    ) -> (Vec<u32>, u32) {
+        let before = self.total_nops;
+        let etas: Vec<u32> = order
+            .iter()
+            .map(|&t| self.push(t, assignment[t.index()]))
+            .collect();
+        let total = self.total_nops - before;
+        for _ in order {
+            self.pop();
+        }
+        (etas, total)
+    }
+}
+
 /// Evaluate a complete schedule on its default pipeline assignment,
 /// returning per-position η values and the total NOP count μ(Π).
 ///
 /// This is the paper's procedure Ω applied to one schedule.
 pub fn evaluate_schedule(ctx: &SchedContext<'_>, order: &[TupleId]) -> (Vec<u32>, u32) {
-    let mut engine = TimingEngine::new(ctx);
-    let etas: Vec<u32> = order.iter().map(|&t| engine.push_default(t)).collect();
-    let total = engine.total_nops();
-    (etas, total)
-}
-
-/// [`evaluate_schedule`] starting from a carried block boundary.
-pub fn evaluate_schedule_from(
-    ctx: &SchedContext<'_>,
-    boundary: &BoundaryState,
-    order: &[TupleId],
-) -> (Vec<u32>, u32) {
-    let mut engine = TimingEngine::with_boundary(ctx, boundary);
-    let etas: Vec<u32> = order.iter().map(|&t| engine.push_default(t)).collect();
-    let total = engine.total_nops();
-    (etas, total)
+    TimingEngine::new(ctx).evaluate(order, &ctx.sigma)
 }
 
 #[cfg(test)]

@@ -28,7 +28,6 @@ use crate::bnb::{search_windows, SearchConfig, SearchStats};
 use crate::bounds::LowerBound;
 use crate::context::SchedContext;
 use crate::list_sched::list_schedule;
-use crate::timing::evaluate_schedule;
 
 /// Result of a windowed scheduling run.
 #[derive(Debug, Clone)]
@@ -67,7 +66,6 @@ pub fn windowed_schedule_bounded(
     assert!(window >= 1, "window must be at least 1 instruction");
     let n = ctx.len();
     let base = list_schedule(ctx.dag, &ctx.analysis);
-    let (base_etas, initial_nops) = evaluate_schedule(ctx, &base);
 
     let cfg = SearchConfig {
         lambda,
@@ -78,11 +76,9 @@ pub fn windowed_schedule_bounded(
     let starts = (0..n).step_by(window);
     let windows = starts.len();
     let ranges = starts.map(|start| start..(start + window).min(n));
-    let (mut order, stats) = search_windows(ctx, &cfg, &lower_bound, base.clone(), ranges);
-    let (mut etas, mut nops) = evaluate_schedule(ctx, &order);
-    if nops > initial_nops {
-        (order, etas, nops) = (base, base_etas, initial_nops);
-    }
+    // A stitched schedule worse than the list schedule gives way to it.
+    let (order, etas, nops, initial_nops, stats) =
+        search_windows(ctx, &cfg, &lower_bound, base, ranges);
 
     WindowedOutcome {
         order,
