@@ -13,11 +13,12 @@
 //!    disagreement fails the gate — and a slice of the blocks runs the
 //!    parallel prover, whose merged multi-worker certificate must pass
 //!    the independent `pipesched-proof` checker. Corpus blocks mostly
-//!    settle before the pool starts its helper threads, so the hard
-//!    curve block is also proved by a 2-worker pool, and that proof must
-//!    record a steal: a certificate built while a helper really ran. A
-//!    stronger bound can shrink the curve block's tree until it stops
-//!    being hard, and this gate is what says so.
+//!    settle before the pool starts its helper threads, so a hard gate
+//!    block is also proved by a 2-worker pool with every placement its
+//!    own task, and that proof must record a steal: a certificate built
+//!    while a helper really ran. A stronger bound can shrink the gate
+//!    block's tree until it stops being hard, and this gate is what says
+//!    so.
 
 use std::time::Instant;
 
@@ -71,9 +72,9 @@ pub struct ParallelReport {
     pub certificates_checked: usize,
     /// Certificates the checker rejected (must be 0).
     pub certificates_rejected: usize,
-    /// Steals the 2-worker proof of the curve block recorded (must be
-    /// at least 1, within [`CURVE_PROOF_ATTEMPTS`] attempts).
-    pub curve_proof_steals: u64,
+    /// Steals the 2-worker proof of the gate block recorded (must be at
+    /// least 1, within [`GATE_PROOF_ATTEMPTS`] attempts).
+    pub gate_proof_steals: u64,
 }
 
 impl ParallelReport {
@@ -94,12 +95,12 @@ impl ParallelReport {
         self.cores >= 4
     }
 
-    /// The hard gates: exactness always, a curve-block proof that ran
-    /// its helper, and scaling only with enough cores.
+    /// The hard gates: exactness always, a gate-block proof that ran its
+    /// helper, and scaling only with enough cores.
     pub fn gates_hold(&self) -> bool {
         self.disagreements == 0
             && self.certificates_rejected == 0
-            && self.curve_proof_steals > 0
+            && self.gate_proof_steals > 0
             && (!self.scaling_gate_applies() || self.speedup_at(4) >= 2.0)
     }
 
@@ -172,7 +173,8 @@ impl ParallelReport {
             ("disagreements", self.disagreements as i64),
             ("certificates_checked", self.certificates_checked as i64),
             ("certificates_rejected", self.certificates_rejected as i64),
-            ("curve_proof_steals", self.curve_proof_steals as i64),
+            ("gate_block_size", GATE_SIZE as i64),
+            ("gate_proof_steals", self.gate_proof_steals as i64),
             ("scaling_gate_applies", self.scaling_gate_applies()),
             ("gates_hold", self.gates_hold()),
         ]
@@ -196,8 +198,8 @@ fn best_of_three<T>(mut body: impl FnMut() -> T) -> (u64, T) {
 /// deep-pipeline machine — picked by scanning salts 0..48 for the largest
 /// Ω count of a default search that completes within λ = 1,000,000 (most
 /// blocks are proved by the seed in microseconds and would measure
-/// nothing but pool overhead). Re-pick when the bound changes: the
-/// curve-proof steal gate fails once the block stops being hard.
+/// nothing but pool overhead). Re-pick when the bound changes: the steal
+/// gate fails once its block stops being hard.
 fn curve_salt(size: usize) -> u64 {
     match size {
         28 => 35, // ~2.8k Ω calls to prove optimal
@@ -206,9 +208,17 @@ fn curve_salt(size: usize) -> u64 {
     }
 }
 
-/// Times the curve block is proved by two workers before the steal gate
+/// Instructions of the steal gate's block, in every profile: the
+/// 30-instruction block of [`curve_salt`], about 9.1k Ω to prove on the
+/// deep-pipeline machine, proved with `split_depth` = its length, so every
+/// placement is a task a helper can steal. The quick curve block (28
+/// instructions, 2.8k Ω) under the default split often ends before a
+/// late-scheduled helper finds work.
+pub const GATE_SIZE: usize = 30;
+
+/// Times the gate block is proved by two workers before the steal gate
 /// fails: a helper the OS schedules late can find nothing left to steal.
-pub const CURVE_PROOF_ATTEMPTS: usize = 3;
+pub const GATE_PROOF_ATTEMPTS: usize = 3;
 
 /// The checker certified the prover's outcome at the serial optimum.
 fn certifies(verdict: &ProofVerdict, proved: &SearchOutcome, serial_nops: u32) -> bool {
@@ -249,22 +259,30 @@ pub fn run(runs: usize, lambda: u64, curve_size: usize) -> ParallelReport {
         });
     }
 
-    // The hard block proved by a 2-worker pool, far past its helper
-    // threshold, until the proof records a steal, and each merged
-    // certificate replayed by the independent checker; the corpus blocks
-    // below add theirs.
+    // The gate block proved by a 2-worker pool, far past its helper
+    // threshold and with every placement a task, until the proof records
+    // a steal, and each merged certificate replayed by the independent
+    // checker; the corpus blocks below add theirs.
+    let gate = block_of_size(GATE_SIZE, curve_salt(GATE_SIZE));
+    let gate_dag = DepDag::build(&gate);
+    let gate_ctx = SchedContext::new(&gate, &gate_dag, &curve_machine);
+    let gate_nops = search(&gate_ctx, &cfg).nops;
+    let forced = ParallelConfig {
+        threads: 2,
+        split_depth: gate.len(),
+    };
     let mut certificates_checked = 0usize;
     let mut certificates_rejected = 0usize;
-    let mut curve_proof_steals = 0;
-    for _ in 0..CURVE_PROOF_ATTEMPTS {
-        let (proved, proof) = parallel_prove(&ctx, &cfg, &ParallelConfig::with_threads(2));
-        let check = check_certificate(&hard, &curve_machine, &proof.merge());
+    let mut gate_proof_steals = 0;
+    for _ in 0..GATE_PROOF_ATTEMPTS {
+        let (proved, proof) = parallel_prove(&gate_ctx, &cfg, &forced);
+        let check = check_certificate(&gate, &curve_machine, &proof.merge());
         certificates_checked += 1;
-        if !certifies(&check.verdict, &proved, serial.nops) {
+        if !certifies(&check.verdict, &proved, gate_nops) {
             certificates_rejected += 1;
         }
-        curve_proof_steals = proved.stats.steals;
-        if curve_proof_steals > 0 {
+        gate_proof_steals = proved.stats.steals;
+        if gate_proof_steals > 0 {
             break;
         }
     }
@@ -305,7 +323,7 @@ pub fn run(runs: usize, lambda: u64, curve_size: usize) -> ParallelReport {
         disagreements,
         certificates_checked,
         certificates_rejected,
-        curve_proof_steals,
+        gate_proof_steals,
     }
 }
 

@@ -18,6 +18,7 @@
 //! | Ablations (ours) | [`experiments::ablation`] | `ablation` |
 
 pub mod experiments;
+pub mod ledger;
 pub mod report;
 
 pub use experiments::sweep::{run_sweep, RunRecord, SweepConfig, SweepResult};
