@@ -37,6 +37,10 @@ pub enum Op {
 }
 
 impl Op {
+    /// Number of operations, `Nop` included: `op as usize` is always
+    /// below it, so a table indexed by operation has this many slots.
+    pub const COUNT: usize = Op::Nop as usize + 1;
+
     /// All operations a basic block may contain (everything except `Nop`).
     pub const BLOCK_OPS: [Op; 9] = [
         Op::Const,
