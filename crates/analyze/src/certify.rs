@@ -235,6 +235,43 @@ pub struct Dep {
     pub flow: bool,
 }
 
+/// Every tuple's immediate predecessors, as [`extract_deps`] found them,
+/// in one offset-indexed array: `deps[i]` is tuple `i`'s list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Deps {
+    /// `deps[i]` is `all[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    all: Vec<Dep>,
+}
+
+impl Deps {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True for an empty block.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every dependence, grouped by dependent tuple in index order.
+    pub fn all(&self) -> &[Dep] {
+        &self.all
+    }
+}
+
+impl std::ops::Index<usize> for Deps {
+    type Output = [Dep];
+
+    fn index(&self, i: usize) -> &[Dep] {
+        &self.all[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// No tuple, in [`extract_deps`]'s per-variable tables.
+const NONE: u32 = u32::MAX;
+
 /// Re-extract dependences from the raw tuples, independent of `DepDag`.
 ///
 /// Per the paper's model: a *flow* dependence (value use, or load after
@@ -244,62 +281,79 @@ pub struct Dep {
 /// Multiple dependences between the same pair merge by maximum delay
 /// (and the union of their flow flags). Returns the immediate
 /// predecessors of each tuple, indexed by tuple id.
-pub fn extract_deps(
-    block: &BasicBlock,
-    machine: &Machine,
-    sigma: &[Option<PipelineId>],
-) -> Vec<Vec<Dep>> {
+pub fn extract_deps(block: &BasicBlock, machine: &Machine, sigma: &[Option<PipelineId>]) -> Deps {
     let result_delay = |t: TupleId| -> u64 {
         sigma[t.index()].map_or(1, |p| u64::from(machine.pipeline(p).latency))
     };
-    let nvars = block.symbols().len();
-    let mut last_store: Vec<Option<TupleId>> = vec![None; nvars];
-    let mut loads_since: Vec<Vec<TupleId>> = vec![Vec::new(); nvars];
-    let mut preds: Vec<Vec<Dep>> = vec![Vec::new(); block.len()];
+    let (n, nvars) = (block.len(), block.symbols().len());
+    // Per variable, its last store and the last load since that store;
+    // per load, the load of the same variable before it since that store,
+    // so the loads since a store form a chain.
+    let mut scratch = vec![NONE; 2 * nvars + n];
+    let (last_store, rest) = scratch.split_at_mut(nvars);
+    let (last_load, load_before) = rest.split_at_mut(nvars);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    // A value operand, a load after a store and a store after a store or
+    // a load each add at most one list entry, so a well-formed block
+    // needs no more than two per tuple.
+    let mut all: Vec<Dep> = Vec::with_capacity(2 * n);
 
     for t in block.tuples() {
-        let mut add = |to: TupleId, from: TupleId, delay: u64, flow: bool| {
-            let list = &mut preds[to.index()];
-            match list.iter_mut().find(|d| d.from == from) {
-                Some(d) => {
-                    d.delay = d.delay.max(delay);
-                    d.flow |= flow;
-                }
-                None => list.push(Dep { from, delay, flow }),
+        let start = all.len();
+        let add = |all: &mut Vec<Dep>, from: TupleId, delay: u64, flow: bool| match all[start..]
+            .iter_mut()
+            .find(|d| d.from == from)
+        {
+            Some(d) => {
+                d.delay = d.delay.max(delay);
+                d.flow |= flow;
             }
+            None => all.push(Dep { from, delay, flow }),
         };
         for r in t.tuple_refs() {
-            add(t.id, r, result_delay(r), true);
+            add(&mut all, r, result_delay(r), true);
         }
         match t.op {
             Op::Load => {
                 if let Some(v) = t.a.as_var() {
-                    if let Some(s) = last_store[v.0 as usize] {
-                        add(t.id, s, result_delay(s), true);
+                    let v = v.0 as usize;
+                    if last_store[v] != NONE {
+                        let s = TupleId(last_store[v]);
+                        add(&mut all, s, result_delay(s), true);
                     }
-                    loads_since[v.0 as usize].push(t.id);
+                    load_before[t.id.index()] = last_load[v];
+                    last_load[v] = t.id.0;
                 }
             }
             Op::Store => {
                 if let Some(v) = t.a.as_var() {
-                    if let Some(s) = last_store[v.0 as usize] {
-                        add(t.id, s, 1, false);
+                    let v = v.0 as usize;
+                    if last_store[v] != NONE {
+                        add(&mut all, TupleId(last_store[v]), 1, false);
                     }
-                    for &l in &loads_since[v.0 as usize] {
-                        add(t.id, l, 1, false);
+                    // The chain runs backwards: what it appends is put
+                    // back in program order.
+                    let appended = all.len();
+                    let mut l = last_load[v];
+                    while l != NONE {
+                        add(&mut all, TupleId(l), 1, false);
+                        l = load_before[l as usize];
                     }
-                    last_store[v.0 as usize] = Some(t.id);
-                    loads_since[v.0 as usize].clear();
+                    all[appended..].reverse();
+                    last_store[v] = t.id.0;
+                    last_load[v] = NONE;
                 }
             }
             _ => {}
         }
+        offsets.push(all.len() as u32);
     }
-    preds
+    Deps { offsets, all }
 }
 
 /// `A0302`: every dependence must point backwards in the claimed order.
-fn check_order(block: &BasicBlock, position: &[usize], deps: &[Vec<Dep>], report: &mut Report) {
+fn check_order(block: &BasicBlock, position: &[usize], deps: &Deps, report: &mut Report) {
     for t in block.ids() {
         for d in &deps[t.index()] {
             if position[d.from.index()] >= position[t.index()] {
@@ -327,7 +381,7 @@ pub fn derive_issue_times(
     machine: &Machine,
     order: &[TupleId],
     sigma: &[Option<PipelineId>],
-    deps: &[Vec<Dep>],
+    deps: &Deps,
 ) -> Vec<u64> {
     let mut issue_of: Vec<u64> = vec![0; sigma.len()];
     let mut free: Vec<u64> = vec![0; machine.pipeline_count()];
@@ -604,6 +658,104 @@ mod tests {
             "{}",
             cert.report
         );
+    }
+
+    /// The per-tuple lists the extraction is defined by, one `Vec` each.
+    fn nested_deps(
+        block: &BasicBlock,
+        machine: &Machine,
+        sigma: &[Option<PipelineId>],
+    ) -> Vec<Vec<Dep>> {
+        let result_delay = |t: TupleId| -> u64 {
+            sigma[t.index()].map_or(1, |p| u64::from(machine.pipeline(p).latency))
+        };
+        let nvars = block.symbols().len();
+        let mut last_store: Vec<Option<TupleId>> = vec![None; nvars];
+        let mut loads_since: Vec<Vec<TupleId>> = vec![Vec::new(); nvars];
+        let mut preds: Vec<Vec<Dep>> = vec![Vec::new(); block.len()];
+        for t in block.tuples() {
+            let mut add = |to: TupleId, from: TupleId, delay: u64, flow: bool| {
+                let list = &mut preds[to.index()];
+                match list.iter_mut().find(|d| d.from == from) {
+                    Some(d) => {
+                        d.delay = d.delay.max(delay);
+                        d.flow |= flow;
+                    }
+                    None => list.push(Dep { from, delay, flow }),
+                }
+            };
+            for r in t.tuple_refs() {
+                add(t.id, r, result_delay(r), true);
+            }
+            let Some(v) = t.a.as_var() else { continue };
+            let v = v.0 as usize;
+            match t.op {
+                Op::Load => {
+                    if let Some(s) = last_store[v] {
+                        add(t.id, s, result_delay(s), true);
+                    }
+                    loads_since[v].push(t.id);
+                }
+                Op::Store => {
+                    if let Some(s) = last_store[v] {
+                        add(t.id, s, 1, false);
+                    }
+                    for &l in &loads_since[v] {
+                        add(t.id, l, 1, false);
+                    }
+                    last_store[v] = Some(t.id);
+                    loads_since[v].clear();
+                }
+                _ => {}
+            }
+        }
+        preds
+    }
+
+    /// A seeded block of loads, stores and arithmetic over three
+    /// variables, so that loads and stores of one variable interleave.
+    fn random_block(seed: u64) -> BasicBlock {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let vars = ["a", "b", "c"];
+        let mut b = BlockBuilder::new("random");
+        let mut values = Vec::new();
+        for _ in 0..rng.gen_range(1..40usize) {
+            let var = vars[rng.gen_range(0..vars.len())];
+            match rng.gen_range(0..4u32) {
+                0 if !values.is_empty() => {
+                    b.store(var, values[rng.gen_range(0..values.len())]);
+                }
+                1 if !values.is_empty() => {
+                    let l = values[rng.gen_range(0..values.len())];
+                    let r = values[rng.gen_range(0..values.len())];
+                    values.push(b.mul(l, r));
+                }
+                _ => values.push(b.load(var)),
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn flat_extraction_keeps_every_list_in_order() {
+        let blocks = (0..2_000).map(random_block).chain([demo_block()]);
+        for block in blocks {
+            for machine in presets::all_presets() {
+                let sigma: Vec<Option<PipelineId>> = block
+                    .tuples()
+                    .iter()
+                    .map(|t| machine.default_pipeline_for(t.op))
+                    .collect();
+                let flat = extract_deps(&block, &machine, &sigma);
+                let nested = nested_deps(&block, &machine, &sigma);
+                assert_eq!(flat.len(), nested.len());
+                for (i, list) in nested.iter().enumerate() {
+                    assert_eq!(&flat[i], &list[..], "{} tuple {i}", block.name);
+                }
+                assert_eq!(flat.all().len(), nested.iter().map(Vec::len).sum::<usize>());
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod machine_checks;
 pub mod opt_validate;
 
 pub use certify::{
-    certify, certify_scheduled, derive_issue_times, extract_deps, Certification, Claim, Dep,
+    certify, certify_scheduled, derive_issue_times, extract_deps, Certification, Claim, Dep, Deps,
 };
 pub use cross::cross_check;
 pub use diag::{DiagCode, Diagnostic, Report, Severity};
