@@ -915,27 +915,17 @@ enum RootDisp {
     },
 }
 
-/// Phase 2 of a pooled proof: re-derive the transcript of a completed
-/// phase 1 with perfect foresight (see the module docs), on the caller's
-/// search `s` and the helpers' in `spare`. Returns the parts in merge
-/// order, the phase's counters, whose `truncated` and `deadline_hit` say
-/// whether the certification itself ran out, and `s`. `cfg` is the
-/// search's configuration, as for [`pool_phase`].
-fn certify_phase<'c, 'a>(
-    mut s: Search<'c, 'a, NullPolicy>,
-    spare: &Spare<'c, 'a>,
+/// Append to `disps`, which holds the best subtree's, the disposition of
+/// every other root candidate in the serial enumeration order, priced on
+/// `s` against μ*, the replay incumbent from the second part on.
+fn other_dispositions<P: SearchPolicy>(
+    s: &mut Search<'_, '_, P>,
     cfg: &SearchConfig,
-    par: &ParallelConfig,
-    boundary: Option<&BoundaryState>,
     seed: &SearchSeed,
     pool: &PoolOutcome,
-) -> (
-    Vec<Vec<ProofEvent>>,
-    SearchStats,
-    Search<'c, 'a, NullPolicy>,
+    disps: &mut Vec<RootDisp>,
 ) {
-    let (ctx, worker_cfg) = (s.ctx, s.cfg);
-    let n = ctx.len();
+    let ctx = s.ctx;
     let mu_star = pool.best_nops;
     let initial_order = &seed.order;
     let kappa = initial_order[0];
@@ -946,21 +936,8 @@ fn certify_phase<'c, 'a>(
         .expect("best root candidate is in the block");
     let equiv_class =
         (cfg.equivalence == EquivalenceMode::Structural).then(|| structural_classes(ctx));
-    // Phase 2 is the same search's certification: it counts on from the
-    // Ω phase 1 ran, for the switch-on as for λ.
-    let spent = pool.stats.omega_calls;
-    let jackson = spent >= cfg.switch_on;
-    let global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
-
-    // Root dispositions in merge order: best subtree first, then the other
-    // candidates in the serial enumeration order.
-    let mut disps: Vec<RootDisp> = Vec::with_capacity(n);
-    disps.push(RootDisp::Enter {
-        candidate: c_star,
-        order: pool.best_order.clone(),
-        seed_nops: seed.nops,
-        global_lb,
-    });
+    let jackson = pool.stats.omega_calls >= cfg.switch_on;
+    disps.reserve(ctx.len() - 1);
     let mut tried_classes: Vec<(u32, TupleId)> = Vec::new();
     if let Some(classes) = &equiv_class {
         tried_classes.push((classes[c_star.index()], c_star));
@@ -1029,13 +1006,46 @@ fn certify_phase<'c, 'a>(
             });
         }
     }
+}
+
+/// Phase 2 of a pooled proof: re-derive the transcript of a completed
+/// phase 1 with perfect foresight (see the module docs), on the caller's
+/// search `s` and the helpers' in `spare`. Returns the parts in merge
+/// order, the phase's counters, whose `truncated` and `deadline_hit` say
+/// whether the certification itself ran out, and `s`. `cfg` is the
+/// search's configuration, as for [`pool_phase`].
+fn certify_phase<'c, 'a>(
+    s: Search<'c, 'a, NullPolicy>,
+    spare: &Spare<'c, 'a>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+    boundary: Option<&BoundaryState>,
+    seed: &SearchSeed,
+    pool: &PoolOutcome,
+) -> (
+    Vec<Vec<ProofEvent>>,
+    SearchStats,
+    Search<'c, 'a, NullPolicy>,
+) {
+    let (ctx, worker_cfg) = (s.ctx, s.cfg);
+    // Phase 2 is the same search's certification: it counts on from the
+    // Ω phase 1 ran, for the switch-on as for λ.
+    let spent = pool.stats.omega_calls;
+
+    // Root dispositions in merge order: the best subtree first, then the
+    // other candidates in the serial enumeration order.
+    let mut disps = vec![RootDisp::Enter {
+        candidate: pool.best_order[0],
+        order: pool.best_order.clone(),
+        seed_nops: seed.nops,
+        global_lb: cfg.terminate_on_lower_bound.then_some(seed.global_lb),
+    }];
 
     // Fresh shared state for phase 2 — same λ pool, counting on from the
     // Ω phase 1 ran (its unused batch reservations are not spent);
     // stop/proved flags reset so the subtree workers actually run.
     let shared2 = Shared::new(cfg, seed, spent);
     let mut stats = SearchStats::default();
-    let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
 
     // The best subtree runs first, on the caller: if it proves optimality
     // by bound, the certificate ends inside it and nothing else is emitted.
@@ -1044,11 +1054,15 @@ fn certify_phase<'c, 'a>(
     let (events, st) = dispose(&mut caller, &disps[0]);
     stats.merge(&st);
     let proved_in_part0 = st.proved_by_bound;
-    parts.push(events);
+    let mut parts = vec![events];
 
     // relaxed-ok: part 0 ran on this thread (program order); no other
     // thread is running yet.
     if !proved_in_part0 && !shared2.stop.load(Ordering::Relaxed) {
+        // Only a part 0 that leaves the root open needs the other
+        // candidates' dispositions.
+        other_dispositions(&mut caller, cfg, seed, pool, &mut disps);
+        parts.reserve(disps.len());
         // Every other disposition, claimed in order by the caller and, if
         // phase 1 started helpers, by up to `threads − 1` helper threads.
         let results: Vec<SubtreeSlot> = (0..disps.len()).map(|_| Mutex::new(None)).collect();
