@@ -109,12 +109,32 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// otherwise expression source through the frontend (unoptimized, so the
 /// request text maps 1:1 onto tuples).
 fn parse_block_text(name: &str, text: &str) -> Result<BasicBlock, String> {
-    let head = text.trim_start();
-    if head.starts_with(";; tuples") || head.starts_with("1:") {
+    if is_tuple_text(text) {
         pipesched_ir::parse::parse_block(name, text).map_err(|e| e.to_string())
     } else {
         pipesched_frontend::compile_unoptimized(name, text).map_err(|e| e.to_string())
     }
+}
+
+/// Whether `text` is tuple text: a `;; tuples` header, or a first line
+/// that is neither blank nor a `;` comment and reads `<id>: …`, its id an
+/// unsigned integer as the tuple parser reads one (`1`, ` 1 `, `01`,
+/// `+1`). The expression language has no line of that shape.
+fn is_tuple_text(text: &str) -> bool {
+    for line in text.lines().map(str::trim) {
+        if line.starts_with(";; tuples") {
+            return true;
+        }
+        if line.is_empty() || line.starts_with(';') {
+            continue;
+        }
+        return line.split_once(':').is_some_and(|(id, _)| {
+            let id = id.trim();
+            let digits = id.strip_prefix('+').unwrap_or(id);
+            !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
+        });
+    }
+    false
 }
 
 /// Resolve a preset machine by its CLI name. Each preset is built once

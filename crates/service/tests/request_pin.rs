@@ -421,6 +421,22 @@ fn unusual_but_valid_requests_are_accepted() {
             "ok: id=Some(5) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[]\n",
         ),
         (
+            &req("1 : Load #x\n2: Store #y, @1"),
+            "ok: id=Some(1) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[x|y]\n1: Load #x\n2: Store #y, @1\n",
+        ),
+        (
+            &req("01: Load #x\n2: Store #y, @1"),
+            "ok: id=Some(1) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[x|y]\n1: Load #x\n2: Store #y, @1\n",
+        ),
+        (
+            &req("; head\n\n  ; more\n1: Load #x\n2: Store #y, @1"),
+            "ok: id=Some(1) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[x|y]\n1: Load #x\n2: Store #y, @1\n",
+        ),
+        (
+            &req("\n+1:\u{a0}Load #x ; tail\n2: Store #y, @1"),
+            "ok: id=Some(1) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[x|y]\n1: Load #x\n2: Store #y, @1\n",
+        ),
+        (
             "{\"id\": 6, \"block\": \";; tuples\", \"machine\": \"paper-simulation\"}",
             "ok: id=Some(6) machine=paper-simulation budget_nodes=None deadline_ms=None vars=[]\n",
         ),
@@ -474,7 +490,7 @@ fn mutated_requests_never_panic_and_keep_their_outcomes() {
     if printing() {
         println!("accepted {accepted}, digest {digest:#018x}");
     }
-    assert_eq!((accepted, digest), (666, 0x663b_82f9_c1af_eb56));
+    assert_eq!((accepted, digest), (668, 0x526f_ee86_34c5_e9c2));
 }
 
 #[test]
