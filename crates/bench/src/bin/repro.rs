@@ -9,7 +9,7 @@
 //! repro windowed  [--runs N]
 //! repro encodings [--runs N]
 //! repro serve     [--runs N] [--threads T]   # memoized serving throughput
-//! repro prove     [--runs N]   # certificate gate + proof-logging overhead + checker throughput
+//! repro prove     [--runs N]   # certificate gate + proof-logging overhead + checker cost
 //! repro solve     [--runs N] [--quick]   # SAT-vs-B&B cross-certification + OUT/BENCH_solve.json
 //! repro parallel  [--runs N] [--quick]   # work-stealing speedup curve + OUT/BENCH_parallel.json
 //! repro observe   [--runs N] [--quick]   # tracing overhead gate + OUT/BENCH_sched.json
@@ -36,6 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
+use pipesched_bench::alloc_count::Counting;
 use pipesched_bench::experiments::{
     ablation, encodings, observe, parallel, prove, serve, solve, sweep, table1, verify_sweep,
     windowed,
@@ -44,6 +45,10 @@ use pipesched_bench::ledger::{self, Fingerprint, PairsRun};
 use pipesched_bench::report::{f, percentile, TextTable};
 use pipesched_bench::{run_sweep, RunRecord, SweepConfig, SweepResult};
 use pipesched_synth::CorpusSpec;
+
+/// Counts allocations for `repro prove`'s checker report.
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 #[derive(Clone)]
 struct Args {
@@ -690,15 +695,22 @@ fn run_prove(args: &Args) -> bool {
     let runs = args.runs.min(300);
     eprintln!("prove: {runs} blocks x {{plain, logged, plain}} + checker replay...");
     let report = prove::run(runs, args.lambda);
+    let allocations = report
+        .check_allocations
+        .map_or("uncounted".to_string(), |(mean, _)| format!("{mean:.2}"));
     println!(
         "prove: {} certificates accepted, {} rejected, {} truncated — \
-         disabled-path delta {:.2}%, logging overhead {:.2}%, checker {:.0} events/s",
+         disabled-path delta {:.2}%, logging overhead {:.2}%, checker {:.0} events/s \
+         ({:.2} us per certificate + {:.4} us per event, {allocations} allocations \
+         per certificate)",
         report.proved,
         report.rejected,
         report.truncated,
         report.disabled_overhead_pct(),
         report.logging_overhead_pct(),
-        report.checker_events_per_sec()
+        report.checker_events_per_sec(),
+        report.check_fixed_us,
+        report.check_us_per_event,
     );
     let ok = report.rejected == 0;
     if !ok {
@@ -714,7 +726,7 @@ fn run_prove(args: &Args) -> bool {
         args,
         "prove_overhead",
         &prove::render(&report),
-        "Optimality certificates: logging overhead and checker throughput",
+        "Optimality certificates: logging overhead and checker cost",
     );
     ok
 }

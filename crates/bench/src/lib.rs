@@ -17,6 +17,7 @@
 //! | Figure 7 (% optimal vs block size) | [`experiments::sweep`] | `fig7` |
 //! | Ablations (ours) | [`experiments::ablation`] | `ablation` |
 
+pub mod alloc_count;
 pub mod experiments;
 pub mod ledger;
 pub mod report;

@@ -1,6 +1,7 @@
 //! End-to-end test of the `repro` binary's certificate gate: `repro prove`
 //! exits zero only when the independent checker accepts every certificate
-//! the search emits, and its report line says how many it rejected.
+//! the search emits, and its report line says how many it rejected and
+//! what a check costs.
 
 use std::process::Command;
 
@@ -26,6 +27,15 @@ fn repro_prove_accepts_every_certificate_and_exits_zero() {
         .find(|l| l.starts_with("prove: ") && l.contains("certificates accepted"))
         .unwrap_or_else(|| panic!("no report line in:\n{stdout}"));
     assert!(report.contains(", 0 rejected,"), "report line: {report}");
+    // The checker's cost split and its counted allocations.
+    assert!(
+        report.contains(" us per certificate + "),
+        "report line: {report}"
+    );
+    assert!(
+        report.contains(" allocations per certificate") && !report.contains("uncounted"),
+        "report line: {report}"
+    );
     assert!(dir.join("prove_overhead.txt").is_file());
     std::fs::remove_dir_all(&dir).ok();
 }
