@@ -4,7 +4,7 @@
 //! NOPs does this block need on this machine? — so their answers are
 //! mutually constrained:
 //!
-//! * every produced schedule must certify clean ([`crate::certify`]);
+//! * every produced schedule must certify clean ([`crate::certify()`]);
 //! * the branch-and-bound result is never worse than its own list-schedule
 //!   seed, and the windowed schedule sits between the proven optimum and
 //!   the plain list schedule it refines;

@@ -22,7 +22,7 @@
 //! * [`machine_checks`] — lints over machine descriptions (codes `A02xx`):
 //!   zero or absurd latencies, unreachable pipelines, operations no
 //!   pipeline executes, degenerate descriptions;
-//! * [`certify`] — a schedule certifier (codes `A03xx`) that re-derives
+//! * [`certify`](mod@certify) — a schedule certifier (codes `A03xx`) that re-derives
 //!   issue times **independently** of both the scheduler's incremental
 //!   engine and the cycle-accurate simulator, then checks a scheduler's
 //!   claimed order, pipeline assignment, η padding, and μ against the

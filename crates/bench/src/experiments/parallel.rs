@@ -209,7 +209,7 @@ fn curve_salt(size: usize) -> u64 {
 }
 
 /// Instructions of the steal gate's block, in every profile: the
-/// 30-instruction block of [`curve_salt`], about 9.1k Ω to prove on the
+/// 30-instruction block of `curve_salt`, about 9.1k Ω to prove on the
 /// deep-pipeline machine, proved with `split_depth` = its length, so every
 /// placement is a task a helper can steal. The quick curve block (28
 /// instructions, 2.8k Ω) under the default split often ends before a

@@ -29,7 +29,7 @@ pub struct Table1Row {
     pub legality_calls: u64,
     /// True when the legality enumeration hit the cap.
     pub legality_capped: bool,
-    /// Ω calls of the paper-exact proposed search (plain α-β, rule [5c]),
+    /// Ω calls of the paper-exact proposed search (plain α-β, rule \[5c\]),
     /// capped at [`LEGALITY_CAP`].
     pub paper_calls: u64,
     /// True when the paper-exact search completed within the cap.

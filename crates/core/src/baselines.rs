@@ -5,8 +5,8 @@
 //! * [`enumerate_legal`] — "pruning illegal" (Table 1 column 3): walk every
 //!   *legal* topological order, evaluating each complete schedule once;
 //! * [`greedy_schedule`] — a Gross-style greedy heuristic (single pass, no
-//!   backtracking), representative of the postpass schedulers of [Gro83]
-//!   and [AbP88].
+//!   backtracking), representative of the postpass schedulers of \[Gro83\]
+//!   and \[AbP88\].
 
 use pipesched_ir::TupleId;
 

@@ -14,15 +14,15 @@
 //!
 //! Pruning devices, mapped to the paper's step numbers:
 //!
-//! * **[5a] quick legality** — `earliest(ξ) ≤ i` (definition 6) rejects a
+//! * **\[5a\] quick legality** — `earliest(ξ) ≤ i` (definition 6) rejects a
 //!   candidate without touching the readiness counters. The other half of
 //!   the paper's check, `latest(κ) ≥ Π⁻¹(ξ)`, constrains the instruction
 //!   displaced *out* of position `i`; our enumeration treats the suffix as
 //!   unordered scratch (every later depth rescans all of Ψ), so that half
 //!   is vacuous here and is not applied.
-//! * **[5b] real legality** — all of ξ's immediate predecessors are already
+//! * **\[5b\] real legality** — all of ξ's immediate predecessors are already
 //!   scheduled (O(1) via a pending-predecessor counter).
-//! * **[5c] equivalence** — skip swapping two *interchangeable free*
+//! * **\[5c\] equivalence** — skip swapping two *interchangeable free*
 //!   instructions: both `σ = ∅` and `ρ = ∅` **and identical successor
 //!   sets**. The paper's printed rule omits the successor condition, and
 //!   our brute-force property suite found a counterexample for the
@@ -36,7 +36,7 @@
 //!   duplicate literals. [`EquivalenceMode::Structural`] extends the idea
 //!   to classes of instructions with identical operation, predecessor set
 //!   and successor set.
-//! * **[6] α-β bound** — extend a partial schedule only while its NOP count
+//! * **\[6\] α-β bound** — extend a partial schedule only while its NOP count
 //!   (optionally strengthened by [`BoundKind::CriticalPath`]) is strictly
 //!   below the incumbent's. The strengthened bound adds its
 //!   heads-and-tails term only where a prune pays for it: once the search
@@ -49,13 +49,13 @@
 //!   placement the bound leaves open is pruned when an explored prefix of
 //!   the same instruction set reached a state no later in any slot (see
 //!   [`crate::dominance`]).
-//! * **[4] curtail point λ** — hard cap on Ω calls; hitting it returns the
+//! * **\[4\] curtail point λ** — hard cap on Ω calls; hitting it returns the
 //!   best schedule found with `optimal = false`.
 //!
 //! Each placement costs O(out-degree + |ready|), not a rescan of the block.
 //! The timing engine pushes ξ in O(in-degree) and pops it in O(1).
 //! `bounds::Frontier` holds the unscheduled side of the prefix: the
-//! pending-predecessor counts [5b] reads, the ready set as a bitset, each
+//! pending-predecessor counts \[5b\] reads, the ready set as a bitset, each
 //! ready instruction's dependence-ready cycle (cached when its last
 //! predecessor is placed), and the per-pipe counts of unplaced ops. One
 //! `commit`/`uncommit` pair updates all of it, for every placement the
@@ -89,20 +89,20 @@ use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::dominance::Dominance;
 use crate::parallel::ParallelConfig;
-use crate::profile::{DepthStats, SearchProfile};
+use crate::profile::SearchProfile;
 use crate::proof::{
     trailer_for, Certificate, CertificateHeader, ProofEvent, ProofLogger, ProofOutput,
 };
 use crate::seed::{seed_with, SearchSeed};
 use crate::timing::{BoundaryState, TimingEngine};
 
-/// Which heuristic seeds the search's initial incumbent (step [1]).
+/// Which heuristic seeds the search's initial incumbent (step \[1\]).
 /// §3.2 notes that "any other scheduling technique proposed in the
 /// literature ... could be applied to find this initial schedule"; the
 /// quality of the incumbent controls how early the α-β bound bites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitialHeuristic {
-    /// The paper's [ZaD90] max-producer-consumer-distance list schedule
+    /// The paper's \[ZaD90\] max-producer-consumer-distance list schedule
     /// (machine-independent).
     #[default]
     MaxDistance,
@@ -117,11 +117,11 @@ pub enum InitialHeuristic {
 pub enum EquivalenceMode {
     /// No equivalence filtering (for ablation).
     Off,
-    /// The paper's rule [5c]: both instructions pipeline-free and
+    /// The paper's rule \[5c\]: both instructions pipeline-free and
     /// dependence-free.
     #[default]
     Paper,
-    /// The paper's rule [5c] exactly as printed — **without** the
+    /// The paper's rule \[5c\] exactly as printed — **without** the
     /// identical-successor-set restriction the module docs explain. This
     /// rule is *unsound* (it can prune the only optimal schedules); the
     /// variant exists so the proof checker's rejection of over-pruning
@@ -143,9 +143,9 @@ pub struct SearchConfig {
     pub equivalence: EquivalenceMode,
     /// Choose among multiple pipelines per op (extension; §4.1 footnote 3).
     pub pipeline_selection: bool,
-    /// Apply the quick [5a] pre-check (for ablation; never affects results).
+    /// Apply the quick \[5a\] pre-check (for ablation; never affects results).
     pub quick_check: bool,
-    /// Heuristic for the initial incumbent (step [1]).
+    /// Heuristic for the initial incumbent (step \[1\]).
     pub initial: InitialHeuristic,
     /// Stop with an optimality *proof* as soon as the incumbent's NOP count
     /// reaches the admissible critical-path/resource lower bound of the
@@ -217,7 +217,7 @@ impl SearchConfig {
     }
 
     /// The paper's algorithm exactly as §4.2.3 describes it: plain α-β
-    /// bound, rule-[5c] equivalence, no lower-bound termination. Used by
+    /// bound, rule-\[5c\] equivalence, no lower-bound termination. Used by
     /// the ablation experiments; the library default strengthens the bound
     /// (provably without changing which schedule is found).
     pub fn paper_exact() -> Self {
@@ -229,7 +229,53 @@ impl SearchConfig {
     }
 }
 
-/// Counters describing one search run.
+/// The rules that prune the search, in the order every report lists
+/// them: the paper's four devices, then the extensions' two. `rule as
+/// usize` indexes a per-rule array such as
+/// [`DepthStats::pruned`](crate::DepthStats::pruned).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Prune {
+    /// Candidates rejected by the quick \[5a\] check.
+    Quick,
+    /// Candidates rejected by the readiness test \[5b\].
+    Legality,
+    /// Candidates rejected by the equivalence filter \[5c\].
+    Equivalence,
+    /// Placements abandoned by the α-β / lower-bound test \[6\].
+    Bound,
+    /// Pipeline-unit choices skipped by symmetry breaking.
+    Symmetry,
+    /// Placements a closed prefix of the same instruction set dominated.
+    Dominance,
+}
+
+impl Prune {
+    /// Every rule, in report order.
+    pub const ALL: [Prune; 6] = [
+        Prune::Quick,
+        Prune::Legality,
+        Prune::Equivalence,
+        Prune::Bound,
+        Prune::Symmetry,
+        Prune::Dominance,
+    ];
+
+    /// The rule's name: the Prometheus `rule` label, and the JSON key
+    /// `pruned_<name>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Prune::Quick => "quick",
+            Prune::Legality => "legality",
+            Prune::Equivalence => "equivalence",
+            Prune::Bound => "bound",
+            Prune::Symmetry => "symmetry",
+            Prune::Dominance => "dominance",
+        }
+    }
+}
+
+/// Counters describing one search run. The six `pruned_*` fields are the
+/// [`Prune`] rules' counts, read by rule through [`SearchStats::pruned`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Search-tree nodes visited: one per committed prefix whose
@@ -244,13 +290,13 @@ pub struct SearchStats {
     pub complete_schedules: u64,
     /// Times the incumbent improved.
     pub improvements: u64,
-    /// Candidates rejected by the quick [5a] check.
+    /// Candidates rejected by the quick \[5a\] check.
     pub pruned_quick: u64,
-    /// Candidates rejected by the readiness test [5b].
+    /// Candidates rejected by the readiness test \[5b\].
     pub pruned_legality: u64,
-    /// Candidates rejected by the equivalence filter [5c].
+    /// Candidates rejected by the equivalence filter \[5c\].
     pub pruned_equivalence: u64,
-    /// Subtrees abandoned by the α-β / lower-bound test [6].
+    /// Subtrees abandoned by the α-β / lower-bound test \[6\].
     pub pruned_bound: u64,
     /// Pipeline-unit choices skipped by symmetry breaking.
     pub pruned_symmetry: u64,
@@ -275,15 +321,22 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
+    /// What `rule` pruned: the one map from a rule to its field.
+    pub fn pruned(&self, rule: Prune) -> u64 {
+        match rule {
+            Prune::Quick => self.pruned_quick,
+            Prune::Legality => self.pruned_legality,
+            Prune::Equivalence => self.pruned_equivalence,
+            Prune::Bound => self.pruned_bound,
+            Prune::Symmetry => self.pruned_symmetry,
+            Prune::Dominance => self.pruned_dominance,
+        }
+    }
+
     /// Candidates rejected by any pruning rule — the single "pruned"
     /// number wide events and dashboards report.
     pub fn pruned_total(&self) -> u64 {
-        self.pruned_quick
-            + self.pruned_legality
-            + self.pruned_equivalence
-            + self.pruned_bound
-            + self.pruned_symmetry
-            + self.pruned_dominance
+        Prune::ALL.iter().map(|&rule| self.pruned(rule)).sum()
     }
 
     /// Add `other`'s counters to these and OR in its flags: the workers
@@ -412,7 +465,7 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// The search's one front door: seed the incumbent (step [1]), settle
+/// The search's one front door: seed the incumbent (step \[1\]), settle
 /// what the seed alone settles, run the serial kernel or the pool, and
 /// assemble the certificate.
 ///
@@ -505,11 +558,7 @@ pub fn run(
         }
         (None, _) => match (proof.as_mut(), profile) {
             (None, None) => kernel(s, seed),
-            (Some(logger), None) => kernel(s.with_policy(ProofPolicy(logger)), seed),
-            (None, Some(profile)) => kernel(s.with_policy(ProfilePolicy(profile)), seed),
-            (Some(logger), Some(profile)) => {
-                kernel(s.with_policy(ProofProfilePolicy(logger, profile)), seed)
-            }
+            (proof, profile) => kernel(s.with_policy(Observed { proof, profile }), seed),
         },
     };
     let proof = proof.map(|logger| logger.finish(trailer_for(&outcome)));
@@ -556,16 +605,17 @@ pub(crate) fn prove_with(
 /// Compile-time hook bundle the kernel is generic over.
 ///
 /// One branch-and-bound implementation serves every [`run`]: the plain
-/// search, the certificate-logged and the profiled ones, and the
-/// work-stealing workers in [`crate::parallel`]. Each supplies a policy;
-/// hooks a policy leaves at their defaults monomorphize to nothing, so
-/// [`NullPolicy`] compiles to the plain search.
+/// search, the observed one (a certificate, a per-depth profile or both)
+/// and the work-stealing workers in [`crate::parallel`]. Each supplies a
+/// policy; hooks a policy leaves at their defaults monomorphize to
+/// nothing, so [`NullPolicy`] compiles to the plain search.
 ///
 /// The hooks fall into three groups:
 ///
 /// * **observation** — [`log`](Self::log) records the proof transcript
-///   (gated on [`PROOF`](Self::PROOF)), [`prof`](Self::prof) bumps
-///   per-depth counters (gated on [`PROFILE`](Self::PROFILE)).
+///   (gated on [`PROOF`](Self::PROOF)), and [`profile`](Self::profile)
+///   hands the `dfs` wrapper the per-depth profile it fills, the one
+///   place the kernel profiles (see [`crate::profile`]).
 /// * **shared budgets & bounds** — [`charge_omega`](Self::charge_omega)
 ///   draws on a pool-wide λ, [`poll_stop`](Self::poll_stop) observes a
 ///   pool-wide stop flag, [`shared_best`](Self::shared_best) tightens the
@@ -575,12 +625,9 @@ pub(crate) fn prove_with(
 /// * **work distribution** — [`spawn`](Self::spawn) may take ownership of a
 ///   just-bounded subtree and defer it to a work-stealing deque.
 pub(crate) trait SearchPolicy {
-    /// True when the policy records a proof transcript; the kernel then
-    /// captures the bound's chain/resource terms for every placement.
+    /// True when the policy may record a proof transcript; the kernel
+    /// then hands it every event, bound terms included.
     const PROOF: bool = false;
-    /// True when the policy collects per-depth profiles; the kernel then
-    /// times each `dfs` call inclusively.
-    const PROFILE: bool = false;
 
     /// One proof event, in replay order.
     #[inline]
@@ -588,10 +635,10 @@ pub(crate) trait SearchPolicy {
         let _ = ev;
     }
 
-    /// Bump a per-depth profile counter.
+    /// The per-depth profile the `dfs` wrapper fills, if any.
     #[inline]
-    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        let _ = (depth, bump);
+    fn profile(&mut self) -> Option<&mut SearchProfile> {
+        None
     }
 
     /// Charge one Ω call against a shared budget; return true when the
@@ -651,45 +698,25 @@ pub(crate) struct NullPolicy;
 
 impl SearchPolicy for NullPolicy {}
 
-/// Certificate-logging policy wrapping a [`ProofLogger`].
-struct ProofPolicy<'p>(&'p mut ProofLogger);
+/// The observed serial kernel: a certificate, a profile, or both.
+struct Observed<'p> {
+    proof: Option<&'p mut ProofLogger>,
+    profile: Option<&'p mut SearchProfile>,
+}
 
-impl SearchPolicy for ProofPolicy<'_> {
+impl SearchPolicy for Observed<'_> {
     const PROOF: bool = true;
 
     #[inline]
     fn log(&mut self, ev: ProofEvent) {
-        self.0.log(ev);
-    }
-}
-
-/// Per-depth profiling policy wrapping a [`SearchProfile`].
-struct ProfilePolicy<'p>(&'p mut SearchProfile);
-
-impl SearchPolicy for ProfilePolicy<'_> {
-    const PROFILE: bool = true;
-
-    #[inline]
-    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        bump(self.0.at(depth));
-    }
-}
-
-/// [`ProofPolicy`] and [`ProfilePolicy`] together.
-struct ProofProfilePolicy<'p>(&'p mut ProofLogger, &'p mut SearchProfile);
-
-impl SearchPolicy for ProofProfilePolicy<'_> {
-    const PROOF: bool = true;
-    const PROFILE: bool = true;
-
-    #[inline]
-    fn log(&mut self, ev: ProofEvent) {
-        self.0.log(ev);
+        if let Some(logger) = self.proof.as_deref_mut() {
+            logger.log(ev);
+        }
     }
 
     #[inline]
-    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        bump(self.1.at(depth));
+    fn profile(&mut self) -> Option<&mut SearchProfile> {
+        self.profile.as_deref_mut()
     }
 }
 
@@ -1020,25 +1047,21 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         }
     }
 
-    /// Bump a per-depth profile counter when profiling is on.
-    #[inline]
-    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        if P::PROFILE {
-            self.policy.prof(depth, bump);
-        }
-    }
-
-    /// Profiling wrapper around [`Search::dfs_inner`]: times the call
-    /// inclusively per depth. Without a profile it is a plain tail call,
-    /// so the un-profiled search never reads the clock here.
+    /// The kernel's one profile site, around [`Search::dfs_inner`]: with a
+    /// profile attached, it times the call and charges what the run's
+    /// counters gained during it to `depth` (see [`crate::profile`]).
+    /// Without one it is a plain tail call that reads no clock.
     fn dfs(&mut self, depth: usize) {
-        if !P::PROFILE {
+        if self.policy.profile().is_none() {
             return self.dfs_inner(depth);
         }
+        let before = self.stats;
         let start = std::time::Instant::now();
         self.dfs_inner(depth);
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.prof(depth, |d| d.time_ns += elapsed);
+        let time_ns = start.elapsed().as_nanos() as u64;
+        if let Some(profile) = self.policy.profile() {
+            profile.charge(depth, &before, &self.stats, time_ns);
+        }
     }
 
     fn dfs_inner(&mut self, depth: usize) {
@@ -1046,7 +1069,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         // frontier covers is placed (the block, except in a window).
         let n = self.frontier.covered();
         self.stats.nodes_visited += 1;
-        self.prof(depth, |d| d.nodes += 1);
         if depth == n {
             // Step [3]: complete schedule.
             self.stats.complete_schedules += 1;
@@ -1094,14 +1116,12 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             // [5a] quick approximate legality check.
             if self.cfg.quick_check && self.ctx.analysis.earliest(xi) as usize > depth {
                 self.stats.pruned_quick += 1;
-                self.prof(depth, |d| d.pruned_quick += 1);
                 self.log(ProofEvent::LegalityPrune { candidate: xi.0 });
                 continue;
             }
             // [5b] real legality: every predecessor already scheduled.
             if !self.frontier.is_ready(xi) {
                 self.stats.pruned_legality += 1;
-                self.prof(depth, |d| d.pruned_legality += 1);
                 self.log(ProofEvent::LegalityPrune { candidate: xi.0 });
                 continue;
             }
@@ -1111,7 +1131,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 EquivalenceMode::Paper => {
                     if j != depth && self.ctx.interchangeable_free(kappa, xi) {
                         self.stats.pruned_equivalence += 1;
-                        self.prof(depth, |d| d.pruned_equivalence += 1);
                         // κ is free, hence legal here, hence was placed at
                         // j == depth: a valid witness.
                         self.log(ProofEvent::EquivalencePrune {
@@ -1130,7 +1149,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                         && self.ctx.is_free_instruction(xi)
                     {
                         self.stats.pruned_equivalence += 1;
-                        self.prof(depth, |d| d.pruned_equivalence += 1);
                         self.log(ProofEvent::EquivalencePrune {
                             candidate: xi.0,
                             witness: kappa.0,
@@ -1142,7 +1160,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                     let class = self.equiv_class[xi.index()];
                     if let Some(&(_, witness)) = tried_classes.iter().find(|(c, _)| *c == class) {
                         self.stats.pruned_equivalence += 1;
-                        self.prof(depth, |d| d.pruned_equivalence += 1);
                         self.log(ProofEvent::EquivalencePrune {
                             candidate: xi.0,
                             witness: witness.0,
@@ -1234,7 +1251,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             return false;
         };
         self.stats.pruned_dominance += 1;
-        self.prof(len - 1, |d| d.pruned_dominance += 1);
         let candidate = self.order[len - 1].0;
         // Nodes entered after the witness: a reference that survives the
         // concatenation of a pooled proof's parts.
@@ -1270,7 +1286,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         // one) is charged unconditionally so the pool-wide Ω counter stays
         // exact even when a local limit also fires.
         self.stats.omega_calls += 1;
-        self.prof(depth, |d| d.omega_calls += 1);
         if self.policy.charge_omega() || self.stats.omega_calls >= self.cfg.lambda {
             self.stats.truncated = true;
             self.stop = true;
@@ -1351,7 +1366,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                             self.table.flip(xi);
                         }
                         self.stats.pruned_bound += 1;
-                        self.prof(depth, |d| d.pruned_bound += 1);
                         let mu = self.engine.total_nops();
                         self.log(ProofEvent::BoundPrune {
                             candidate: xi.0,
@@ -1492,6 +1506,7 @@ pub(crate) fn structural_classes(ctx: &SchedContext<'_>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::DepthStats;
     use pipesched_ir::{BlockBuilder, DepDag};
     use pipesched_machine::presets;
 
@@ -1800,25 +1815,18 @@ mod tests {
         assert_eq!(out.stats, plain.stats);
 
         // Every per-depth column sums to its whole-run counter.
-        let sum = |f: fn(&DepthStats) -> u64| profile.depths.iter().map(f).sum::<u64>();
+        let sum = |f: &dyn Fn(&DepthStats) -> u64| profile.depths.iter().map(f).sum::<u64>();
         assert_eq!(profile.total_nodes(), out.stats.nodes_visited);
-        assert_eq!(sum(|d| d.omega_calls), out.stats.omega_calls);
-        assert_eq!(sum(|d| d.pruned_quick), out.stats.pruned_quick);
-        assert_eq!(sum(|d| d.pruned_legality), out.stats.pruned_legality);
-        assert_eq!(sum(|d| d.pruned_equivalence), out.stats.pruned_equivalence);
-        assert_eq!(sum(|d| d.pruned_bound), out.stats.pruned_bound);
+        assert_eq!(sum(&|d| d.omega_calls), out.stats.omega_calls);
+        for rule in Prune::ALL {
+            let column = sum(&|d| d.pruned[rule as usize]);
+            assert_eq!(column, out.stats.pruned(rule), "{rule:?}");
+        }
         assert!(out.stats.nodes_visited > 1, "search did not explore");
 
         // Inclusive time: depth d+1 nests inside depth d.
         for w in profile.depths.windows(2) {
             assert!(w[0].time_ns >= w[1].time_ns);
-        }
-
-        // JSON rendering covers every depth.
-        if let pipesched_json::Json::Array(rows) = profile.to_json() {
-            assert_eq!(rows.len(), profile.depths.len());
-        } else {
-            panic!("profile JSON is an array");
         }
     }
 

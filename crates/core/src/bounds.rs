@@ -1,6 +1,6 @@
 //! Lower bounds on the NOPs a partial schedule must still incur.
 //!
-//! The paper's α-β prune (step [6]) uses μ(Φ) itself as the bound: NOP
+//! The paper's α-β prune (step \[6\]) uses μ(Φ) itself as the bound: NOP
 //! counts are monotone under extension, so a partial schedule that already
 //! matches the incumbent cannot improve on it. [`BoundKind::CriticalPath`]
 //! (an extension; ablated in the benches) strengthens this with two
@@ -39,9 +39,9 @@
 //!
 //! **Down-sets.** A window (see [`crate::windowed`]) is complete once the
 //! down-set `order[..end]` is placed, so its bound covers that alone: a
-//! [`Frontier`] covers a down-set, whose other tuples are never ready,
+//! `Frontier` covers a down-set, whose other tuples are never ready,
 //! never counted and never in Jackson's schedule, and `end − 1` replaces
-//! `n − 1`. [`LowerBound::windowed`]'s tails stay inside one window.
+//! `n − 1`. `LowerBound::windowed`'s tails stay inside one window.
 
 use pipesched_ir::{BitSet, TupleId};
 use pipesched_machine::PipelineId;

@@ -99,7 +99,7 @@ pub struct SchedContext<'a> {
     /// Interchangeability class for *free* instructions (σ=∅ ∧ ρ=∅):
     /// two free instructions share a class iff they have identical
     /// immediate-successor sets, which makes swapping them a pure
-    /// relabeling. `None` for non-free instructions. (Rule [5c] as the
+    /// relabeling. `None` for non-free instructions. (Rule \[5c\] as the
     /// paper prints it — any two free instructions — can prune the optimum
     /// when the two feed different consumers; see the module docs of
     /// `crate::bnb`.)
@@ -205,7 +205,7 @@ impl<'a> SchedContext<'a> {
         self.pipe_enqueue[p.index()]
     }
 
-    /// The paper's `ρ(ζ) = ∅` test used by the equivalence filter [5c].
+    /// The paper's `ρ(ζ) = ∅` test used by the equivalence filter \[5c\].
     pub fn has_no_preds(&self, t: TupleId) -> bool {
         self.preds[t.index()].is_empty()
     }

@@ -30,7 +30,7 @@
 //! a search that completes keeps its schedule, and a λ-truncated one can
 //! only get further.
 //!
-//! The kernel keeps the closed prefixes in a [`Dominance`] table, keyed by
+//! The kernel keeps the closed prefixes in a `Dominance` table, keyed by
 //! a Zobrist hash of the placed set and compared against the exact set:
 //! a hash match alone never prunes. The table is built only once a search
 //! has run [`crate::SearchConfig::switch_on`] Ω, from the prefix of that

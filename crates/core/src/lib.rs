@@ -28,8 +28,9 @@
 //! * [`parallel`] — the work-stealing pool [`run`] uses for
 //!   `Run::parallel` (extension), sharing an atomic incumbent across
 //!   threads and merging per-subtree certificate parts;
-//! * [`profile`] — per-depth search profiling (nodes, prune counts, time),
-//!   attached through `Run::profile` like the proof logger;
+//! * [`profile`] — per-depth search profiling (nodes, Ω, prunes by
+//!   [`Prune`] rule, time), attached through `Run::profile` like the
+//!   proof logger and filled at one site of the kernel;
 //! * [`windowed`] — §5.3's future-work feature: locally-optimal scheduling
 //!   of very large blocks by partitioning the list schedule into windows,
 //!   each searched by the [`bnb`] kernel;
@@ -40,7 +41,7 @@
 //!   lower bound) every exact backend starts from;
 //! * [`proof`] — recording-side types for machine-checkable optimality
 //!   certificates (the independent checker lives in `pipesched-proof`);
-//! * [`api`] — the high-level [`Scheduler`](api::Scheduler) facade.
+//! * [`api`] — the high-level [`Scheduler`] facade.
 
 pub mod api;
 pub mod baselines;
@@ -59,8 +60,8 @@ pub mod windowed;
 
 pub use api::{Backend, Scheduler};
 pub use bnb::{
-    prove, run, search, BoundKind, EquivalenceMode, InitialHeuristic, Run, RunError, SearchConfig,
-    SearchOutcome, SearchStats,
+    prove, run, search, BoundKind, EquivalenceMode, InitialHeuristic, Prune, Run, RunError,
+    SearchConfig, SearchOutcome, SearchStats,
 };
 pub use bounds::global_lower_bound;
 pub use context::SchedContext;

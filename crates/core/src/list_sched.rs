@@ -1,6 +1,6 @@
 //! The list-scheduling heuristic that seeds the search (§3.2).
 //!
-//! The paper uses the heuristic of [ZaD90] to "arrange the tuples into a
+//! The paper uses the heuristic of \[ZaD90\] to "arrange the tuples into a
 //! sequential order so that the distance between each instruction and the
 //! instructions that depend on it is as large as possible", and stresses
 //! (§4.1) that the list scheduler does **not** look at the pipeline tables —

@@ -2,7 +2,7 @@
 //!
 //! Built on the unified policy-generic kernel in [`crate::bnb`]: every
 //! worker runs the *same* `dfs` as the serial search, with a
-//! [`SearchPolicy`] that (a) draws the λ budget from a pool-wide atomic
+//! `SearchPolicy` that (a) draws the λ budget from a pool-wide atomic
 //! in batches of [`LAMBDA_BATCH`] Ω, (b) reads and publishes the
 //! incumbent through a shared `AtomicU32` so an α-β bound discovered by
 //! any worker immediately prunes all others, and (c) intercepts shallow

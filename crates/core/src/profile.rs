@@ -1,17 +1,19 @@
 //! Per-depth search profiling.
 //!
-//! A [`SearchProfile`] breaks every [`crate::SearchStats`] counter down by
-//! search-tree depth and adds inclusive wall time per depth, answering
-//! *where* the branch-and-bound spends its work: which depths visit the
-//! most nodes, which prune rule carries the load near the root versus the
-//! leaves, and how much time each level costs.
+//! A [`SearchProfile`] breaks a serial run's nodes, Ω calls and prunes
+//! (one column per [`Prune`] rule) down by search-tree depth and adds
+//! inclusive wall time per depth, answering *where* the branch-and-bound
+//! spends its work. Complete schedules and improvements stay whole-run
+//! counts.
 //!
-//! Profiling follows the proof logger's `Option`-gated hook: the search
-//! takes `Option<&mut SearchProfile>` and the disabled path costs one
-//! branch per counter bump. Timing is only read when a profile is
-//! attached, so plain [`crate::search`] never touches the clock.
+//! The kernel fills a profile at one site, the wrapper around each `dfs`
+//! call: it charges what the run's [`SearchStats`] gained during the call
+//! to the call's depth (see `SearchProfile::charge`), so no counter
+//! bump in the kernel touches the profile. Whether a run profiles is
+//! decided at compile time: plain [`crate::search`] carries no profile
+//! code and never reads the clock for one.
 
-use pipesched_json::{json_object, Json};
+use crate::bnb::{Prune, SearchStats};
 
 /// Counters for one search-tree depth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,20 +22,28 @@ pub struct DepthStats {
     pub nodes: u64,
     /// Ω calls made while extending prefixes of this length.
     pub omega_calls: u64,
-    /// Candidates rejected by the quick [5a] check.
-    pub pruned_quick: u64,
-    /// Candidates rejected by the readiness test [5b].
-    pub pruned_legality: u64,
-    /// Candidates rejected by the equivalence filter [5c].
-    pub pruned_equivalence: u64,
-    /// Subtrees abandoned by the α-β / lower-bound test [6].
-    pub pruned_bound: u64,
-    /// Placements pruned by a closed prefix of the same set.
-    pub pruned_dominance: u64,
+    /// Candidates and placements pruned while extending prefixes of this
+    /// length, by rule: `pruned[rule as usize]` for each [`Prune`].
+    pub pruned: [u64; Prune::ALL.len()],
     /// Inclusive wall time spent in `dfs` calls at this depth, ns. A
     /// depth-`d+1` call nests in exactly one depth-`d` call, so
     /// `time_ns` is monotonically nonincreasing in `d`.
     pub time_ns: u64,
+}
+
+impl DepthStats {
+    /// Add `sign` (1, or −1 as a wrapping `u64`) times what the node, Ω
+    /// and prune counters gained from `before` to `after`.
+    fn add_gain(&mut self, before: &SearchStats, after: &SearchStats, sign: u64) {
+        let add = |slot: &mut u64, after: u64, before: u64| {
+            *slot = slot.wrapping_add((after - before).wrapping_mul(sign));
+        };
+        add(&mut self.nodes, after.nodes_visited, before.nodes_visited);
+        add(&mut self.omega_calls, after.omega_calls, before.omega_calls);
+        for (slot, rule) in self.pruned.iter_mut().zip(Prune::ALL) {
+            add(slot, after.pruned(rule), before.pruned(rule));
+        }
+    }
 }
 
 /// Per-depth breakdown of one branch-and-bound run.
@@ -50,12 +60,28 @@ impl SearchProfile {
         Self::default()
     }
 
-    /// Mutable stats for `depth`, growing the vector as needed.
-    pub fn at(&mut self, depth: usize) -> &mut DepthStats {
+    /// Charge one `dfs` call at `depth`, which took `time_ns` while the
+    /// run's counters went from `before` to `after`. The gain goes to
+    /// `depth` and comes back off `depth - 1`, whose call is still open
+    /// and charges it again when it returns (its counts may wrap below
+    /// zero until then), so each depth keeps exactly its own calls'
+    /// nodes, Ω and prunes. A profiled run starts at depth 0.
+    pub(crate) fn charge(
+        &mut self,
+        depth: usize,
+        before: &SearchStats,
+        after: &SearchStats,
+        time_ns: u64,
+    ) {
         if depth >= self.depths.len() {
             self.depths.resize(depth + 1, DepthStats::default());
         }
-        &mut self.depths[depth]
+        let own = &mut self.depths[depth];
+        own.time_ns += time_ns;
+        own.add_gain(before, after, 1);
+        if let Some(enclosing) = depth.checked_sub(1) {
+            self.depths[enclosing].add_gain(before, after, u64::MAX);
+        }
     }
 
     /// Total nodes across depths; equals the run's
@@ -77,35 +103,13 @@ impl SearchProfile {
     /// `bnb_depth_nodes`, `bnb_depth_omega` and `bnb_depth_pruned_bound`
     /// for each depth, so every emitter names them the same way.
     pub fn points(&self) -> impl Iterator<Item = (&'static str, usize, u64)> + '_ {
-        self.depths.iter().enumerate().flat_map(|(depth, d)| {
+        let bound = Prune::Bound as usize;
+        self.depths.iter().enumerate().flat_map(move |(depth, d)| {
             [
                 ("bnb_depth_nodes", depth, d.nodes),
                 ("bnb_depth_omega", depth, d.omega_calls),
-                ("bnb_depth_pruned_bound", depth, d.pruned_bound),
+                ("bnb_depth_pruned_bound", depth, d.pruned[bound]),
             ]
         })
-    }
-
-    /// JSON rendering: an array of per-depth objects.
-    pub fn to_json(&self) -> Json {
-        Json::Array(
-            self.depths
-                .iter()
-                .enumerate()
-                .map(|(depth, d)| {
-                    json_object![
-                        ("depth", depth as i64),
-                        ("nodes", d.nodes as i64),
-                        ("omega_calls", d.omega_calls as i64),
-                        ("pruned_quick", d.pruned_quick as i64),
-                        ("pruned_legality", d.pruned_legality as i64),
-                        ("pruned_equivalence", d.pruned_equivalence as i64),
-                        ("pruned_bound", d.pruned_bound as i64),
-                        ("pruned_dominance", d.pruned_dominance as i64),
-                        ("time_ns", d.time_ns as i64),
-                    ]
-                })
-                .collect(),
-        )
     }
 }

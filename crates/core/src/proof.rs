@@ -68,7 +68,7 @@ pub enum ProofEvent {
     Leave,
     /// `candidate` cannot legally occupy the current depth: at least one
     /// immediate predecessor is still unscheduled (covers both the quick
-    /// `earliest(ξ)` check [5a] and the readiness counter check [5b] —
+    /// `earliest(ξ)` check \[5a\] and the readiness counter check \[5b\] —
     /// the prefix is a down-set, so the two justifications coincide).
     LegalityPrune {
         /// Rejected tuple.

@@ -3,7 +3,7 @@
 //! All exact schedulers — the serial branch-and-bound, the parallel
 //! branch-and-bound, and the SAT portfolio backend in `pipesched-solve` —
 //! start the same way: build an initial schedule from a heuristic (step
-//! [1] of §4.2.3), price it with the timing engine to obtain the incumbent
+//! \[1\] of §4.2.3), price it with the timing engine to obtain the incumbent
 //! μ, and compute the admissible whole-block lower bound that lets an
 //! incumbent be *proved* optimal without exploring anything. This module is
 //! that common prologue, hoisted out of the individual search kernels so

@@ -17,7 +17,7 @@
 //! `η(ζ) = t(ζ) - t(prev) - 1` (paper definition 4). The total NOP count of
 //! the partial schedule, `μ(Φ) = Σ η` (definition 5), is maintained
 //! incrementally; it is monotone non-decreasing under extension, which is
-//! what makes the α-β prune of step [6] sound.
+//! what makes the α-β prune of step \[6\] sound.
 //!
 //! The printed TR's τ(j) formula sums only the NOPs between instructions j
 //! and i, omitting the issue cycle each intervening instruction itself

@@ -298,9 +298,9 @@ fn rule_5c_counterexample_regression() {
 }
 
 /// The per-device prune counters account for every visited node: each Ω
-/// call either descends (a new node) or is cut by the bound test, so a
-/// completed fixed-σ search satisfies
-/// `nodes_visited == 1 + omega_calls - pruned_bound`.
+/// call either descends (a new node) or is cut by the bound test or by
+/// dominance, so a completed fixed-σ search satisfies
+/// `nodes_visited == 1 + omega_calls - pruned_bound - pruned_dominance`.
 #[test]
 fn prune_counters_sum_to_nodes_visited() {
     for (seed, machine) in machines().into_iter().enumerate() {

@@ -60,8 +60,9 @@ pub struct BatchSummary {
     pub search_omega: u64,
     /// Candidates pruned answering this batch, summed over every rule.
     pub search_pruned: u64,
-    /// Whether the engine's aggregate `1 + Ω − bound-pruned == nodes`
-    /// identity still held after the replay.
+    /// Whether the engine's aggregate node identity
+    /// `nodes + bound-pruned + dominance-pruned == searches + Ω` still held
+    /// after the replay.
     pub identity_ok: bool,
     /// The response lines, in request order.
     pub responses: Vec<String>,
@@ -124,8 +125,7 @@ pub fn run_batch(
     let agg = &engine.metrics().search;
     let nodes_before = load(&agg.nodes_visited);
     let omega_before = load(&agg.omega_calls);
-    let pruned =
-        |a: &crate::metrics::SearchAggregate| a.prune_totals().iter().map(|(_, n)| n).sum::<u64>();
+    let pruned = |a: &crate::metrics::SearchAggregate| a.pruned.iter().map(load).sum::<u64>();
     let pruned_before = pruned(agg);
     let start = Instant::now();
     let mut out = Vec::new();

@@ -31,8 +31,9 @@
 //!   (NDJSON span dumps); [`batch`] replays a request file and reports
 //!   throughput plus fleet-wide search effort, and [`metrics`] keeps
 //!   lock-cheap counters (per-tier answers, hit rates, latency quantiles,
-//!   aggregated prune counters with the `1 + Ω − bound-pruned == nodes`
-//!   identity re-checked on the fleet totals).
+//!   aggregated prune counters with the node identity
+//!   `nodes + bound-pruned + dominance-pruned == searches + Ω` re-checked
+//!   on the fleet totals).
 //!
 //! The `pipesched serve` and `pipesched batch` CLI subcommands are thin
 //! wrappers over this crate.

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pipesched_core::{Backend, SearchStats};
+use pipesched_core::{Backend, Prune, SearchStats};
 use pipesched_json::Json;
 use pipesched_trace::flight::{Outcome, WideEvent};
 use pipesched_trace::prom::PromWriter;
@@ -43,18 +43,8 @@ pub struct SearchAggregate {
     pub complete_schedules: AtomicU64,
     /// Incumbent improvements.
     pub improvements: AtomicU64,
-    /// Candidates rejected by the quick [5a] check.
-    pub pruned_quick: AtomicU64,
-    /// Candidates rejected by the readiness test [5b].
-    pub pruned_legality: AtomicU64,
-    /// Candidates rejected by the equivalence filter [5c].
-    pub pruned_equivalence: AtomicU64,
-    /// Subtrees abandoned by the α-β / lower-bound test [6].
-    pub pruned_bound: AtomicU64,
-    /// Pipeline-unit choices skipped by symmetry breaking.
-    pub pruned_symmetry: AtomicU64,
-    /// Placements pruned by a closed prefix of the same set.
-    pub pruned_dominance: AtomicU64,
+    /// Prunes by rule: `pruned[rule as usize]` for each [`Prune`].
+    pub pruned: [AtomicU64; Prune::ALL.len()],
     /// Identity-eligible searches (single, completed, not proved early).
     pub eligible_searches: AtomicU64,
     /// Nodes visited by identity-eligible searches.
@@ -82,12 +72,9 @@ impl SearchAggregate {
         add(&self.omega_calls, stats.omega_calls);
         add(&self.complete_schedules, stats.complete_schedules);
         add(&self.improvements, stats.improvements);
-        add(&self.pruned_quick, stats.pruned_quick);
-        add(&self.pruned_legality, stats.pruned_legality);
-        add(&self.pruned_equivalence, stats.pruned_equivalence);
-        add(&self.pruned_bound, stats.pruned_bound);
-        add(&self.pruned_symmetry, stats.pruned_symmetry);
-        add(&self.pruned_dominance, stats.pruned_dominance);
+        for rule in Prune::ALL {
+            add(&self.pruned[rule as usize], stats.pruned(rule));
+        }
         if single_search && !stats.truncated && !stats.proved_by_bound && stats.nodes_visited > 0 {
             add(&self.eligible_searches, 1);
             add(&self.eligible_nodes, stats.nodes_visited);
@@ -109,37 +96,26 @@ impl SearchAggregate {
             == load(&self.eligible_searches) + load(&self.eligible_omega)
     }
 
-    /// Per-rule prune totals in a fixed order (for label iteration).
-    pub fn prune_totals(&self) -> [(&'static str, u64); 6] {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        [
-            ("quick", load(&self.pruned_quick)),
-            ("legality", load(&self.pruned_legality)),
-            ("equivalence", load(&self.pruned_equivalence)),
-            ("bound", load(&self.pruned_bound)),
-            ("symmetry", load(&self.pruned_symmetry)),
-            ("dominance", load(&self.pruned_dominance)),
-        ]
-    }
-
-    /// Dump the aggregate as a JSON object.
+    /// Dump the aggregate as a JSON object: the counters, then
+    /// `pruned_<rule>` for each [`Prune`] rule, then the identity.
     pub fn to_json(&self) -> Json {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as i64;
-        pipesched_json::json_object![
-            ("searches", load(&self.searches)),
-            ("nodes_visited", load(&self.nodes_visited)),
-            ("omega_calls", load(&self.omega_calls)),
-            ("complete_schedules", load(&self.complete_schedules)),
-            ("improvements", load(&self.improvements)),
-            ("pruned_quick", load(&self.pruned_quick)),
-            ("pruned_legality", load(&self.pruned_legality)),
-            ("pruned_equivalence", load(&self.pruned_equivalence)),
-            ("pruned_bound", load(&self.pruned_bound)),
-            ("pruned_symmetry", load(&self.pruned_symmetry)),
-            ("pruned_dominance", load(&self.pruned_dominance)),
-            ("eligible_searches", load(&self.eligible_searches)),
-            ("identity_holds", self.identity_holds()),
-        ]
+        let load = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
+        let counters = [
+            ("searches", &self.searches),
+            ("nodes_visited", &self.nodes_visited),
+            ("omega_calls", &self.omega_calls),
+            ("complete_schedules", &self.complete_schedules),
+            ("improvements", &self.improvements),
+        ];
+        let mut fields: Vec<(String, Json)> = counters
+            .into_iter()
+            .map(|(key, c)| (key.to_string(), load(c)))
+            .collect();
+        let prunes = Prune::ALL.iter().zip(&self.pruned);
+        fields.extend(prunes.map(|(rule, c)| (format!("pruned_{}", rule.name()), load(c))));
+        fields.push(("eligible_searches".into(), load(&self.eligible_searches)));
+        fields.push(("identity_holds".into(), self.identity_holds().into()));
+        Json::Object(fields)
     }
 }
 
@@ -472,16 +448,17 @@ impl Metrics {
             "Candidates pruned, by rule.",
             "counter",
         );
-        for (rule, total) in self.search.prune_totals() {
+        for rule in Prune::ALL {
             w.sample_labeled(
                 "pipesched_search_pruned_total",
-                &[("rule", rule)],
-                total as f64,
+                &[("rule", rule.name())],
+                load(&self.search.pruned[rule as usize]) as f64,
             );
         }
         w.gauge(
             "pipesched_search_identity_ok",
-            "1 when the aggregate satisfies nodes == searches + omega - bound-pruned.",
+            "1 when the aggregate satisfies \
+             nodes + bound-pruned + dominance-pruned == searches + omega.",
             if self.search.identity_holds() {
                 1.0
             } else {

@@ -1,7 +1,7 @@
 //! CARP-style explicit interlocking (§2.2): each instruction carries a
 //! **bit mask of pipelines** it must wait for; the hardware stalls until
 //! every *in-flight* operation in each masked pipeline has completed. This
-//! is the coarse variant the paper attributes to CARP [DiS89] — per
+//! is the coarse variant the paper attributes to CARP \[DiS89\] — per
 //! *resource*, not per producing instruction — so it is conservative: if
 //! another operation entered the producer's pipeline after the producer,
 //! the consumer waits for that one too.

@@ -8,7 +8,7 @@
 //! constants desired in the generated code. It then generates a random
 //! sequence of assignment statements satisfying the desired conditions",
 //! with statement-type frequencies "loosely corresponding to the
-//! instruction frequency distributions found in [AlW75]" (Table 6).
+//! instruction frequency distributions found in \[AlW75\]" (Table 6).
 //!
 //! The scanned TR truncates Table 6; the default frequencies here are a
 //! documented reconstruction (DESIGN.md §5). Everything is seeded and

@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use pipesched::analyze;
 use pipesched::core::proof::{Certificate, ProofLogger, ProofOutput};
 use pipesched::core::{
-    global_lower_bound, list_schedule, run, windowed_schedule, Backend, ParallelConfig, Run,
+    global_lower_bound, list_schedule, run, windowed_schedule, Backend, ParallelConfig, Prune, Run,
     SchedContext, SearchConfig, SearchOutcome, SearchStats,
 };
 use pipesched::frontend::{
@@ -1466,23 +1466,17 @@ fn run_trace(o: &Options) -> Result<ExitCode, String> {
     print!("{}", pipesched::trace::render::render_text(&trace));
     println!();
     println!("per-depth search profile:");
-    println!(
-        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "depth", "nodes", "omega", "quick", "legality", "equiv", "bound", "dominance", "self_us"
-    );
+    print!("{:>5} {:>9} {:>9}", "depth", "nodes", "omega");
+    for rule in Prune::ALL {
+        print!(" {:>11}", rule.name());
+    }
+    println!(" {:>9}", "self_us");
     for (d, s) in profile.depths.iter().enumerate() {
-        println!(
-            "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            d,
-            s.nodes,
-            s.omega_calls,
-            s.pruned_quick,
-            s.pruned_legality,
-            s.pruned_equivalence,
-            s.pruned_bound,
-            s.pruned_dominance,
-            profile.self_time_ns(d) / 1_000,
-        );
+        print!("{d:>5} {:>9} {:>9}", s.nodes, s.omega_calls);
+        for n in s.pruned {
+            print!(" {n:>11}");
+        }
+        println!(" {:>9}", profile.self_time_ns(d) / 1_000);
     }
     println!(
         "total: {} nodes, {} omega calls; schedule: {} NOPs, {}",

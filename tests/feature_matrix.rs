@@ -6,7 +6,8 @@
 //! machine preset. An accepted run must give a legal schedule whose NOPs
 //! an independent re-timing reproduces, the serial optimum whenever it
 //! claims optimality, a certificate the proof checker accepts, and a
-//! profile that sums to its statistics. A refused run must return its
+//! profile whose every column (nodes, Ω, each prune rule) sums to its
+//! statistics. A refused run must return its
 //! named `RunError`.
 //!
 //! The command-line half drives `schedule`, `certify` and `prove` over
@@ -19,8 +20,8 @@ use std::process::Command;
 use pipesched::analyze::certify::{certify, Claim};
 use pipesched::core::proof::{Certificate, ProofLogger};
 use pipesched::core::{
-    run, BoundaryState, ParallelConfig, Run, RunError, SchedContext, SearchConfig, SearchOutcome,
-    SearchProfile, TimingEngine,
+    run, BoundaryState, DepthStats, ParallelConfig, Prune, Run, RunError, SchedContext,
+    SearchConfig, SearchOutcome, SearchProfile, SearchStats, TimingEngine,
 };
 use pipesched::frontend::{lower, parse_labeled_program};
 use pipesched::ir::{analysis::verify_schedule, BasicBlock, BlockBuilder, DepDag};
@@ -151,10 +152,26 @@ fn check_timing(
     }
 }
 
+/// Every per-depth column of `profile` sums to its whole-run counter in
+/// `stats`: nodes, Ω, and each prune rule.
+fn check_profile(profile: &SearchProfile, stats: &SearchStats, tag: &str) {
+    let column = |f: &dyn Fn(&DepthStats) -> u64| profile.depths.iter().map(f).sum::<u64>();
+    assert_eq!(column(&|d| d.nodes), stats.nodes_visited, "{tag}: nodes");
+    assert_eq!(column(&|d| d.omega_calls), stats.omega_calls, "{tag}: Ω");
+    for rule in Prune::ALL {
+        assert_eq!(
+            column(&|d| d.pruned[rule as usize]),
+            stats.pruned(rule),
+            "{tag}: {rule:?}"
+        );
+    }
+}
+
 #[test]
 fn every_library_combination_certifies_or_is_refused() {
     let cfg = SearchConfig::with_lambda(20_000);
     let (mut accepted, mut refused, mut proved) = (0, 0, 0);
+    let mut profiled_symmetry = 0;
     for block in blocks() {
         let dag = DepDag::build(&block);
         for machine in presets::all_presets() {
@@ -196,11 +213,8 @@ fn every_library_combination_certifies_or_is_refused() {
                     assert_eq!(out.nops, reference.nops, "{tag}: optimum");
                 }
                 if combo.profile {
-                    assert_eq!(
-                        profile.total_nodes(),
-                        out.stats.nodes_visited,
-                        "{tag}: profile"
-                    );
+                    check_profile(&profile, &out.stats, &tag);
+                    profiled_symmetry += out.stats.pruned_symmetry;
                 }
                 match proof {
                     Some(proof) => {
@@ -224,6 +238,10 @@ fn every_library_combination_certifies_or_is_refused() {
     assert!(
         accepted > 0 && refused > 0 && proved > 0,
         "{accepted} accepted, {refused} refused, {proved} proved"
+    );
+    assert!(
+        profiled_symmetry > 0,
+        "no profiled run pruned by unit symmetry"
     );
 
     // A boundary of another machine is refused, not a panic.

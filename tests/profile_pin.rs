@@ -18,7 +18,7 @@
 
 use std::process::Command;
 
-use pipesched::core::{run, DepthStats, Run, SchedContext, SearchConfig, SearchProfile};
+use pipesched::core::{run, DepthStats, Prune, Run, SchedContext, SearchConfig, SearchProfile};
 use pipesched::ir::DepDag;
 use pipesched::machine::{presets, Machine};
 use pipesched::service::metrics::{Metrics, SearchAggregate};
@@ -46,12 +46,13 @@ impl Digest {
 /// dominance, in that order.
 fn prunes(d: &DepthStats) -> [u64; 5] {
     [
-        d.pruned_quick,
-        d.pruned_legality,
-        d.pruned_equivalence,
-        d.pruned_bound,
-        d.pruned_dominance,
+        Prune::Quick,
+        Prune::Legality,
+        Prune::Equivalence,
+        Prune::Bound,
+        Prune::Dominance,
     ]
+    .map(|rule| d.pruned[rule as usize])
 }
 
 /// Profile one search and fold its profile; returns its node count.
