@@ -623,7 +623,9 @@ pub(crate) fn prove_with(
 ///   publishes a new incumbent, and [`stopping`](Self::stopping) propagates
 ///   a local termination cause outward.
 /// * **work distribution** — [`spawn`](Self::spawn) may take ownership of a
-///   just-bounded subtree and defer it to a work-stealing deque.
+///   just-bounded subtree and defer it to a work-stealing deque, and
+///   [`defer`](Self::defer) may record a placement the bound leaves open
+///   instead of entering it (a pooled proof's root pass).
 pub(crate) trait SearchPolicy {
     /// True when the policy may record a proof transcript; the kernel
     /// then hands it every event, bound terms included.
@@ -689,6 +691,16 @@ pub(crate) trait SearchPolicy {
     #[inline]
     fn spawn(&mut self, order: &[TupleId], depth: usize, bound: u32) -> bool {
         let _ = (order, depth, bound);
+        false
+    }
+
+    /// Whether to leave the subtree rooted at `order[..depth]`, which the
+    /// bound leaves open, unentered. Asked before its `Enter` is logged;
+    /// returning true makes the placement store nothing, as a bound prune
+    /// stores nothing, and leaves the subtree to the policy.
+    #[inline]
+    fn defer(&mut self, order: &[TupleId], depth: usize) -> bool {
+        let _ = (order, depth);
         false
     }
 }
@@ -979,46 +991,6 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
     /// Start over with an empty dominance table (a proof part's start).
     pub(crate) fn clear_table(&mut self) {
         self.table = Dominance::default();
-    }
-
-    /// Root-level placement of candidate `xi`, priced against the replay
-    /// incumbent `best` exactly as [`Search::place_and_recurse`] would:
-    /// the `BoundPrune` it earns, or `None` when its subtree must be
-    /// searched. `jackson` says whether the search has passed
-    /// [`SearchConfig::switch_on`]. Nothing stays placed.
-    pub(crate) fn root_prune(
-        &mut self,
-        xi: TupleId,
-        best: u32,
-        jackson: bool,
-    ) -> Option<ProofEvent> {
-        let ctx = self.ctx;
-        self.rebase(&[]);
-        self.engine.push(xi, ctx.sigma(xi));
-        let mu = self.engine.total_nops();
-        let (bound, chain, resource, term) = match self.lower_bound {
-            None => (mu, None, None, None),
-            Some(lb) => {
-                self.frontier.commit(ctx, &self.engine, xi);
-                let (chain, resource, cheap) = lb.bound(ctx, &self.engine, &self.frontier);
-                let (term, bound) = if jackson {
-                    lb.with_term(ctx, &self.engine, &self.frontier, cheap, best)
-                } else {
-                    (None, cheap)
-                };
-                self.frontier.uncommit(ctx, xi);
-                (bound, Some(chain), Some(resource), term)
-            }
-        };
-        self.engine.pop();
-        (bound >= best).then_some(ProofEvent::BoundPrune {
-            candidate: xi.0,
-            mu,
-            bound,
-            chain,
-            resource,
-            term,
-        })
     }
 
     /// Stop, truncated by the deadline.
@@ -1329,7 +1301,8 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         // subtree and defer it to a deque (its heads-and-tails term and the
         // bound-vs-incumbent decision then happen when the subtree is
         // popped, against the incumbent of that moment); otherwise step
-        // [6], the α-β prune (strict <, matching the paper).
+        // [6], the α-β prune (strict <, matching the paper), and a
+        // placement it leaves open the policy may still defer.
         if !self.stop {
             if self.policy.spawn(&self.order, depth + 1, cheap) {
                 self.stats.splits += 1;
@@ -1341,7 +1314,8 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 let live = checked && (self.table.built() || self.switched_on());
                 if !(live && self.dominated(depth + 1, Some(xi))) {
                     let (term, bound) = self.priced(cheap);
-                    if bound < self.best_nops {
+                    let open = bound < self.best_nops;
+                    if open && !self.policy.defer(&self.order, depth + 1) {
                         // The node's id in the table: the visit count `dfs`
                         // gives it, which a certificate cites.
                         let node = self.stats.nodes_visited + 1;
@@ -1362,19 +1336,23 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                             self.table.flip(xi);
                         }
                     } else {
+                        // Pruned, or deferred by the policy: neither
+                        // stores, and the table's prefix drops ξ again.
                         if live && self.table.built() {
                             self.table.flip(xi);
                         }
-                        self.stats.pruned_bound += 1;
-                        let mu = self.engine.total_nops();
-                        self.log(ProofEvent::BoundPrune {
-                            candidate: xi.0,
-                            mu,
-                            bound,
-                            chain,
-                            resource,
-                            term,
-                        });
+                        if !open {
+                            self.stats.pruned_bound += 1;
+                            let mu = self.engine.total_nops();
+                            self.log(ProofEvent::BoundPrune {
+                                candidate: xi.0,
+                                mu,
+                                bound,
+                                chain,
+                                resource,
+                                term,
+                            });
+                        }
                     }
                 }
             }
@@ -1478,7 +1456,7 @@ impl<P: SearchPolicy> Search<'_, '_, P> {
 /// operation, identical predecessor edges and identical successor edges
 /// make two instructions interchangeable in any schedule.
 #[allow(clippy::type_complexity)]
-pub(crate) fn structural_classes(ctx: &SchedContext<'_>) -> Vec<u32> {
+fn structural_classes(ctx: &SchedContext<'_>) -> Vec<u32> {
     use std::collections::HashMap;
     let n = ctx.len();
     let mut table: HashMap<(pipesched_ir::Op, Vec<(u32, bool)>, Vec<(u32, bool)>), u32> =

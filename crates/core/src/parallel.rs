@@ -78,13 +78,16 @@
 //! A pooled `run` with a proof sink produces a machine-checkable
 //! certificate (see [`crate::proof`]) in two phases. Phase 1 is the
 //! plain work-stealing search above: it finds the optimal μ\* and a best
-//! order. Phase 2 re-derives the *transcript* with perfect foresight: the
-//! driver enumerates the root candidates exactly as the serial kernel
-//! would (legality, equivalence, bound terms), emits the best root
-//! subtree first — its worker is seeded with the *initial* incumbent, so
-//! its first descent logs `Improve{μ*}` before any other event — and
-//! runs every other entered root subtree with incumbent μ\*, one serial
-//! kernel per subtree, in parallel across subtrees. Because the replay
+//! order. Phase 2 re-derives the *transcript* with perfect foresight. It
+//! emits the best root subtree first — its worker is seeded with the
+//! *initial* incumbent, so its first descent logs `Improve{μ*}` before
+//! any other event. Then the kernel's own root loop, priced against μ\*,
+//! disposes of every other root candidate, so the rules that prune the
+//! root have one copy: its policy's work-distribution hook
+//! `SearchPolicy::defer` records each placement the bound leaves open
+//! instead of entering it. Every entered root subtree then runs with
+//! incumbent μ\*, one serial kernel per subtree, in parallel across
+//! subtrees. Because the replay
 //! incumbent is μ\* from the second part on, every recorded bound prune
 //! is justified, and the independent checker
 //! (`pipesched_proof::check_certificate`) accepts the concatenation
@@ -128,8 +131,7 @@ use parking_lot::Mutex;
 use pipesched_ir::TupleId;
 
 use crate::bnb::{
-    run, structural_classes, EquivalenceMode, NullPolicy, Run, Search, SearchConfig, SearchOutcome,
-    SearchPolicy, SearchStats,
+    run, NullPolicy, Run, Search, SearchConfig, SearchOutcome, SearchPolicy, SearchStats,
 };
 use crate::context::SchedContext;
 use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger};
@@ -915,96 +917,55 @@ enum RootDisp {
     },
 }
 
-/// Append to `disps`, which holds the best subtree's, the disposition of
-/// every other root candidate in the serial enumeration order, priced on
-/// `s` against μ*, the replay incumbent from the second part on.
-fn other_dispositions<P: SearchPolicy>(
-    s: &mut Search<'_, '_, P>,
-    cfg: &SearchConfig,
-    seed: &SearchSeed,
-    pool: &PoolOutcome,
-    disps: &mut Vec<RootDisp>,
-) {
-    let ctx = s.ctx;
-    let mu_star = pool.best_nops;
-    let initial_order = &seed.order;
-    let kappa = initial_order[0];
-    let c_star = pool.best_order[0];
-    let j_star = initial_order
-        .iter()
-        .position(|&t| t == c_star)
-        .expect("best root candidate is in the block");
-    let equiv_class =
-        (cfg.equivalence == EquivalenceMode::Structural).then(|| structural_classes(ctx));
-    let jackson = pool.stats.omega_calls >= cfg.switch_on;
-    disps.reserve(ctx.len() - 1);
-    let mut tried_classes: Vec<(u32, TupleId)> = Vec::new();
-    if let Some(classes) = &equiv_class {
-        tried_classes.push((classes[c_star.index()], c_star));
-    }
-    for (j, &xi) in initial_order.iter().enumerate() {
-        if j == j_star {
-            continue;
-        }
-        // [5a]/[5b]: at the root both legality checks coincide (a
-        // candidate is placeable iff it has no predecessors).
-        if (cfg.quick_check && ctx.analysis.earliest(xi) > 0) || !ctx.preds[xi.index()].is_empty() {
-            disps.push(RootDisp::Prune(ProofEvent::LegalityPrune {
-                candidate: xi.0,
-            }));
-            continue;
-        }
-        // [5c]: mirror the serial kernel's equivalence filtering. The
-        // hoisted best candidate is a valid witness for its own class —
-        // its part precedes every prune in the merged stream.
-        match cfg.equivalence {
-            EquivalenceMode::Off => {}
-            EquivalenceMode::Paper => {
-                if j != 0 && ctx.interchangeable_free(kappa, xi) {
-                    disps.push(RootDisp::Prune(ProofEvent::EquivalencePrune {
-                        candidate: xi.0,
-                        witness: kappa.0,
-                    }));
-                    continue;
-                }
-            }
-            EquivalenceMode::UnrestrictedPaper => {
-                if j != 0 && ctx.is_free_instruction(kappa) && ctx.is_free_instruction(xi) {
-                    disps.push(RootDisp::Prune(ProofEvent::EquivalencePrune {
-                        candidate: xi.0,
-                        witness: kappa.0,
-                    }));
-                    continue;
-                }
-            }
-            EquivalenceMode::Structural => {
-                let classes = equiv_class.as_ref().expect("classes computed");
-                let class = classes[xi.index()];
-                if let Some(&(_, witness)) = tried_classes.iter().find(|(c, _)| *c == class) {
-                    disps.push(RootDisp::Prune(ProofEvent::EquivalencePrune {
-                        candidate: xi.0,
-                        witness: witness.0,
-                    }));
-                    continue;
-                }
-                tried_classes.push((class, xi));
-            }
-        }
-        // Step [6] against the replay incumbent, which is μ* from the
-        // second part on (the best subtree's Improve precedes these).
-        let prune = s.root_prune(xi, mu_star, jackson);
-        if let Some(ev) = prune {
-            disps.push(RootDisp::Prune(ev));
+/// The phase-2 root pass: the kernel's own root loop, priced against μ\*,
+/// the replay incumbent from the second part on. Each root prune becomes
+/// a disposition of its own and each placement the bound leaves open a
+/// deferred `Enter`, in the serial enumeration order; c\*'s own events
+/// are dropped, because its disposition is part 0. No λ is charged.
+struct RootPolicy {
+    /// c\*, the best order's root candidate.
+    best: TupleId,
+    /// μ\*, the incumbent every other entered subtree starts from.
+    mu_star: u32,
+    /// Phase 1's Ω, which the switch-on is measured against.
+    spent: u64,
+    disps: Vec<RootDisp>,
+}
+
+impl SearchPolicy for RootPolicy {
+    const PROOF: bool = true;
+
+    fn log(&mut self, ev: ProofEvent) {
+        let candidate = match ev {
+            ProofEvent::LegalityPrune { candidate }
+            | ProofEvent::EquivalencePrune { candidate, .. }
+            | ProofEvent::BoundPrune { candidate, .. } => candidate,
+            // The root's closing `Leave` is a part of its own.
+            _ => return,
+        };
+        if candidate != self.best.0 {
+            self.disps.push(RootDisp::Prune(ev));
         } else {
-            let mut order = initial_order.clone();
-            order.swap(0, j);
-            disps.push(RootDisp::Enter {
-                candidate: xi,
-                order,
-                seed_nops: mu_star,
+            // Phase 1's root loop placed c*, so only its bound can differ.
+            debug_assert!(matches!(ev, ProofEvent::BoundPrune { .. }));
+        }
+    }
+
+    fn search_omega(&self, _local: u64) -> u64 {
+        self.spent
+    }
+
+    fn defer(&mut self, order: &[TupleId], depth: usize) -> bool {
+        debug_assert_eq!(depth, 1, "only root placements are priced");
+        if order[0] != self.best {
+            self.disps.push(RootDisp::Enter {
+                candidate: order[0],
+                order: order.to_vec(),
+                seed_nops: self.mu_star,
                 global_lb: None,
             });
         }
+        true
     }
 }
 
@@ -1060,8 +1021,23 @@ fn certify_phase<'c, 'a>(
     // thread is running yet.
     if !proved_in_part0 && !shared2.stop.load(Ordering::Relaxed) {
         // Only a part 0 that leaves the root open needs the other
-        // candidates' dispositions.
-        other_dispositions(&mut caller, cfg, seed, pool, &mut disps);
+        // candidates' dispositions. The root loop tries c* first within
+        // its equivalence class, as phase 1's did, so c* witnesses the
+        // class's other members, and its part precedes their prunes.
+        let mut root = caller.with_policy(RootPolicy {
+            best: pool.best_order[0],
+            mu_star: pool.best_nops,
+            spent,
+            disps,
+        });
+        root.clear_table();
+        let (st, _) = root.subtree(&seed.order, 0, pool.best_nops, None, None);
+        if st.truncated {
+            // The deadline passed mid-loop: the dispositions are partial.
+            shared2.note_stop(&st);
+        }
+        disps = std::mem::take(&mut root.policy.disps);
+        caller = root.with_policy(ProvePolicy::new(&mut budget));
         parts.reserve(disps.len());
         // Every other disposition, claimed in order by the caller and, if
         // phase 1 started helpers, by up to `threads − 1` helper threads.

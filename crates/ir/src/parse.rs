@@ -19,6 +19,28 @@ use crate::op::Op;
 use crate::operand::Operand;
 use crate::tuple::{Tuple, TupleId};
 
+/// Whether `text` is tuple text rather than expression source: a `;;
+/// tuples` header, or a first line that is neither blank nor a `;`
+/// comment and reads `<id>: …`, its id an unsigned integer as
+/// [`parse_block`] reads one (`1`, ` 1 `, `01`, `+1`). The expression
+/// language has no line of that shape.
+pub fn is_tuple_text(text: &str) -> bool {
+    for line in text.lines().map(str::trim) {
+        if line.starts_with(";; tuples") {
+            return true;
+        }
+        if line.is_empty() || line.starts_with(';') {
+            continue;
+        }
+        return line.split_once(':').is_some_and(|(id, _)| {
+            let id = id.trim();
+            let digits = id.strip_prefix('+').unwrap_or(id);
+            !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
+        });
+    }
+    false
+}
+
 /// Parse the textual tuple format into a verified basic block.
 ///
 /// The text is read byte by byte: one scan finds each line's end and its
@@ -188,6 +210,16 @@ mod tests {
 4: Mul @1, @3
 5: Store #a, @4
 ";
+
+    #[test]
+    fn tuple_text_is_told_from_source_by_its_first_line() {
+        assert!(is_tuple_text(FIG3));
+        assert!(is_tuple_text(";; tuples\nanything"));
+        assert!(is_tuple_text("; note\n\n +01 : Load #a"));
+        assert!(!is_tuple_text("a = b * c;"));
+        assert!(!is_tuple_text("label:\n1: Load #a"));
+        assert!(!is_tuple_text("; only a comment\n"));
+    }
 
     #[test]
     fn parses_figure3() {

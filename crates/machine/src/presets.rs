@@ -127,6 +127,22 @@ pub fn section2_example() -> Machine {
     b.build().expect("preset is valid")
 }
 
+/// The presets a machine argument or request may name, each by its
+/// [`Machine::name`].
+pub const NAMED: [fn() -> Machine; 6] = [
+    paper_simulation,
+    table2_example,
+    deep_pipeline,
+    functional_units,
+    section2_example,
+    unpipelined,
+];
+
+/// The preset of [`NAMED`] named `name`, if any.
+pub fn by_name(name: &str) -> Option<Machine> {
+    NAMED.iter().map(|make| make()).find(|m| m.name == name)
+}
+
 /// All named presets, for sweeping experiments over machines.
 pub fn all_presets() -> Vec<Machine> {
     vec![
@@ -144,6 +160,26 @@ pub fn all_presets() -> Vec<Machine> {
 mod tests {
     use super::*;
     use crate::pipeline::PipelineId;
+
+    #[test]
+    fn named_presets_are_found_by_name() {
+        let names: Vec<String> = NAMED.iter().map(|make| make().name).collect();
+        assert_eq!(
+            names,
+            [
+                "paper-simulation",
+                "paper-table2",
+                "deep-pipeline",
+                "functional-units",
+                "section2-example",
+                "unpipelined"
+            ]
+        );
+        for name in &names {
+            assert_eq!(by_name(name).map(|m| m.name).as_ref(), Some(name));
+        }
+        assert!(by_name("recovery-unit").is_none());
+    }
 
     #[test]
     fn table2_matches_the_paper() {

@@ -7,8 +7,9 @@
 //!  "machine": "paper-simulation", "budget_nodes": 50000, "deadline_ms": 25}
 //! ```
 //!
-//! `block` is either the textual tuple format (detected by a leading
-//! `;; tuples` marker or a `<id>:` prefix) or expression source compiled by
+//! `block` is either the textual tuple format (a leading `;; tuples`
+//! marker or a `<id>:` first line, the rule the CLI shares:
+//! `pipesched_ir::parse::is_tuple_text`) or expression source compiled by
 //! the frontend. `machine` is a preset name or an inline machine-config
 //! object. `budget_nodes` and `deadline_ms` are optional; omitting both
 //! requests a provably optimal answer.
@@ -109,52 +110,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// otherwise expression source through the frontend (unoptimized, so the
 /// request text maps 1:1 onto tuples).
 fn parse_block_text(name: &str, text: &str) -> Result<BasicBlock, String> {
-    if is_tuple_text(text) {
+    if pipesched_ir::parse::is_tuple_text(text) {
         pipesched_ir::parse::parse_block(name, text).map_err(|e| e.to_string())
     } else {
         pipesched_frontend::compile_unoptimized(name, text).map_err(|e| e.to_string())
     }
 }
 
-/// Whether `text` is tuple text: a `;; tuples` header, or a first line
-/// that is neither blank nor a `;` comment and reads `<id>: …`, its id an
-/// unsigned integer as the tuple parser reads one (`1`, ` 1 `, `01`,
-/// `+1`). The expression language has no line of that shape.
-fn is_tuple_text(text: &str) -> bool {
-    for line in text.lines().map(str::trim) {
-        if line.starts_with(";; tuples") {
-            return true;
-        }
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        return line.split_once(':').is_some_and(|(id, _)| {
-            let id = id.trim();
-            let digits = id.strip_prefix('+').unwrap_or(id);
-            !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
-        });
-    }
-    false
-}
-
 /// Resolve a preset machine by its CLI name. Each preset is built once
 /// per process and shared by every request that names it.
 pub fn preset_machine(name: &str) -> Result<&'static Machine, String> {
-    static PRESETS: OnceLock<[(&str, Machine); 6]> = OnceLock::new();
+    static PRESETS: OnceLock<[Machine; 6]> = OnceLock::new();
     PRESETS
-        .get_or_init(|| {
-            [
-                ("paper-simulation", presets::paper_simulation()),
-                ("paper-table2", presets::table2_example()),
-                ("deep-pipeline", presets::deep_pipeline()),
-                ("functional-units", presets::functional_units()),
-                ("section2-example", presets::section2_example()),
-                ("unpipelined", presets::unpipelined()),
-            ]
-        })
+        .get_or_init(|| presets::NAMED.map(|make| make()))
         .iter()
-        .find(|(preset, _)| *preset == name)
-        .map(|(_, machine)| machine)
+        .find(|machine| machine.name == name)
         .ok_or_else(|| format!("unknown machine preset `{name}`"))
 }
 

@@ -24,15 +24,18 @@
 //! and the response carries its `trace_id`.
 //!
 //! The vendored `crossbeam` shim has no channels, so the job queue is a
-//! mutex + condvar pair from the `pipesched_check::sync` facade —
-//! adequate here because each job carries milliseconds of scheduling
-//! work, not nanoseconds of queue traffic. Routing through the facade
-//! means a `--cfg model` build turns every queue operation into a
-//! scheduling point of the deterministic model checker, so the
-//! push/pop/shutdown protocol is explorable like the pool's.
+//! mutex and two condvars from the `pipesched_check::sync` facade —
+//! adequate here because each job carries microseconds to milliseconds of
+//! scheduling work, not nanoseconds of queue traffic. The queue holds at
+//! most `QUEUED_PER_WORKER` jobs per worker: past that the reader waits,
+//! so a client that writes faster than the workers answer is read a few
+//! lines ahead, not buffered whole. Routing through the facade means a
+//! `--cfg model` build turns every queue operation into a scheduling
+//! point of the deterministic model checker, so the push/pop/shutdown
+//! protocol is explorable like the pool's.
 
 use pipesched_check::sync::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::TcpListener;
 use std::time::Instant;
@@ -123,6 +126,11 @@ impl Default for ServeConfig {
     }
 }
 
+/// Jobs the queue holds per worker before the reader waits for a worker
+/// to take one: enough that a worker finishing a request finds the next
+/// one read, few enough that the queue stays a few lines deep.
+const QUEUED_PER_WORKER: usize = 4;
+
 enum Job {
     /// A request line, or why it cannot be one.
     Line {
@@ -132,32 +140,68 @@ enum Job {
     Shutdown,
 }
 
+/// A bounded FIFO of jobs, in input order.
 struct Queue {
-    jobs: Mutex<Vec<Job>>,
+    jobs: Mutex<Jobs>,
+    /// Signalled when a job is pushed.
     ready: Condvar,
+    /// Signalled when a job is taken or the cap is lifted.
+    room: Condvar,
+}
+
+struct Jobs {
+    queued: VecDeque<Job>,
+    /// Most jobs queued at once.
+    cap: usize,
 }
 
 impl Queue {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
         Queue {
-            jobs: Mutex::new(Vec::new()),
+            jobs: Mutex::new(Jobs {
+                queued: VecDeque::new(),
+                cap,
+            }),
             ready: Condvar::new(),
+            room: Condvar::new(),
         }
     }
 
+    /// Queue `job`, first waiting while the queue is full.
     fn push(&self, job: Job) {
-        self.jobs.lock().push(job);
+        let mut jobs = self.jobs.lock();
+        while jobs.queued.len() >= jobs.cap {
+            jobs = self.room.wait(jobs);
+        }
+        jobs.queued.push_back(job);
+        drop(jobs);
         self.ready.notify_one();
     }
 
+    /// Take the oldest job, waiting while the queue is empty.
     fn pop(&self) -> Job {
         let mut jobs = self.jobs.lock();
         loop {
-            // FIFO: jobs were pushed in input order, take from the front.
-            if !jobs.is_empty() {
-                return jobs.remove(0);
+            if let Some(job) = jobs.queued.pop_front() {
+                drop(jobs);
+                self.room.notify_one();
+                return job;
             }
             jobs = self.ready.wait(jobs);
+        }
+    }
+}
+
+/// Held by a worker: lifts the queue's cap if the worker panics, so the
+/// reader never waits for room that no worker will make. It reads on
+/// unbounded, and the panic surfaces when the workers are joined.
+struct LiftOnPanic<'q>(&'q Queue);
+
+impl Drop for LiftOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.jobs.lock().cap = usize::MAX;
+            self.0.room.notify_all();
         }
     }
 }
@@ -191,7 +235,7 @@ pub fn serve_stream<R: BufRead, W: Write + Send>(
     config: &ServeConfig,
 ) -> std::io::Result<u64> {
     let workers = config.workers.max(1);
-    let queue = Queue::new();
+    let queue = Queue::new(QUEUED_PER_WORKER * workers);
     let sink = Mutex::new(Reorder {
         out: output,
         next: 0,
@@ -202,22 +246,29 @@ pub fn serve_stream<R: BufRead, W: Write + Send>(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let (seq, line) = match queue.pop() {
-                    Job::Shutdown => return,
-                    Job::Line { seq, line } => (seq, line),
-                };
-                let rendered = handle(engine, line.as_deref().map_err(String::as_str));
-                let mut sink = sink.lock();
-                if let Err(e) = sink.emit(seq, rendered) {
-                    io_error.lock().get_or_insert(e);
-                    return;
+            scope.spawn(|| {
+                let _lift = LiftOnPanic(&queue);
+                loop {
+                    let (seq, line) = match queue.pop() {
+                        Job::Shutdown => return,
+                        Job::Line { seq, line } => (seq, line),
+                    };
+                    // Once the output has failed, a worker only drains the
+                    // queue, so the reader never waits on a full one.
+                    if io_error.lock().is_some() {
+                        continue;
+                    }
+                    let rendered = handle(engine, line.as_deref().map_err(String::as_str));
+                    let mut sink = sink.lock();
+                    if let Err(e) = sink.emit(seq, rendered) {
+                        io_error.lock().get_or_insert(e);
+                    }
                 }
             });
         }
 
         let mut seq = 0u64;
-        loop {
+        while io_error.lock().is_none() {
             let line = match read_line_bounded(&mut input, MAX_LINE_BYTES, true) {
                 Ok(Bounded::End) => break,
                 Ok(Bounded::Line(bytes)) => match String::from_utf8(bytes) {
@@ -663,36 +714,82 @@ mod tests {
 
     #[test]
     fn serves_a_stream_in_input_order() {
-        let eng = engine();
         let mut input = String::new();
         for i in 0..8 {
             input.push_str(&REQ.replace(r#""id": 1"#, &format!(r#""id": {i}"#)));
             input.push('\n');
         }
-        let mut out = Vec::new();
-        let handled = serve_stream(
-            &eng,
-            input.as_bytes(),
-            &mut out,
-            &ServeConfig { workers: 3 },
-        )
-        .unwrap();
-        assert_eq!(handled, 8);
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
-        assert_eq!(lines.len(), 8);
-        for (i, line) in lines.iter().enumerate() {
-            let doc = pipesched_json::parse(line).unwrap();
-            assert_eq!(doc.get("id").and_then(Json::as_i64), Some(i as i64));
-            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+        for workers in [1, 3] {
+            let eng = engine();
+            let mut out = Vec::new();
+            let handled =
+                serve_stream(&eng, input.as_bytes(), &mut out, &ServeConfig { workers }).unwrap();
+            assert_eq!(handled, 8);
+            let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
+            assert_eq!(lines.len(), 8);
+            for (i, line) in lines.iter().enumerate() {
+                let doc = pipesched_json::parse(line).unwrap();
+                assert_eq!(doc.get("id").and_then(Json::as_i64), Some(i as i64));
+                assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+            }
+            // 8 identical shapes, one lookup each. A worker inserts the
+            // shape before its next lookup, so it misses at most once; one
+            // worker misses exactly once, but several can each miss before
+            // the first insert lands.
+            let (hits, misses) = (eng.cache().hits(), eng.cache().misses());
+            assert_eq!(hits + misses, 8);
+            assert!(
+                (1..=workers as u64).contains(&misses),
+                "{workers} workers: {misses} misses"
+            );
+            if workers == 1 {
+                assert_eq!(hits, 7);
+            }
+            assert_eq!(
+                eng.metrics()
+                    .requests
+                    .load(std::sync::atomic::Ordering::Relaxed),
+                8
+            );
         }
-        // 8 identical shapes → 1 miss, 7 validated hits.
-        assert_eq!(eng.cache().hits(), 7);
-        assert_eq!(
-            eng.metrics()
-                .requests
-                .load(std::sync::atomic::Ordering::Relaxed),
-            8
-        );
+    }
+
+    /// An output that fails on the first write.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_output_ends_the_stream_past_a_full_queue() {
+        let eng = engine();
+        let input = format!("{REQ}\n").repeat(20 * QUEUED_PER_WORKER);
+        let err =
+            serve_stream(&eng, input.as_bytes(), Broken, &ServeConfig { workers: 2 }).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn a_panicked_worker_lifts_the_queue_cap() {
+        let queue = Queue::new(1);
+        queue.push(Job::Shutdown);
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let _lift = LiftOnPanic(&queue);
+                panic!("worker panics before taking a job");
+            });
+            assert!(worker.join().is_err());
+        });
+        assert_eq!(queue.jobs.lock().cap, usize::MAX);
+        // With the cap of 1 still in force, this would wait forever.
+        queue.push(Job::Shutdown);
     }
 
     #[test]

@@ -36,7 +36,8 @@ use pipesched::core::{
 use pipesched::frontend::{
     compile_unoptimized, lower_with_lines, parse_labeled_program, OptConfig, OptStats,
 };
-use pipesched::ir::{dot, parse::parse_block, BasicBlock, DepDag};
+use pipesched::ir::parse::{is_tuple_text, parse_block};
+use pipesched::ir::{dot, BasicBlock, DepDag};
 use pipesched::json::Json;
 use pipesched::machine::{config as machine_config, presets, Machine};
 use pipesched::regalloc::{allocate, emit, max_pressure};
@@ -288,12 +289,6 @@ fn reject_conflicts(cmd: Cmd, o: &Options) -> Result<(), String> {
 
 fn load_machine(spec: &str) -> Result<Machine, String> {
     match spec {
-        "paper-simulation" => Ok(presets::paper_simulation()),
-        "paper-table2" => Ok(presets::table2_example()),
-        "deep-pipeline" => Ok(presets::deep_pipeline()),
-        "functional-units" => Ok(presets::functional_units()),
-        "section2-example" => Ok(presets::section2_example()),
-        "unpipelined" => Ok(presets::unpipelined()),
         path if path.ends_with(".json") => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             machine_config::from_json(&text).map_err(|e| e.to_string())
@@ -302,9 +297,9 @@ fn load_machine(spec: &str) -> Result<Machine, String> {
             let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             pipesched::machine::textfmt::parse(&text).map_err(|e| e.to_string())
         }
-        other => Err(format!(
-            "unknown machine `{other}` (preset name, .json or .mach file expected)"
-        )),
+        name => presets::by_name(name).ok_or_else(|| {
+            format!("unknown machine `{name}` (preset name, .json or .mach file expected)")
+        }),
     }
 }
 
@@ -339,9 +334,7 @@ fn load_block_with_stats(
     optimize: bool,
 ) -> Result<(BasicBlock, Option<OptStats>), String> {
     let text = read_input(input)?;
-    // Tuple files start with a `;; tuples` marker; everything else is
-    // source text.
-    if text.trim_start().starts_with(";; tuples") {
+    if is_tuple_text(&text) {
         return Ok((parse_block(input, &text).map_err(|e| e.to_string())?, None));
     }
     let block = compile_unoptimized(input, &text).map_err(|e| e.to_string())?;
@@ -412,7 +405,7 @@ fn emit_reports(reports: &[analyze::Report], json: bool, strict: bool) -> ExitCo
 /// through [`optimize_checked`] (translation validation).
 fn load_blocks_from(input: &str, optimize: bool) -> Result<Vec<BasicBlock>, String> {
     let text = read_input(input)?;
-    if text.trim_start().starts_with(";; tuples") {
+    if is_tuple_text(&text) {
         return Ok(vec![parse_block(input, &text).map_err(|e| e.to_string())?]);
     }
     if optimize {
@@ -469,15 +462,13 @@ fn expand_inputs(inputs: &[String]) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-/// Line number (1-based) of each tuple row in a `;; tuples` file, for
-/// anchoring diagnostics to `file:line`.
+/// Line number (1-based) of each tuple row in a tuple file, for
+/// anchoring diagnostics to `file:line`: as the tuple parser reads it, a
+/// row is a line with text before any `;` comment.
 fn tuple_line_numbers(text: &str) -> Vec<usize> {
     text.lines()
         .enumerate()
-        .filter(|(_, line)| {
-            let t = line.trim_start();
-            !t.is_empty() && !t.starts_with(";;") && t.contains(':')
-        })
+        .filter(|(_, line)| !line.split(';').next().unwrap_or_default().trim().is_empty())
         .map(|(i, _)| i + 1)
         .collect()
 }
@@ -490,7 +481,7 @@ fn tuple_line_numbers(text: &str) -> Vec<usize> {
 fn lint_input(input: &str, opts: &Options) -> Result<Vec<analyze::Report>, String> {
     let text = read_input(input)?;
     let mut reports = Vec::new();
-    if text.trim_start().starts_with(";; tuples") {
+    if is_tuple_text(&text) {
         let block = parse_block(input, &text).map_err(|e| e.to_string())?;
         let lines = tuple_line_numbers(&text);
         let mut report = analyze::check_block(&block);

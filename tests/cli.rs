@@ -105,6 +105,72 @@ fn tuple_round_trip_through_stdin() {
     assert!(text.contains("Load #a"), "{text}");
 }
 
+/// A tuple file needs no `;; tuples` header: `schedule` reads tuple text
+/// by the rule `serve` uses, and answers a headerless file as `serve`
+/// answers the same block.
+#[test]
+fn headerless_tuple_file_schedules_as_serve_answers_it() {
+    use pipesched::json::{parse, Json};
+    const BLOCK: &str = "1: Load #x\n2: Mul @1, @1\n3: Store #y, @2\n";
+    let path = write_temp("headerless.tuples", BLOCK);
+    let out = bin()
+        .arg("schedule")
+        .arg(&path)
+        .arg("--json")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let scheduled = parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+
+    let request = format!(
+        "{{\"id\": 1, \"block\": {}, \"machine\": \"paper-simulation\"}}\n",
+        Json::Str(BLOCK.to_string()).to_compact()
+    );
+    let mut child = bin()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(request.as_bytes()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let served = parse(String::from_utf8(out.stdout).unwrap().trim()).unwrap();
+    assert_eq!(served.get("ok").and_then(Json::as_bool), Some(true));
+    for key in ["nops", "order", "etas", "optimal"] {
+        assert_eq!(scheduled.get(key), served.get(key), "{key}");
+    }
+}
+
+/// `lint` anchors a tuple's diagnostic to the line the tuple sits on,
+/// counting only the lines the tuple parser reads a tuple from.
+#[test]
+fn lint_anchors_tuple_rows_past_comment_lines() {
+    let path = write_temp(
+        "commented.tuples",
+        "; scratch: a comment\n1: Load #a\n\n2: Load #b ; dead: never used\n3: Store #z, @1\n",
+    );
+    let out = bin().arg("lint").arg(&path).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let warning = text.lines().find(|l| l.contains("A0105")).expect(&text);
+    assert!(
+        warning.ends_with(&format!("{}:4", path.display())),
+        "{warning}"
+    );
+}
+
 #[test]
 fn dot_output_is_a_digraph() {
     let src = write_temp("dot.src", SOURCE);
