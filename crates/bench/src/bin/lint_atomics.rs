@@ -25,7 +25,10 @@
 //! mutation fixtures use raw orderings by design) and `target/`. Exits
 //! nonzero listing every undocumented site.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+
+#[path = "../../../check/src/walk.rs"]
+mod walk;
 
 /// Publishing operations that require justification under `Relaxed`.
 const PUBLISHING_OPS: &[&str] = &[
@@ -42,24 +45,6 @@ const PUBLISHING_OPS: &[&str] = &[
 /// How many preceding lines a `// relaxed-ok:` comment may sit above the
 /// operation it justifies (a comment block plus a short `if`).
 const COMMENT_WINDOW: usize = 10;
-
-fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return;
-    };
-    let mut entries: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-    entries.sort();
-    for path in entries {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() {
-            if name != "target" && name != "check" && !name.starts_with('.') {
-                collect_rs_files(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
 
 /// An undocumented relaxed publishing operation.
 struct Finding {
@@ -101,14 +86,7 @@ fn main() -> std::process::ExitCode {
         args.iter().map(PathBuf::from).collect()
     };
 
-    let mut files = Vec::new();
-    for root in &roots {
-        if root.is_file() {
-            files.push(root.clone());
-        } else {
-            collect_rs_files(root, &mut files);
-        }
-    }
+    let files = walk::rs_files(&roots, &["check"]);
 
     let mut findings = Vec::new();
     let mut scanned = 0usize;

@@ -15,7 +15,7 @@
 //!    stable `A07xx` codes.
 //! 3. [`lockorder`] — a static `.lock()` scan over the source tree
 //!    whose `held -> acquired` edges and cycles back `pipesched lint
-//!    --concurrency`.
+//!    --concurrency`, reading the files [`walk`] finds.
 //!
 //! The `A07xx` codes are registered in `pipesched-analyze`'s diagnostic
 //! registry and documented in the README table; `tests/docs_sync.rs`
@@ -25,6 +25,7 @@ pub mod lockorder;
 pub mod model;
 pub mod sync;
 pub mod vclock;
+pub mod walk;
 
 /// Stable codes for concurrency findings. The string forms are part of
 /// the repo's diagnostic-code namespace (`pipesched-analyze` registers

@@ -15,7 +15,7 @@
 //! over-approximates.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One `held -> acquired` ordering observation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -188,43 +188,17 @@ pub fn scan_source(file_label: &str, src: &str, edges: &mut BTreeSet<LockEdge>, 
     }
 }
 
-fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return;
-    };
-    let mut entries: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-    entries.sort();
-    for path in entries {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if path.is_dir() {
-            if name != "target" && !name.starts_with('.') {
-                collect_rs_files(&path, out);
-            }
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-}
-
 /// Scan every `.rs` file under the given roots.
 pub fn scan_paths(roots: &[PathBuf]) -> LockOrderReport {
     let mut edges = BTreeSet::new();
     let mut sites = 0usize;
     let mut files = 0usize;
-    for root in roots {
-        let mut list = Vec::new();
-        if root.is_file() {
-            list.push(root.clone());
-        } else {
-            collect_rs_files(root, &mut list);
-        }
-        for path in list {
-            let Ok(src) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            files += 1;
-            scan_source(&path.display().to_string(), &src, &mut edges, &mut sites);
-        }
+    for path in crate::walk::rs_files(roots, &[]) {
+        let Ok(src) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        files += 1;
+        scan_source(&path.display().to_string(), &src, &mut edges, &mut sites);
     }
     let cycles = find_cycles(&edges);
     LockOrderReport {

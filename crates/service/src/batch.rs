@@ -470,7 +470,7 @@ mod tests {
             .expect("certifier rejection must freeze a flight dump");
         let trigger = dump.events.last().unwrap();
         assert_eq!(trigger.req, 7);
-        assert_eq!(trigger.outcome, flight::Outcome::CertReject.name());
+        assert_eq!(trigger.outcome, flight::Outcome::CertReject);
         assert!(trigger.verify());
     }
 }

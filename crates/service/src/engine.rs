@@ -26,12 +26,12 @@ use std::time::Instant;
 use pipesched_core::proof::{Certificate, ProofLogger};
 use pipesched_core::{
     global_lower_bound, run, search, windowed_schedule_bounded, Backend, ParallelConfig, Run,
-    SchedContext, SearchConfig, SearchProfile, SearchStats,
+    SchedContext, SearchConfig, SearchOutcome, SearchProfile, SearchStats, WindowedOutcome,
 };
 use pipesched_ir::{analysis::verify_schedule, BasicBlock, DepDag, TupleId};
 use pipesched_json::{json_object, Json};
 use pipesched_machine::{Machine, PipelineId};
-use pipesched_trace::flight::{self, Outcome, Phase};
+use pipesched_trace::flight::{self, Cache, Outcome, Phase};
 use pipesched_trace::{point2, span};
 
 use crate::cache::{CacheEntry, ScheduleCache};
@@ -55,6 +55,9 @@ pub enum Tier {
 }
 
 impl Tier {
+    /// Every tier, in escalation order: the per-tier counter slots.
+    pub const ALL: [Tier; 4] = [Tier::Cache, Tier::List, Tier::Windowed, Tier::Bnb];
+
     /// Stable name used in responses and the persisted cache.
     pub fn name(self) -> &'static str {
         match self {
@@ -67,23 +70,12 @@ impl Tier {
 
     /// Parse a stable name back.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "cache" => Some(Tier::Cache),
-            "list" => Some(Tier::List),
-            "windowed" => Some(Tier::Windowed),
-            "bnb" => Some(Tier::Bnb),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|t| t.name() == name)
     }
 
-    /// Dense index for per-tier counters.
+    /// Dense index for per-tier counters: the tier's place in [`Tier::ALL`].
     pub fn index(self) -> usize {
-        match self {
-            Tier::Cache => 0,
-            Tier::List => 1,
-            Tier::Windowed => 2,
-            Tier::Bnb => 3,
-        }
+        self as usize
     }
 }
 
@@ -306,32 +298,7 @@ impl ServiceEngine {
             "Live schedule-cache entries.",
             self.cache.len() as f64,
         );
-        w.counter(
-            "pipesched_cache_evictions_total",
-            "Schedule-cache LRU evictions.",
-            self.cache.evictions(),
-        );
-        w.counter(
-            "pipesched_trace_evicted_total",
-            "Completed traces evicted off the trace store's ring.",
-            pipesched_trace::store::evicted_total(),
-        );
-        let fs = flight::stats();
-        w.counter(
-            "pipesched_flight_events_total",
-            "Wide events committed to the flight recorder.",
-            fs.recorded,
-        );
-        w.counter(
-            "pipesched_flight_evicted_total",
-            "Wide events evicted off the flight recorder's ring.",
-            fs.evicted,
-        );
-        w.counter(
-            "pipesched_flight_dumps_total",
-            "Anomaly dumps the flight recorder froze.",
-            fs.dumps_taken,
-        );
+        crate::metrics::write_engine_counters(self, &mut w);
         crate::slo::write_prometheus(&self.metrics, &mut w);
         w.finish()
     }
@@ -382,7 +349,11 @@ impl ServiceEngine {
         flight::update(|ev| {
             (ev.tier, ev.backend) = (answer.tier.name(), answer.backend.name());
             ev.threads = self.config.threads as u32;
-            ev.cache = if answer.cache_hit { "hit" } else { "miss" };
+            ev.cache = if answer.cache_hit {
+                Cache::Hit
+            } else {
+                Cache::Miss
+            };
             (ev.nops, ev.optimal) = (answer.nops, answer.optimal);
             ev.deadline_hit = answer.deadline_hit;
             ev.proof_digest = answer.proof_digest.unwrap_or(0);
@@ -424,7 +395,7 @@ impl ServiceEngine {
         };
         self.record_search(&list.stats, true);
         if list.optimal {
-            let mut answer = answer_from_search(&list, Tier::List, 0);
+            let mut answer = answer_from_search(list, Tier::List, 0);
             if self.config.prove {
                 answer.proof_digest = Some(prove_digest(ctx, &answer.order, answer.nops));
             }
@@ -446,28 +417,17 @@ impl ServiceEngine {
         } else {
             None
         };
-        let global_lb = global_lower_bound(ctx);
-        if let Some(w) = &windowed {
-            if w.nops <= global_lb {
-                // The windowed schedule meets the admissible bound: optimal.
-                let (etas, nops) = pipesched_core::timing::evaluate_schedule(ctx, &w.order);
-                debug_assert_eq!(nops, w.nops);
-                let proof_digest = self.config.prove.then(|| prove_digest(ctx, &w.order, nops));
-                return Answer {
-                    order: w.order.clone(),
-                    assignment: ctx.sigma.clone(),
-                    etas,
-                    nops,
-                    optimal: true,
-                    cache_hit: false,
-                    tier: Tier::Windowed,
-                    backend: Backend::Bnb,
-                    omega_calls: omega_spent,
-                    deadline_hit: false,
-                    proof_digest,
-                };
+        let windowed = match windowed {
+            // The windowed schedule meets the admissible bound: optimal.
+            Some(w) if w.nops <= global_lower_bound(ctx) => {
+                let mut answer = windowed_answer(ctx, w, true, omega_spent, false);
+                if self.config.prove {
+                    answer.proof_digest = Some(prove_digest(ctx, &answer.order, answer.nops));
+                }
+                return answer;
             }
-        }
+            windowed => windowed,
+        };
 
         // The final exact tier: the remaining budget under the request
         // deadline goes to the configured backend — the paper's
@@ -526,7 +486,7 @@ impl ServiceEngine {
                 if out.winner == Backend::Sat {
                     self.answer_from_solve(ctx, out.sat, omega_spent)
                 } else {
-                    let mut a = answer_from_search(&out.bnb, Tier::Bnb, omega_spent);
+                    let mut a = answer_from_search(out.bnb, Tier::Bnb, omega_spent);
                     if self.config.prove && a.optimal {
                         a.proof_digest = Some(prove_digest(ctx, &a.order, a.nops));
                     }
@@ -538,26 +498,13 @@ impl ServiceEngine {
         // The final tier starts from the list incumbent, so it can only
         // tie or beat the list tier; the windowed candidate may still be
         // better when the exact search was truncated early.
-        if let Some(w) = windowed {
-            if !answer.optimal && w.nops < answer.nops {
-                let (etas, nops) = pipesched_core::timing::evaluate_schedule(ctx, &w.order);
-                debug_assert_eq!(nops, w.nops);
-                return Answer {
-                    order: w.order,
-                    assignment: ctx.sigma.clone(),
-                    etas,
-                    nops,
-                    optimal: false,
-                    cache_hit: false,
-                    tier: Tier::Windowed,
-                    backend: Backend::Bnb,
-                    omega_calls: answer.omega_calls,
-                    deadline_hit: answer.deadline_hit || w.stats.deadline_hit,
-                    proof_digest: None,
-                };
+        match windowed {
+            Some(w) if !answer.optimal && w.nops < answer.nops => {
+                let deadline_hit = answer.deadline_hit || w.stats.deadline_hit;
+                windowed_answer(ctx, w, false, answer.omega_calls, deadline_hit)
             }
+            _ => answer,
         }
-        answer
     }
 
     /// The branch-and-bound variant of the final tier: one [`run`] on the
@@ -608,9 +555,9 @@ impl ServiceEngine {
         }
         self.record_search(&out.stats, parallel.is_none());
         *omega_spent += out.stats.omega_calls;
-        let mut answer = answer_from_search(&out, Tier::Bnb, *omega_spent);
+        let mut answer = answer_from_search(out, Tier::Bnb, *omega_spent);
         // A truncated transcript is not a proof; attach nothing.
-        answer.proof_digest = proof.filter(|_| out.optimal).map(|p| p.digest());
+        answer.proof_digest = proof.filter(|_| answer.optimal).map(|p| p.digest());
         answer
     }
 
@@ -703,11 +650,11 @@ fn schedule_selftest() -> bool {
     verify_schedule(&block, &dag, &out.order).is_ok() && out.etas.iter().sum::<u32>() == out.nops
 }
 
-fn answer_from_search(out: &pipesched_core::SearchOutcome, tier: Tier, omega_calls: u64) -> Answer {
+fn answer_from_search(out: SearchOutcome, tier: Tier, omega_calls: u64) -> Answer {
     Answer {
-        order: out.order.clone(),
-        assignment: out.assignment.clone(),
-        etas: out.etas.clone(),
+        order: out.order,
+        assignment: out.assignment,
+        etas: out.etas,
         nops: out.nops,
         optimal: out.optimal,
         cache_hit: false,
@@ -715,6 +662,31 @@ fn answer_from_search(out: &pipesched_core::SearchOutcome, tier: Tier, omega_cal
         backend: Backend::Bnb,
         omega_calls,
         deadline_hit: out.stats.deadline_hit,
+        proof_digest: None,
+    }
+}
+
+/// Serve a windowed schedule as the windowed pass produced it: its order
+/// and its η under the context's pipe assignment, which the pass already
+/// timed, so nothing is re-timed.
+fn windowed_answer(
+    ctx: &SchedContext<'_>,
+    w: WindowedOutcome,
+    optimal: bool,
+    omega_calls: u64,
+    deadline_hit: bool,
+) -> Answer {
+    Answer {
+        order: w.order,
+        assignment: ctx.sigma.clone(),
+        etas: w.etas,
+        nops: w.nops,
+        optimal,
+        cache_hit: false,
+        tier: Tier::Windowed,
+        backend: Backend::Bnb,
+        omega_calls,
+        deadline_hit,
         proof_digest: None,
     }
 }

@@ -8,20 +8,189 @@
 //! ring see the same request. [`SearchAggregate`] folds every
 //! [`SearchStats`] the engine produces into fleet-wide search effort,
 //! re-checking the `1 + Ω − bound-pruned − dominance-pruned == nodes`
-//! identity on the
-//! aggregate, and [`Metrics::write_prometheus`] renders the whole snapshot
-//! as Prometheus text for the `/metrics` endpoint.
+//! identity on the aggregate.
+//!
+//! Every counter family is one row of [`COUNTERS`] — its `/stats` key,
+//! Prometheus name, help and labels, and where its counts live — and
+//! [`Metrics::to_json`], [`Metrics::write_prometheus`] and
+//! `ServiceEngine::prometheus` render the rows, so a new counter is one
+//! row.
 
+use std::slice::from_ref as one;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pipesched_core::{Backend, Prune, SearchStats};
 use pipesched_json::Json;
-use pipesched_trace::flight::{Outcome, WideEvent};
+use pipesched_trace::flight::{Cache, FlightStats, Outcome, WideEvent};
 use pipesched_trace::prom::PromWriter;
 
 pub use pipesched_trace::hist::LatencyHistogram;
 
-use crate::engine::Tier;
+use crate::engine::{ServiceEngine, Tier};
+
+/// The backends an answer can name, in counter-slot order. A race
+/// resolves to the side that won, so `Race` answers nothing.
+pub const ANSWERING: [Backend; 2] = [Backend::Bnb, Backend::Sat];
+
+/// The counter slot of the backend that answered ([`ANSWERING`] order):
+/// anything but SAT is the B&B slot.
+pub fn backend_slot(backend: Backend) -> usize {
+    usize::from(backend == Backend::Sat)
+}
+
+/// What a counter family's samples are labelled by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Labels {
+    /// One unlabelled sample.
+    None,
+    /// `tier`: one sample per [`Tier`].
+    Tier,
+    /// `backend`: one sample per [`ANSWERING`] backend.
+    Backend,
+    /// `rule`: one sample per [`Prune`] rule.
+    Rule,
+}
+
+impl Labels {
+    /// The label key and its values, in counter-slot order; `None` for an
+    /// unlabelled family.
+    pub fn values(self) -> Option<(&'static str, Vec<&'static str>)> {
+        match self {
+            Labels::None => None,
+            Labels::Tier => Some(("tier", Tier::ALL.map(Tier::name).to_vec())),
+            Labels::Backend => Some(("backend", ANSWERING.map(Backend::name).to_vec())),
+            Labels::Rule => Some(("rule", Prune::ALL.map(Prune::name).to_vec())),
+        }
+    }
+}
+
+/// Where a counter family's counts live.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Counters of [`Metrics`], one per label value; [`Metrics::to_json`]
+    /// renders them.
+    Metrics(fn(&Metrics) -> &[AtomicU64]),
+    /// Counters of the fleet [`SearchAggregate`], which renders its own
+    /// `/stats` object.
+    Search(fn(&SearchAggregate) -> &[AtomicU64]),
+    /// A count the engine reads when scraped.
+    Engine(fn(&ServiceEngine, &FlightStats) -> u64),
+}
+
+/// One counter family of `/metrics`.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter {
+    /// Where `/stats` shows the count: `.`-separated keys from the
+    /// document root; a labelled family's value there is an object keyed
+    /// by label value, or `*` in the last key stands for it.
+    pub stats: &'static str,
+    /// The Prometheus family name.
+    pub name: &'static str,
+    /// What its samples are labelled by.
+    pub labels: Labels,
+    /// Where its counts live.
+    source: Source,
+    /// The `# HELP` text.
+    pub help: &'static str,
+}
+
+impl Counter {
+    /// Write the family: its header and one sample per count.
+    fn write(&self, w: &mut PromWriter, counts: &[u64]) {
+        let samples = counts.iter().map(|&c| c as f64);
+        match self.labels.values() {
+            None => w.counter(self.name, self.help, counts[0]),
+            Some((key, values)) => w.labeled(
+                self.name,
+                self.help,
+                "counter",
+                key,
+                values.into_iter().zip(samples),
+            ),
+        }
+    }
+}
+
+/// The counter table: one row per family, `"/stats key" => "Prometheus
+/// name", labels, source, "help";`.
+macro_rules! counters {
+    ($( $stats:literal => $name:literal, $labels:ident, $source:expr, $help:literal; )*) => {
+        /// Every counter family of `/metrics`, in exposition order.
+        pub const COUNTERS: &[Counter] = &[
+            $( Counter { stats: $stats, name: $name, labels: Labels::$labels, source: $source, help: $help }, )*
+        ];
+    };
+}
+
+counters! {
+    "metrics.requests" => "pipesched_requests_total", None,
+        Source::Metrics(|m| one(&m.requests)), "Scheduling requests received.";
+    "metrics.errors" => "pipesched_errors_total", None,
+        Source::Metrics(|m| one(&m.errors)), "Requests that failed to parse or schedule.";
+    "metrics.cache_hits" => "pipesched_cache_hits_total", None,
+        Source::Metrics(|m| one(&m.cache_hits)), "Validated schedule-cache hits.";
+    "metrics.cache_misses" => "pipesched_cache_misses_total", None,
+        Source::Metrics(|m| one(&m.cache_misses)), "Schedule-cache misses (or failed hit validation).";
+    "metrics.budget_exhausted" => "pipesched_budget_exhausted_total", None,
+        Source::Metrics(|m| one(&m.budget_exhausted)), "Requests whose node budget or deadline expired.";
+    "metrics.opt_verified" => "pipesched_opt_verified_total", None,
+        Source::Metrics(|m| one(&m.opt_verified)), "Request blocks that passed the optimizer validation gate.";
+    "metrics.opt_rejected" => "pipesched_opt_rejected_total", None,
+        Source::Metrics(|m| one(&m.opt_rejected)), "Request blocks rejected by the translation validator.";
+    "metrics.tier_answers" => "pipesched_tier_answers_total", Tier,
+        Source::Metrics(|m| &m.tier_answers), "Answers produced, by escalation tier.";
+    "metrics.tier_omega" => "pipesched_tier_omega_total", Tier,
+        Source::Metrics(|m| &m.tier_omega), "Omega calls spent, by answering tier.";
+    "metrics.backend_answers" => "pipesched_backend_answers_total", Backend,
+        Source::Metrics(|m| &m.backend_answers), "Answers produced, by concrete solving backend.";
+    "metrics.sat.conflicts" => "pipesched_sat_conflicts_total", None,
+        Source::Metrics(|m| one(&m.sat_conflicts)), "CDCL conflicts across every SAT-backend query.";
+    "metrics.sat.decisions" => "pipesched_sat_decisions_total", None,
+        Source::Metrics(|m| one(&m.sat_decisions)), "CDCL decisions across every SAT-backend query.";
+    "metrics.sat.propagations" => "pipesched_sat_propagations_total", None,
+        Source::Metrics(|m| one(&m.sat_propagations)), "CDCL unit propagations across every SAT-backend query.";
+    "metrics.parallel.steals" => "pipesched_parallel_steals_total", None,
+        Source::Metrics(|m| one(&m.parallel_steals)), "Subtree tasks stolen by idle workers of the parallel search.";
+    "metrics.parallel.splits" => "pipesched_parallel_splits_total", None,
+        Source::Metrics(|m| one(&m.parallel_splits)), "Subtree tasks split off by workers of the parallel search.";
+    "metrics.search.nodes_visited" => "pipesched_search_nodes_total", None,
+        Source::Search(|s| one(&s.nodes_visited)), "Search-tree nodes visited across all searches.";
+    "metrics.search.omega_calls" => "pipesched_search_omega_total", None,
+        Source::Search(|s| one(&s.omega_calls)), "Omega calls across all searches.";
+    "metrics.search.pruned_*" => "pipesched_search_pruned_total", Rule,
+        Source::Search(|s| &s.pruned), "Candidates pruned, by rule.";
+    "cache.evictions" => "pipesched_cache_evictions_total", None,
+        Source::Engine(|e, _| e.cache().evictions()), "Schedule-cache LRU evictions.";
+    "trace.evicted" => "pipesched_trace_evicted_total", None,
+        Source::Engine(|_, _| pipesched_trace::store::evicted_total()),
+        "Completed traces evicted off the trace store's ring.";
+    "flight.recorded" => "pipesched_flight_events_total", None,
+        Source::Engine(|_, f| f.recorded), "Wide events committed to the flight recorder.";
+    "flight.evicted" => "pipesched_flight_evicted_total", None,
+        Source::Engine(|_, f| f.evicted), "Wide events evicted off the flight recorder's ring.";
+    "flight.dumps_taken" => "pipesched_flight_dumps_total", None,
+        Source::Engine(|_, f| f.dumps_taken), "Anomaly dumps the flight recorder froze.";
+}
+
+/// Load every counter.
+fn load(counters: &[AtomicU64]) -> Vec<u64> {
+    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+/// Put `value` at the `.`-separated `path` of `doc`, opening a nested
+/// object after the last one unless that object is the path's group.
+fn put(doc: &mut Vec<(String, Json)>, path: &str, value: Json) {
+    let Some((group, rest)) = path.split_once('.') else {
+        doc.push((path.to_string(), value));
+        return;
+    };
+    if !matches!(doc.last(), Some((g, Json::Object(_))) if g == group) {
+        doc.push((group.to_string(), Json::Object(Vec::new())));
+    }
+    if let Some((_, Json::Object(inner))) = doc.last_mut() {
+        put(inner, rest, value);
+    }
+}
 
 /// Fleet-wide search effort: every [`SearchStats`] the engine produces,
 /// summed. The raw columns count *all* searches (list probes, windowed
@@ -130,14 +299,14 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Cache lookups that missed (or failed hit validation).
     pub cache_misses: AtomicU64,
-    /// Answers produced per tier (cache/list/windowed/bnb).
-    pub tier_answers: [AtomicU64; 4],
+    /// Answers produced per tier, in [`Tier::ALL`] order.
+    pub tier_answers: [AtomicU64; Tier::ALL.len()],
     /// Ω calls spent per answering tier (cache answers spend none).
-    pub tier_omega: [AtomicU64; 4],
-    /// Answers produced per concrete solving backend (bnb/sat). A raced
-    /// answer counts for the side that won; cache hits count for the
-    /// backend that populated the entry.
-    pub backend_answers: [AtomicU64; 2],
+    pub tier_omega: [AtomicU64; Tier::ALL.len()],
+    /// Answers produced per concrete solving backend, in [`ANSWERING`]
+    /// order. A raced answer counts for the side that won; cache hits
+    /// count for the backend that populated the entry.
+    pub backend_answers: [AtomicU64; ANSWERING.len()],
     /// CDCL conflicts across every SAT query the engine ran.
     pub sat_conflicts: AtomicU64,
     /// CDCL decisions across every SAT query.
@@ -159,11 +328,11 @@ pub struct Metrics {
     /// Per-request wall-clock latency: the committed wide event's
     /// `micros`, one observation per answered request.
     pub latency: LatencyHistogram,
-    /// Per-request latency split by answering tier (cache/list/windowed/
-    /// bnb) — the SLO tracker's per-tier objectives read these.
-    pub tier_latency: [LatencyHistogram; 4],
-    /// Per-request latency split by concrete solving backend (bnb/sat).
-    pub backend_latency: [LatencyHistogram; 2],
+    /// Per-request latency split by answering tier — the SLO tracker's
+    /// per-tier objectives read these.
+    pub tier_latency: [LatencyHistogram; Tier::ALL.len()],
+    /// Per-request latency split by concrete solving backend.
+    pub backend_latency: [LatencyHistogram; ANSWERING.len()],
     /// Fleet-wide search effort across every tier's searches.
     pub search: SearchAggregate,
 }
@@ -184,8 +353,8 @@ impl Metrics {
             c.fetch_add(v, Ordering::Relaxed);
         };
         add(&self.requests, 1);
-        let rejected = ev.outcome == Outcome::AdmissionReject.name();
-        if rejected || ev.outcome == Outcome::Error.name() {
+        let rejected = ev.outcome == Outcome::AdmissionReject;
+        if rejected || ev.outcome == Outcome::Error {
             add(&self.errors, 1);
         }
         if rejected {
@@ -194,13 +363,11 @@ impl Metrics {
         let Some(tier) = Tier::from_name(ev.tier) else {
             return;
         };
-        // `Race` never reaches an event — the engine resolves every race
-        // to the winning side — so anything but SAT is the B&B slot.
-        let backend = usize::from(ev.backend == Backend::Sat.name());
+        let backend = backend_slot(Backend::from_name(ev.backend).unwrap_or_default());
         add(&self.tier_answers[tier.index()], 1);
         add(&self.tier_omega[tier.index()], ev.omega);
         add(&self.backend_answers[backend], 1);
-        if ev.cache == "hit" {
+        if ev.cache == Cache::Hit {
             add(&self.cache_hits, 1);
         } else {
             add(&self.cache_misses, 1);
@@ -233,263 +400,86 @@ impl Metrics {
             .fetch_add(propagations, Ordering::Relaxed);
     }
 
-    /// Dump every counter as a JSON object.
+    /// Dump every counter as a JSON object: the rows of [`COUNTERS`] kept
+    /// in `Metrics` itself, the latency summary, then the search aggregate.
     pub fn to_json(&self) -> Json {
-        let tier = |t: Tier| self.tier_answers[t.index()].load(Ordering::Relaxed);
-        let omega = |t: Tier| self.tier_omega[t.index()].load(Ordering::Relaxed);
-        pipesched_json::json_object![
-            ("requests", self.requests.load(Ordering::Relaxed) as i64),
-            ("errors", self.errors.load(Ordering::Relaxed) as i64),
-            ("cache_hits", self.cache_hits.load(Ordering::Relaxed) as i64),
-            (
-                "cache_misses",
-                self.cache_misses.load(Ordering::Relaxed) as i64
-            ),
-            (
-                "budget_exhausted",
-                self.budget_exhausted.load(Ordering::Relaxed) as i64
-            ),
-            (
-                "opt_verified",
-                self.opt_verified.load(Ordering::Relaxed) as i64
-            ),
-            (
-                "opt_rejected",
-                self.opt_rejected.load(Ordering::Relaxed) as i64
-            ),
-            (
-                "tier_answers",
-                pipesched_json::json_object![
-                    ("cache", tier(Tier::Cache) as i64),
-                    ("list", tier(Tier::List) as i64),
-                    ("windowed", tier(Tier::Windowed) as i64),
-                    ("bnb", tier(Tier::Bnb) as i64),
-                ]
-            ),
-            (
-                "tier_omega",
-                pipesched_json::json_object![
-                    ("cache", omega(Tier::Cache) as i64),
-                    ("list", omega(Tier::List) as i64),
-                    ("windowed", omega(Tier::Windowed) as i64),
-                    ("bnb", omega(Tier::Bnb) as i64),
-                ]
-            ),
-            (
-                "backend_answers",
-                pipesched_json::json_object![
-                    (
-                        "bnb",
-                        self.backend_answers[0].load(Ordering::Relaxed) as i64
-                    ),
-                    (
-                        "sat",
-                        self.backend_answers[1].load(Ordering::Relaxed) as i64
-                    ),
-                ]
-            ),
-            (
-                "sat",
-                pipesched_json::json_object![
-                    (
-                        "conflicts",
-                        self.sat_conflicts.load(Ordering::Relaxed) as i64
-                    ),
-                    (
-                        "decisions",
-                        self.sat_decisions.load(Ordering::Relaxed) as i64
-                    ),
-                    (
-                        "propagations",
-                        self.sat_propagations.load(Ordering::Relaxed) as i64
-                    ),
-                ]
-            ),
-            (
-                "parallel",
-                pipesched_json::json_object![
-                    (
-                        "steals",
-                        self.parallel_steals.load(Ordering::Relaxed) as i64
-                    ),
-                    (
-                        "splits",
-                        self.parallel_splits.load(Ordering::Relaxed) as i64
-                    ),
-                ]
-            ),
-            (
-                "latency_micros",
-                pipesched_json::json_object![
-                    ("count", self.latency.count() as i64),
-                    ("mean", self.latency.mean_micros() as i64),
-                    ("p50", self.latency.quantile_micros(0.50) as i64),
-                    ("p90", self.latency.quantile_micros(0.90) as i64),
-                    ("p99", self.latency.quantile_micros(0.99) as i64),
-                    ("p999", self.latency.quantile_micros(0.999) as i64),
-                ]
-            ),
-            ("search", self.search.to_json()),
-        ]
+        let mut doc = Vec::new();
+        for row in COUNTERS {
+            let Source::Metrics(counters) = row.source else {
+                continue;
+            };
+            let counts = load(counters(self));
+            let value = match row.labels.values() {
+                None => Json::Int(counts[0] as i64),
+                Some((_, values)) => Json::Object(
+                    (values.iter().zip(counts))
+                        .map(|(value, c)| (value.to_string(), Json::Int(c as i64)))
+                        .collect(),
+                ),
+            };
+            put(
+                &mut doc,
+                row.stats.strip_prefix("metrics.").unwrap_or(row.stats),
+                value,
+            );
+        }
+        let latency = pipesched_json::json_object![
+            ("count", self.latency.count() as i64),
+            ("mean", self.latency.mean_micros() as i64),
+            ("p50", self.latency.quantile_micros(0.50) as i64),
+            ("p90", self.latency.quantile_micros(0.90) as i64),
+            ("p99", self.latency.quantile_micros(0.99) as i64),
+            ("p999", self.latency.quantile_micros(0.999) as i64),
+        ];
+        doc.push(("latency_micros".into(), latency));
+        doc.push(("search".into(), self.search.to_json()));
+        Json::Object(doc)
     }
 
     /// Write the snapshot as Prometheus text exposition (the `/metrics`
-    /// payload; see the README's name/label schema).
+    /// payload; see the README's family table): the [`COUNTERS`] rows
+    /// kept here and in the search aggregate, the node-identity gauge and
+    /// the latency summary.
     pub fn write_prometheus(&self, w: &mut PromWriter) {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        w.counter(
-            "pipesched_requests_total",
-            "Scheduling requests received.",
-            load(&self.requests),
-        );
-        w.counter(
-            "pipesched_errors_total",
-            "Requests that failed to parse or schedule.",
-            load(&self.errors),
-        );
-        w.counter(
-            "pipesched_cache_hits_total",
-            "Validated schedule-cache hits.",
-            load(&self.cache_hits),
-        );
-        w.counter(
-            "pipesched_cache_misses_total",
-            "Schedule-cache misses (or failed hit validation).",
-            load(&self.cache_misses),
-        );
-        w.counter(
-            "pipesched_budget_exhausted_total",
-            "Requests whose node budget or deadline expired.",
-            load(&self.budget_exhausted),
-        );
-        w.counter(
-            "pipesched_opt_verified_total",
-            "Request blocks that passed the optimizer validation gate.",
-            load(&self.opt_verified),
-        );
-        w.counter(
-            "pipesched_opt_rejected_total",
-            "Request blocks rejected by the translation validator.",
-            load(&self.opt_rejected),
-        );
-        w.header(
-            "pipesched_tier_answers_total",
-            "Answers produced, by escalation tier.",
-            "counter",
-        );
-        for t in [Tier::Cache, Tier::List, Tier::Windowed, Tier::Bnb] {
-            w.sample_labeled(
-                "pipesched_tier_answers_total",
-                &[("tier", t.name())],
-                load(&self.tier_answers[t.index()]) as f64,
-            );
-        }
-        w.header(
-            "pipesched_tier_omega_total",
-            "Omega calls spent, by answering tier.",
-            "counter",
-        );
-        for t in [Tier::Cache, Tier::List, Tier::Windowed, Tier::Bnb] {
-            w.sample_labeled(
-                "pipesched_tier_omega_total",
-                &[("tier", t.name())],
-                load(&self.tier_omega[t.index()]) as f64,
-            );
-        }
-        w.header(
-            "pipesched_backend_answers_total",
-            "Answers produced, by concrete solving backend.",
-            "counter",
-        );
-        for (label, slot) in [("bnb", 0usize), ("sat", 1)] {
-            w.sample_labeled(
-                "pipesched_backend_answers_total",
-                &[("backend", label)],
-                load(&self.backend_answers[slot]) as f64,
-            );
-        }
-        w.counter(
-            "pipesched_sat_conflicts_total",
-            "CDCL conflicts across every SAT-backend query.",
-            load(&self.sat_conflicts),
-        );
-        w.counter(
-            "pipesched_sat_decisions_total",
-            "CDCL decisions across every SAT-backend query.",
-            load(&self.sat_decisions),
-        );
-        w.counter(
-            "pipesched_sat_propagations_total",
-            "CDCL unit propagations across every SAT-backend query.",
-            load(&self.sat_propagations),
-        );
-        w.counter(
-            "pipesched_parallel_steals_total",
-            "Subtree tasks stolen by idle workers of the parallel search.",
-            load(&self.parallel_steals),
-        );
-        w.counter(
-            "pipesched_parallel_splits_total",
-            "Subtree tasks split off by workers of the parallel search.",
-            load(&self.parallel_splits),
-        );
-        w.counter(
-            "pipesched_search_nodes_total",
-            "Search-tree nodes visited across all searches.",
-            load(&self.search.nodes_visited),
-        );
-        w.counter(
-            "pipesched_search_omega_total",
-            "Omega calls across all searches.",
-            load(&self.search.omega_calls),
-        );
-        w.header(
-            "pipesched_search_pruned_total",
-            "Candidates pruned, by rule.",
-            "counter",
-        );
-        for rule in Prune::ALL {
-            w.sample_labeled(
-                "pipesched_search_pruned_total",
-                &[("rule", rule.name())],
-                load(&self.search.pruned[rule as usize]) as f64,
-            );
+        for row in COUNTERS {
+            match row.source {
+                Source::Metrics(counters) => row.write(w, &load(counters(self))),
+                Source::Search(counters) => row.write(w, &load(counters(&self.search))),
+                Source::Engine(_) => {}
+            }
         }
         w.gauge(
             "pipesched_search_identity_ok",
             "1 when the aggregate satisfies \
              nodes + bound-pruned + dominance-pruned == searches + omega.",
-            if self.search.identity_holds() {
-                1.0
-            } else {
-                0.0
-            },
+            f64::from(u8::from(self.search.identity_holds())),
         );
-        w.header(
-            "pipesched_request_latency_micros",
-            "Per-request wall-clock latency, microseconds.",
-            "summary",
-        );
-        for (label, q) in [
+        let latency = "pipesched_request_latency_micros";
+        let quantiles = [
             ("0.5", 0.50),
             ("0.9", 0.90),
             ("0.99", 0.99),
             ("0.999", 0.999),
-        ] {
-            w.sample_labeled(
-                "pipesched_request_latency_micros",
-                &[("quantile", label)],
-                self.latency.quantile_micros(q) as f64,
-            );
+        ];
+        w.labeled(
+            latency,
+            "Per-request wall-clock latency, microseconds.",
+            "summary",
+            "quantile",
+            quantiles.map(|(label, q)| (label, self.latency.quantile_micros(q) as f64)),
+        );
+        w.sample(&format!("{latency}_sum"), self.latency.sum_micros() as f64);
+        w.sample(&format!("{latency}_count"), self.latency.count() as f64);
+    }
+}
+
+/// Write the engine-level [`COUNTERS`] rows, read from `engine`.
+pub(crate) fn write_engine_counters(engine: &ServiceEngine, w: &mut PromWriter) {
+    let flight = pipesched_trace::flight::stats();
+    for row in COUNTERS {
+        if let Source::Engine(read) = row.source {
+            row.write(w, &[read(engine, &flight)]);
         }
-        w.sample(
-            "pipesched_request_latency_micros_sum",
-            self.latency.sum_micros() as f64,
-        );
-        w.sample(
-            "pipesched_request_latency_micros_count",
-            self.latency.count() as f64,
-        );
     }
 }
 
@@ -509,7 +499,7 @@ pub(crate) mod tests {
     ) -> WideEvent {
         let mut ev = WideEvent::new(1);
         (ev.tier, ev.backend) = (tier.name(), backend.name());
-        ev.cache = if cache_hit { "hit" } else { "miss" };
+        ev.cache = if cache_hit { Cache::Hit } else { Cache::Miss };
         (ev.optimal, ev.micros, ev.omega) = (!truncated, micros, omega);
         ev
     }
@@ -554,6 +544,64 @@ pub(crate) mod tests {
             search.get("identity_holds").and_then(Json::as_bool),
             Some(true)
         );
+    }
+
+    /// Every counter row's `/stats` key holds the counts its Prometheus
+    /// samples print, each at a distinct value.
+    #[test]
+    fn every_counter_reads_the_same_in_stats_and_metrics() {
+        // No other test commits a wide event or a trace meanwhile.
+        let _l = crate::flight_test_lock();
+        let eng = ServiceEngine::new(crate::EngineConfig::default(), 4, 1);
+        let m = eng.metrics();
+        m.record(&answered(Tier::Bnb, Backend::Sat, false, true, 250, 31));
+        m.record(&answered(Tier::Cache, Backend::Bnb, true, false, 20, 0));
+        m.record(&answered(
+            Tier::Windowed,
+            Backend::Bnb,
+            false,
+            false,
+            900,
+            77,
+        ));
+        m.record_sat_effort(5, 2, 40);
+        m.record_parallel(3, 17);
+        m.record_opt_verified();
+        let stats = SearchStats {
+            nodes_visited: 32,
+            omega_calls: 40,
+            pruned_legality: 11,
+            pruned_bound: 7,
+            pruned_dominance: 2,
+            ..SearchStats::default()
+        };
+        m.search.record(&stats, true);
+        let doc = eng.stats_json();
+        let scrape = eng.prometheus();
+        for row in COUNTERS {
+            let (path, last) = row.stats.rsplit_once('.').expect("a keyed path");
+            let parent = path.split('.').try_fold(&doc, |d, key| d.get(key));
+            let at = |key: &str| parent.and_then(|p| p.get(key)).and_then(Json::as_i64);
+            let in_stats: Vec<Option<i64>> = match row.labels.values() {
+                None => vec![at(last)],
+                Some((_, values)) if last.contains('*') => {
+                    values.iter().map(|v| at(&last.replace('*', v))).collect()
+                }
+                Some((_, values)) => values
+                    .iter()
+                    .map(|v| parent.and_then(|p| p.get(last)?.get(v)?.as_i64()))
+                    .collect(),
+            };
+            let in_metrics: Vec<Option<i64>> = scrape
+                .lines()
+                .filter(|l| {
+                    l.strip_prefix(row.name)
+                        .is_some_and(|r| r.starts_with([' ', '{']))
+                })
+                .map(|l| l.rsplit(' ').next().and_then(|v| v.parse().ok()))
+                .collect();
+            assert_eq!(in_stats, in_metrics, "{} at /stats {}", row.name, row.stats);
+        }
     }
 
     #[test]

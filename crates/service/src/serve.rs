@@ -1038,7 +1038,7 @@ mod tests {
         let trigger = dump.events.last().expect("dump captures a window");
         assert_eq!(trigger.seq, dump.trigger_seq);
         assert_eq!(trigger.req, 4242);
-        assert_eq!(trigger.outcome, flight::Outcome::DeadlineMiss.name());
+        assert_eq!(trigger.outcome, flight::Outcome::DeadlineMiss);
         assert!(trigger.trace_id != 0, "wide event links to its span trace");
         assert!(trigger.micros > 0);
         assert!(trigger.verify(), "dumped events carry valid seals");

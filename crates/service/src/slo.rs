@@ -21,8 +21,10 @@
 use pipesched_json::{json_object, Json};
 use pipesched_trace::prom::PromWriter;
 
+use pipesched_core::Backend;
+
 use crate::engine::Tier;
-use crate::metrics::{LatencyHistogram, Metrics};
+use crate::metrics::{backend_slot, LatencyHistogram, Metrics};
 
 /// What slice of traffic an objective covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +33,8 @@ pub enum Scope {
     Total,
     /// Requests answered by one escalation tier.
     Tier(Tier),
-    /// Requests answered by one concrete backend (0 = bnb, 1 = sat).
-    Backend(usize),
+    /// Requests answered by one concrete backend.
+    Backend(Backend),
 }
 
 impl Scope {
@@ -40,7 +42,7 @@ impl Scope {
         match *self {
             Scope::Total => &metrics.latency,
             Scope::Tier(t) => &metrics.tier_latency[t.index()],
-            Scope::Backend(b) => &metrics.backend_latency[b.min(1)],
+            Scope::Backend(b) => &metrics.backend_latency[backend_slot(b)],
         }
     }
 }
@@ -103,13 +105,13 @@ pub fn objectives() -> &'static [Objective] {
         },
         Objective {
             name: "backend_bnb_p99_200ms",
-            scope: Scope::Backend(0),
+            scope: Scope::Backend(Backend::Bnb),
             target_micros: 200_000,
             target_fraction: 0.99,
         },
         Objective {
             name: "backend_sat_p95_500ms",
-            scope: Scope::Backend(1),
+            scope: Scope::Backend(Backend::Sat),
             target_micros: 500_000,
             target_fraction: 0.95,
         },
@@ -161,10 +163,7 @@ fn scope_json(scope: Scope) -> Json {
     match scope {
         Scope::Total => json_object![("kind", "total")],
         Scope::Tier(t) => json_object![("kind", "tier"), ("tier", t.name())],
-        Scope::Backend(b) => json_object![
-            ("kind", "backend"),
-            ("backend", if b == 1 { "sat" } else { "bnb" }),
-        ],
+        Scope::Backend(b) => json_object![("kind", "backend"), ("backend", b.name())],
     }
 }
 
@@ -197,30 +196,22 @@ pub fn to_json(metrics: &Metrics) -> Json {
 /// Append `pipesched_slo_*` gauges to a Prometheus exposition.
 pub fn write_prometheus(metrics: &Metrics, w: &mut PromWriter) {
     let statuses = report(metrics);
-    w.header(
+    w.labeled(
         "pipesched_slo_burn_rate",
         "Error-budget burn rate per latency objective (1.0 = provisioned).",
         "gauge",
+        "slo",
+        statuses.iter().map(|s| (s.objective.name, s.burn_rate)),
     );
-    for s in &statuses {
-        w.sample_labeled(
-            "pipesched_slo_burn_rate",
-            &[("slo", s.objective.name)],
-            s.burn_rate,
-        );
-    }
-    w.header(
+    w.labeled(
         "pipesched_slo_ok",
         "1 when the objective's budget burns at or under provision.",
         "gauge",
+        "slo",
+        statuses
+            .iter()
+            .map(|s| (s.objective.name, f64::from(u8::from(s.ok)))),
     );
-    for s in &statuses {
-        w.sample_labeled(
-            "pipesched_slo_ok",
-            &[("slo", s.objective.name)],
-            if s.ok { 1.0 } else { 0.0 },
-        );
-    }
     w.gauge(
         "pipesched_slo_violations",
         "Objectives currently burning error budget above provision.",
@@ -232,7 +223,6 @@ pub fn write_prometheus(metrics: &Metrics, w: &mut PromWriter) {
 mod tests {
     use super::*;
     use crate::metrics::tests::answered;
-    use pipesched_core::Backend;
 
     #[test]
     fn empty_metrics_burn_nothing() {

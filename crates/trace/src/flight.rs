@@ -71,80 +71,132 @@ pub const OUTLIER_FLOOR_MICROS: u64 = 1_000;
 /// produces one dump, not one per affected request.
 pub const DUMP_COOLDOWN: u64 = DUMP_WINDOW as u64;
 
-/// Request phases timed inside a wide event, in emission order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// NDJSON request-line parsing.
-    Parse = 0,
-    /// Dependence-DAG + scheduling-context build.
-    Dag = 1,
-    /// Canonical-form computation (cache key).
-    Canon = 2,
-    /// Cache lookup + hit translation/validation.
-    Cache = 3,
-    /// Tier escalation (list/windowed/exact) and cache store.
-    Search = 4,
-    /// Certificate production for provably optimal answers.
-    Prove = 5,
-    /// Response rendering.
-    Respond = 6,
+/// How a wide-event field is written to and read from its NDJSON value.
+trait Field: Sized {
+    fn to_json(&self) -> Json;
+    /// `vocab` lists the names a string field may take; other fields
+    /// ignore it.
+    fn from_json(value: &Json, vocab: &[&'static str]) -> Option<Self>;
 }
 
-/// NDJSON field names of the per-phase timings, in [`Phase`] order.
-pub const PHASE_FIELDS: [&str; 7] = [
-    "us_parse",
-    "us_dag",
-    "us_canon",
-    "us_cache",
-    "us_search",
-    "us_prove",
-    "us_respond",
-];
+/// Integers are JSON integers; a `u64` past `i64::MAX` reads as negative
+/// and back, bit for bit.
+macro_rules! int_field {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                Json::Int(*self as i64)
+            }
+            fn from_json(value: &Json, _: &[&'static str]) -> Option<Self> {
+                value.as_i64().map(|v| v as $ty)
+            }
+        }
+    )*};
+}
 
-/// How a request ended, from the service's point of view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// Answered normally.
-    Ok,
-    /// Budget (λ) exhausted; the incumbent was served, `optimal: false`.
-    BudgetExhausted,
-    /// The request failed to parse or schedule.
-    Error,
-    /// The wall-clock deadline cut the search short.
-    DeadlineMiss,
-    /// The optimizer admission gate (`verify_opt`) refused the block.
-    AdmissionReject,
-    /// A certifier or audit rejected a served schedule.
-    CertReject,
-    /// Two exact backends disagreed on the optimal NOP count.
-    Disagreement,
+int_field!(u64, u32, i64);
+
+impl Field for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(value: &Json, _: &[&'static str]) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+/// A name another crate owns (a tier, a backend): the recorder only ever
+/// writes names from `vocab`, so a parsed name outside it is foreign or
+/// forged.
+impl Field for &'static str {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+    fn from_json(value: &Json, vocab: &[&'static str]) -> Option<Self> {
+        let name = value.as_str()?;
+        vocab.iter().copied().find(|v| *v == name)
+    }
+}
+
+/// A closed set of values with stable names: the enum, `ALL` in
+/// declaration order (so `value as usize` indexes it), and `name`; a
+/// parsed line names a value by its `name`.
+macro_rules! named {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $( $(#[$vmeta:meta])* $variant:ident = $name:literal, )*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $ty {
+            /// Every value, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
+
+            /// The value's stable name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $name, )*
+                }
+            }
+        }
+
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                Json::from(self.name())
+            }
+            fn from_json(value: &Json, _: &[&'static str]) -> Option<Self> {
+                let name = value.as_str()?;
+                Self::ALL.iter().copied().find(|v| v.name() == name)
+            }
+        }
+    };
+}
+
+named! {
+    /// Request phases timed inside a wide event, in emission order; the
+    /// name is the phase's wide-event field.
+    pub enum Phase {
+        /// NDJSON request-line parsing.
+        Parse = "us_parse",
+        /// Dependence-DAG + scheduling-context build.
+        Dag = "us_dag",
+        /// Canonical-form computation (cache key).
+        Canon = "us_canon",
+        /// Cache lookup + hit translation/validation.
+        Cache = "us_cache",
+        /// Tier escalation (list/windowed/exact) and cache store.
+        Search = "us_search",
+        /// Certificate production for provably optimal answers.
+        Prove = "us_prove",
+        /// Response rendering.
+        Respond = "us_respond",
+    }
+}
+
+named! {
+    /// How a request ended, from the service's point of view.
+    pub enum Outcome {
+        /// Answered normally.
+        Ok = "ok",
+        /// Budget (λ) exhausted; the incumbent was served, `optimal: false`.
+        BudgetExhausted = "budget_exhausted",
+        /// The request failed to parse or schedule.
+        Error = "error",
+        /// The wall-clock deadline cut the search short.
+        DeadlineMiss = "deadline_miss",
+        /// The optimizer admission gate (`verify_opt`) refused the block.
+        AdmissionReject = "admission_reject",
+        /// A certifier or audit rejected a served schedule.
+        CertReject = "cert_reject",
+        /// Two exact backends disagreed on the optimal NOP count.
+        Disagreement = "disagreement",
+    }
 }
 
 impl Outcome {
-    /// Every outcome, in rank order.
-    const ALL: [Outcome; 7] = [
-        Outcome::Ok,
-        Outcome::BudgetExhausted,
-        Outcome::Error,
-        Outcome::DeadlineMiss,
-        Outcome::AdmissionReject,
-        Outcome::CertReject,
-        Outcome::Disagreement,
-    ];
-
-    /// Stable name used in wide events.
-    pub fn name(self) -> &'static str {
-        match self {
-            Outcome::Ok => "ok",
-            Outcome::BudgetExhausted => "budget_exhausted",
-            Outcome::Error => "error",
-            Outcome::DeadlineMiss => "deadline_miss",
-            Outcome::AdmissionReject => "admission_reject",
-            Outcome::CertReject => "cert_reject",
-            Outcome::Disagreement => "disagreement",
-        }
-    }
-
     /// Severity rank: a later [`WideEvent::raise`] only overrides an
     /// earlier outcome of no higher rank, so an engine-noted disagreement
     /// survives the serve loop noting plain success afterwards.
@@ -153,156 +205,168 @@ impl Outcome {
             Outcome::Ok => 0,
             Outcome::BudgetExhausted => 1,
             Outcome::Error => 2,
-            Outcome::DeadlineMiss => 3,
-            Outcome::AdmissionReject => 3,
+            Outcome::DeadlineMiss | Outcome::AdmissionReject => 3,
             Outcome::CertReject => 4,
             Outcome::Disagreement => 5,
         }
     }
 }
 
-/// Why a window was frozen and dumped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Anomaly {
-    /// A request's wall-clock deadline expired mid-search.
-    DeadlineMiss,
-    /// A certifier or audit rejected a served schedule.
-    CertReject,
-    /// Exact backends disagreed on an optimal NOP count.
-    Disagreement,
-    /// The admission gate refused the block.
-    AdmissionReject,
-    /// Latency at [`OUTLIER_MULTIPLE`]× the running p99 estimate.
-    LatencyOutlier,
-}
-
-impl Anomaly {
-    /// Stable name used in dump headers and counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Anomaly::DeadlineMiss => "deadline_miss",
-            Anomaly::CertReject => "cert_reject",
-            Anomaly::Disagreement => "disagreement",
-            Anomaly::AdmissionReject => "admission_reject",
-            Anomaly::LatencyOutlier => "latency_outlier",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Anomaly::DeadlineMiss => 0,
-            Anomaly::CertReject => 1,
-            Anomaly::Disagreement => 2,
-            Anomaly::AdmissionReject => 3,
-            Anomaly::LatencyOutlier => 4,
-        }
+named! {
+    /// What the cache lookup of a request found.
+    pub enum Cache {
+        /// No lookup happened: the request failed before it.
+        NoLookup = "-",
+        /// A validated hit answered the request.
+        Hit = "hit",
+        /// The lookup missed (or the hit failed validation).
+        Miss = "miss",
     }
 }
 
-/// One wide event: everything the service knows about one request, flat.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WideEvent {
+named! {
+    /// Why a window was frozen and dumped.
+    pub enum Anomaly {
+        /// A request's wall-clock deadline expired mid-search.
+        DeadlineMiss = "deadline_miss",
+        /// A certifier or audit rejected a served schedule.
+        CertReject = "cert_reject",
+        /// Exact backends disagreed on an optimal NOP count.
+        Disagreement = "disagreement",
+        /// The admission gate refused the block.
+        AdmissionReject = "admission_reject",
+        /// Latency at [`OUTLIER_MULTIPLE`]× the running p99 estimate.
+        LatencyOutlier = "latency_outlier",
+    }
+}
+
+/// Declares [`WideEvent`] from one row per scalar field — its doc, type,
+/// default and, for a name another crate owns, the names it may take —
+/// and derives the struct, [`WideEvent::new`], [`WideEvent::FIELDS`], the
+/// serialized body and [`WideEvent::from_ndjson`] from those rows. The
+/// [`Phase`] timings follow the scalars, and the checksum comes last.
+macro_rules! wide_event {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty = $default:expr $(, in [$($name:literal),*])?;
+    )*) => {
+        /// One wide event: everything the service knows about one request, flat.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct WideEvent {
+            $( $(#[$doc])* pub $field: $ty, )*
+            /// Per-phase wall clock, microseconds, in [`Phase`] order.
+            pub phases_us: [u64; Phase::ALL.len()],
+            /// FNV-1a self-checksum over the serialized body ([`WideEvent::seal`]).
+            pub checksum: u64,
+        }
+
+        /// The scalar fields' names, in emission order.
+        const SCALARS: &[&str] = &[$(stringify!($field)),*];
+
+        impl WideEvent {
+            /// NDJSON field names, in emission order — the README's wide-event
+            /// table is diffed against this list by `tests/docs_sync.rs`.
+            pub const FIELDS: [&str; SCALARS.len() + Phase::ALL.len() + 1] = {
+                let mut fields = ["checksum"; SCALARS.len() + Phase::ALL.len() + 1];
+                let mut i = 0;
+                while i + 1 < fields.len() {
+                    fields[i] = match i.checked_sub(SCALARS.len()) {
+                        None => SCALARS[i],
+                        Some(phase) => Phase::ALL[phase].name(),
+                    };
+                    i += 1;
+                }
+                fields
+            };
+
+            /// Every field at its default.
+            const DEFAULT: WideEvent = WideEvent {
+                $( $field: $default, )*
+                phases_us: [0; Phase::ALL.len()],
+                checksum: 0,
+            };
+
+            /// Serialized body: every field but the checksum, as JSON members.
+            /// Both the seal and the NDJSON rendering derive from this one
+            /// serialization, so "the line verifies" and "the struct verifies"
+            /// are the same statement.
+            fn body(&self) -> Vec<(String, Json)> {
+                let mut pairs = vec![$( (stringify!($field).to_string(), self.$field.to_json()), )*];
+                let phases = Phase::ALL.iter().zip(self.phases_us);
+                pairs.extend(phases.map(|(phase, us)| (phase.name().to_string(), us.to_json())));
+                pairs
+            }
+
+            /// Parse one NDJSON line back into a `WideEvent`, checksum
+            /// included — so [`WideEvent::verify`] detects tampering on
+            /// re-parsed lines just as it does on in-memory events. Returns
+            /// `None` for malformed lines, dump headers, and events whose
+            /// names fall outside the recorder's vocabulary (the recorder
+            /// only ever emits those names, so an unknown one is foreign or
+            /// forged).
+            pub fn from_ndjson(line: &str) -> Option<Self> {
+                let doc = pipesched_json::parse(line).ok()?;
+                let mut ev = WideEvent {
+                    $( $field: Field::from_json(doc.get(stringify!($field))?, &[$($($name),*)?])?, )*
+                    ..WideEvent::DEFAULT
+                };
+                for (slot, phase) in ev.phases_us.iter_mut().zip(Phase::ALL) {
+                    *slot = Field::from_json(doc.get(phase.name())?, &[])?;
+                }
+                ev.checksum = Field::from_json(doc.get("checksum")?, &[])?;
+                Some(ev)
+            }
+        }
+    };
+}
+
+wide_event! {
     /// Ring-assigned monotonic sequence number (assigned at commit).
-    pub seq: u64,
+    seq: u64 = 0;
     /// Client request id (`-1` when the request carried none).
-    pub req: i64,
+    req: i64 = -1;
     /// Span-trace id of the same request (0 when tracing was off).
-    pub trace_id: u64,
+    trace_id: u64 = 0;
     /// Canonical refinement hash of the block's dependence DAG.
-    pub canon: u64,
+    canon: u64 = 0;
     /// Instructions in the block.
-    pub n: u32,
+    n: u32 = 0;
     /// Machine-description fingerprint (timing + mapping, no names).
-    pub machine_fp: u64,
+    machine_fp: u64 = 0;
     /// Answering tier (`cache`/`list`/`windowed`/`bnb`, `-` on errors).
-    pub tier: &'static str,
+    tier: &'static str = "-", in ["cache", "list", "windowed", "bnb", "-"];
     /// Concrete solving backend (`bnb`/`sat`, `-` on errors).
-    pub backend: &'static str,
+    backend: &'static str = "-", in ["bnb", "sat", "race", "-"];
     /// Worker threads configured for the exact tier.
-    pub threads: u32,
-    /// Cache outcome: `hit`, `miss`, or `-` before lookup.
-    pub cache: &'static str,
-    /// Outcome code ([`Outcome::name`]).
-    pub outcome: &'static str,
+    threads: u32 = 1;
+    /// What the cache lookup found.
+    cache: Cache = Cache::NoLookup;
+    /// How the request ended.
+    outcome: Outcome = Outcome::Ok;
     /// NOPs of the served schedule.
-    pub nops: u32,
+    nops: u32 = 0;
     /// Whether the served schedule was provably optimal.
-    pub optimal: bool,
+    optimal: bool = false;
     /// Search-tree nodes visited answering this request.
-    pub nodes: u64,
+    nodes: u64 = 0;
     /// Ω calls spent answering this request.
-    pub omega: u64,
+    omega: u64 = 0;
     /// Candidates pruned (all rules summed) answering this request.
-    pub pruned: u64,
+    pruned: u64 = 0;
     /// FNV-1a digest of the optimality certificate (0 when none).
-    pub proof_digest: u64,
+    proof_digest: u64 = 0;
     /// Whether the wall-clock deadline cut the search short.
-    pub deadline_hit: bool,
+    deadline_hit: bool = false;
     /// Whole-request wall clock, microseconds.
-    pub micros: u64,
-    /// Per-phase wall clock, microseconds, in [`Phase`] order.
-    pub phases_us: [u64; 7],
-    /// FNV-1a self-checksum over the serialized body ([`WideEvent::seal`]).
-    pub checksum: u64,
+    micros: u64 = 0;
 }
 
 impl WideEvent {
-    /// NDJSON field names, in emission order — the README's wide-event
-    /// table is diffed against this list by `tests/docs_sync.rs`.
-    pub const FIELDS: [&str; 27] = [
-        "seq",
-        "req",
-        "trace_id",
-        "canon",
-        "n",
-        "machine_fp",
-        "tier",
-        "backend",
-        "threads",
-        "cache",
-        "outcome",
-        "nops",
-        "optimal",
-        "nodes",
-        "omega",
-        "pruned",
-        "proof_digest",
-        "deadline_hit",
-        "micros",
-        "us_parse",
-        "us_dag",
-        "us_canon",
-        "us_cache",
-        "us_search",
-        "us_prove",
-        "us_respond",
-        "checksum",
-    ];
-
     /// A fresh event for request `req`, every other field at its default.
     pub fn new(req: i64) -> Self {
         WideEvent {
-            seq: 0,
             req,
-            trace_id: 0,
-            canon: 0,
-            n: 0,
-            machine_fp: 0,
-            tier: "-",
-            backend: "-",
-            threads: 1,
-            cache: "-",
-            outcome: Outcome::Ok.name(),
-            nops: 0,
-            optimal: false,
-            nodes: 0,
-            omega: 0,
-            pruned: 0,
-            proof_digest: 0,
-            deadline_hit: false,
-            micros: 0,
-            phases_us: [0; 7],
-            checksum: 0,
+            ..WideEvent::DEFAULT
         }
     }
 
@@ -310,52 +374,14 @@ impl WideEvent {
     /// one: outcomes only escalate, so the serve loop noting plain success
     /// never downgrades an anomaly the engine already noted.
     pub fn raise(&mut self, outcome: Outcome) {
-        let current = Outcome::ALL
-            .into_iter()
-            .find(|o| o.name() == self.outcome)
-            .unwrap_or(Outcome::Ok);
-        if outcome.rank() >= current.rank() {
-            self.outcome = outcome.name();
+        if outcome.rank() >= self.outcome.rank() {
+            self.outcome = outcome;
         }
-    }
-
-    /// Serialized body: every field but the checksum, as compact JSON.
-    /// Both the seal and the NDJSON rendering derive from this one
-    /// serialization, so "the line verifies" and "the struct verifies"
-    /// are the same statement.
-    fn body_json(&self) -> Json {
-        let mut doc = json_object![
-            ("seq", self.seq as i64),
-            ("req", self.req),
-            ("trace_id", self.trace_id as i64),
-            ("canon", self.canon as i64),
-            ("n", self.n as i64),
-            ("machine_fp", self.machine_fp as i64),
-            ("tier", self.tier),
-            ("backend", self.backend),
-            ("threads", self.threads as i64),
-            ("cache", self.cache),
-            ("outcome", self.outcome),
-            ("nops", self.nops as i64),
-            ("optimal", self.optimal),
-            ("nodes", self.nodes as i64),
-            ("omega", self.omega as i64),
-            ("pruned", self.pruned as i64),
-            ("proof_digest", self.proof_digest as i64),
-            ("deadline_hit", self.deadline_hit),
-            ("micros", self.micros as i64),
-        ];
-        if let Json::Object(pairs) = &mut doc {
-            for (name, us) in PHASE_FIELDS.iter().zip(self.phases_us) {
-                pairs.push((name.to_string(), Json::Int(us as i64)));
-            }
-        }
-        doc
     }
 
     /// Compute the FNV-1a self-checksum of the serialized body.
     fn digest(&self) -> u64 {
-        fnv1a(self.body_json().to_compact().as_bytes())
+        fnv1a(Json::Object(self.body()).to_compact().as_bytes())
     }
 
     /// Seal the event: stamp `checksum` from the current body.
@@ -370,51 +396,9 @@ impl WideEvent {
 
     /// One NDJSON line: the sealed body plus its checksum.
     pub fn to_ndjson(&self) -> String {
-        let mut doc = self.body_json();
-        if let Json::Object(pairs) = &mut doc {
-            pairs.push(("checksum".to_string(), Json::Int(self.checksum as i64)));
-        }
-        doc.to_compact()
-    }
-
-    /// Parse one NDJSON line back into a `WideEvent`, checksum included —
-    /// so [`WideEvent::verify`] detects tampering on re-parsed lines just
-    /// as it does on in-memory events. Returns `None` for malformed
-    /// lines, dump headers, and events whose string fields fall outside
-    /// the recorder's vocabulary (the recorder only ever emits interned
-    /// names, so an unknown string is foreign or forged).
-    pub fn from_ndjson(line: &str) -> Option<Self> {
-        /// Map a parsed string back onto the recorder's static name.
-        fn intern(s: &str, vocab: &[&'static str]) -> Option<&'static str> {
-            vocab.iter().copied().find(|v| *v == s)
-        }
-        let doc = pipesched_json::parse(line).ok()?;
-        let u = |k: &str| doc.get(k).and_then(Json::as_i64).map(|v| v as u64);
-        let s = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
-        let mut ev = WideEvent::new(doc.get("req").and_then(Json::as_i64)?);
-        ev.seq = u("seq")?;
-        ev.trace_id = u("trace_id")?;
-        ev.canon = u("canon")?;
-        ev.n = u("n")? as u32;
-        ev.machine_fp = u("machine_fp")?;
-        ev.tier = intern(&s("tier")?, &["cache", "list", "windowed", "bnb", "-"])?;
-        ev.backend = intern(&s("backend")?, &["bnb", "sat", "race", "-"])?;
-        ev.threads = u("threads")? as u32;
-        ev.cache = intern(&s("cache")?, &["hit", "miss", "-"])?;
-        ev.outcome = intern(&s("outcome")?, &Outcome::ALL.map(Outcome::name))?;
-        ev.nops = u("nops")? as u32;
-        ev.optimal = doc.get("optimal").and_then(Json::as_bool)?;
-        ev.nodes = u("nodes")?;
-        ev.omega = u("omega")?;
-        ev.pruned = u("pruned")?;
-        ev.proof_digest = u("proof_digest")?;
-        ev.deadline_hit = doc.get("deadline_hit").and_then(Json::as_bool)?;
-        ev.micros = u("micros")?;
-        for (slot, name) in ev.phases_us.iter_mut().zip(PHASE_FIELDS) {
-            *slot = u(name)?;
-        }
-        ev.checksum = u("checksum")?;
-        Some(ev)
+        let mut pairs = self.body();
+        pairs.push(("checksum".to_string(), self.checksum.to_json()));
+        Json::Object(pairs).to_compact()
     }
 }
 
@@ -453,10 +437,7 @@ impl Dump {
         ]
         .to_compact();
         out.push('\n');
-        for ev in &self.events {
-            out.push_str(&ev.to_ndjson());
-            out.push('\n');
-        }
+        out.push_str(&to_ndjson(&self.events));
         out
     }
 }
@@ -509,17 +490,17 @@ struct Inner {
     /// Committed latencies, seeding the outlier trigger's p99 estimate.
     latency: LatencyHistogram,
     /// Last dump's trigger seq per anomaly kind (cooldown).
-    last_dump_seq: [Option<u64>; 5],
+    last_dump_seq: [Option<u64>; Anomaly::ALL.len()],
 }
 
 impl Inner {
     fn classify(&self, ev: &WideEvent) -> Option<Anomaly> {
         match ev.outcome {
-            o if o == Outcome::DeadlineMiss.name() => Some(Anomaly::DeadlineMiss),
-            o if o == Outcome::CertReject.name() => Some(Anomaly::CertReject),
-            o if o == Outcome::Disagreement.name() => Some(Anomaly::Disagreement),
-            o if o == Outcome::AdmissionReject.name() => Some(Anomaly::AdmissionReject),
-            _ => {
+            Outcome::DeadlineMiss => Some(Anomaly::DeadlineMiss),
+            Outcome::CertReject => Some(Anomaly::CertReject),
+            Outcome::Disagreement => Some(Anomaly::Disagreement),
+            Outcome::AdmissionReject => Some(Anomaly::AdmissionReject),
+            Outcome::Ok | Outcome::BudgetExhausted | Outcome::Error => {
                 let p99 = self.latency.quantile_micros(0.99);
                 (self.latency.count() >= OUTLIER_MIN_SAMPLES
                     && ev.micros >= OUTLIER_FLOOR_MICROS.max(p99.saturating_mul(OUTLIER_MULTIPLE)))
@@ -541,17 +522,13 @@ static RECORDER: Mutex<Inner> = Mutex::new(Inner {
     ring: VecDeque::new(),
     dumps: VecDeque::new(),
     latency: LatencyHistogram::new(),
-    last_dump_seq: [None; 5],
+    last_dump_seq: [None; Anomaly::ALL.len()],
 });
 
 fn recorder() -> MutexGuard<'static, Inner> {
     let mut g = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     if g.cap == 0 {
-        g.cap = std::env::var("PIPESCHED_FLIGHT_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
+        g.cap = crate::capacity_from_env("PIPESCHED_FLIGHT_CAP", DEFAULT_CAPACITY);
     }
     g
 }
@@ -560,7 +537,7 @@ fn recorder() -> MutexGuard<'static, Inner> {
 struct Open {
     ev: WideEvent,
     /// Phase self time, nanoseconds, in [`Phase`] order.
-    phases_ns: [u64; 7],
+    phases_ns: [u64; Phase::ALL.len()],
     /// Wall clock of the guards nested in the innermost open one.
     nested_ns: u64,
 }
@@ -610,7 +587,7 @@ pub fn reset() {
     g.suppressed = 0;
     g.dumps_taken = 0;
     g.latency = LatencyHistogram::new();
-    g.last_dump_seq = [None; 5];
+    g.last_dump_seq = [None; Anomaly::ALL.len()];
 }
 
 /// Open this thread's wide event for the request being served. Replaces
@@ -619,7 +596,7 @@ pub fn begin(req: i64) {
     CURRENT.with(|c| {
         *c.borrow_mut() = Some(Open {
             ev: WideEvent::new(req),
-            phases_ns: [0; 7],
+            phases_ns: [0; Phase::ALL.len()],
             nested_ns: 0,
         })
     });
@@ -724,22 +701,16 @@ pub fn commit(mut ev: WideEvent) -> Option<u64> {
         }
 
         let dump_file = anomaly.and_then(|kind| {
-            let cooled = g.last_dump_seq[kind.index()]
+            let cooled = g.last_dump_seq[kind as usize]
                 .is_some_and(|last| seq.saturating_sub(last) < DUMP_COOLDOWN);
             if cooled {
                 g.suppressed += 1;
                 return None;
             }
-            g.last_dump_seq[kind.index()] = Some(seq);
+            g.last_dump_seq[kind as usize] = Some(seq);
             g.dumps_taken += 1;
-            let window: Vec<WideEvent> = g
-                .ring
-                .iter()
-                .rev()
-                .take(DUMP_WINDOW)
-                .rev()
-                .cloned()
-                .collect();
+            let start = g.ring.len().saturating_sub(DUMP_WINDOW);
+            let window = g.ring.range(start..).cloned().collect();
             let dump = Dump {
                 id: g.dumps_taken,
                 anomaly: kind.name(),
@@ -772,7 +743,10 @@ fn dump_file_name(id: u64, kind: Anomaly) -> String {
 /// The `n` most recent wide events, oldest first.
 pub fn recent(n: usize) -> Vec<WideEvent> {
     let g = recorder();
-    g.ring.iter().rev().take(n).rev().cloned().collect()
+    g.ring
+        .range(g.ring.len().saturating_sub(n)..)
+        .cloned()
+        .collect()
 }
 
 /// Every retained anomaly dump, oldest first.
@@ -828,8 +802,8 @@ pub fn render_table(events: &[WideEvent]) -> String {
             ev.req,
             ev.tier,
             ev.backend,
-            ev.cache,
-            ev.outcome,
+            ev.cache.name(),
+            ev.outcome.name(),
             ev.nops,
             if ev.optimal { "yes" } else { "no" },
             ev.nodes,
@@ -857,8 +831,8 @@ pub fn render_flame(events: &[WideEvent]) -> String {
     };
     for ev in events {
         let mut attributed = 0u64;
-        for (phase, &us) in PHASE_FIELDS.iter().zip(ev.phases_us.iter()) {
-            let name = phase.trim_start_matches("us_");
+        for (phase, &us) in Phase::ALL.iter().zip(ev.phases_us.iter()) {
+            let name = phase.name().trim_start_matches("us_");
             bump(format!("serve;{};{name}", ev.tier), us);
             attributed += us;
         }
@@ -888,7 +862,7 @@ mod tests {
         begin(req);
         update(|ev| {
             (ev.canon, ev.n, ev.machine_fp) = (0xabcd, 6, 0x1234);
-            (ev.tier, ev.backend, ev.cache) = ("bnb", "bnb", "miss");
+            (ev.tier, ev.backend, ev.cache) = ("bnb", "bnb", Cache::Miss);
             (ev.nops, ev.optimal, ev.proof_digest) = (2, true, 77);
             (ev.nodes, ev.omega, ev.pruned) = (10, 12, 3);
             ev.raise(outcome);
@@ -1086,7 +1060,7 @@ mod tests {
         });
         commit(finish(10, 0).unwrap());
         set_enabled(false);
-        assert_eq!(recent(1)[0].outcome, "disagreement");
+        assert_eq!(recent(1)[0].outcome, Outcome::Disagreement);
     }
 
     #[test]
@@ -1096,7 +1070,7 @@ mod tests {
         reset();
         begin(3);
         update(|ev| {
-            (ev.tier, ev.backend, ev.cache, ev.optimal) = ("cache", "bnb", "hit", true);
+            (ev.tier, ev.backend, ev.cache, ev.optimal) = ("cache", "bnb", Cache::Hit, true);
             ev.phases_us[Phase::Parse as usize] = 10;
             ev.phases_us[Phase::Cache as usize] = 30;
         });

@@ -325,6 +325,13 @@ pub fn point2(name: &'static str, arg: i64, value: i64) {
     });
 }
 
+/// A ring capacity from the environment variable `var`: any positive
+/// integer, else `default`.
+pub(crate) fn capacity_from_env(var: &str, default: usize) -> usize {
+    let cap = std::env::var(var).ok().and_then(|v| v.parse().ok());
+    cap.filter(|&n| n > 0).unwrap_or(default)
+}
+
 /// Tests in this binary share the global `ENABLED` flag and trace store;
 /// serialize the ones that touch either.
 #[cfg(test)]

@@ -40,6 +40,22 @@ impl PromWriter {
         ));
     }
 
+    /// A family of `kind` with one sample per `(value, sample)`, each
+    /// labelled `key="value"`.
+    pub fn labeled<'v>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        key: &str,
+        samples: impl IntoIterator<Item = (&'v str, f64)>,
+    ) {
+        self.header(name, help, kind);
+        for (value, sample) in samples {
+            self.sample_labeled(name, &[(key, value)], sample);
+        }
+    }
+
     /// A counter family with a single unlabeled sample.
     pub fn counter(&mut self, name: &str, help: &str, value: u64) {
         self.header(name, help, "counter");

@@ -17,9 +17,6 @@ use crate::Trace;
 /// (or [`set_capacity`]) overrides it.
 pub const DEFAULT_CAPACITY: usize = 128;
 
-/// Backward-compatible alias for the pre-configurable constant.
-pub const CAPACITY: usize = DEFAULT_CAPACITY;
-
 static STORE: Mutex<VecDeque<Trace>> = Mutex::new(VecDeque::new());
 /// Resolved capacity; 0 means "read `PIPESCHED_TRACE_CAP` on first use".
 static CAP: AtomicUsize = AtomicUsize::new(0);
@@ -38,11 +35,7 @@ pub fn capacity() -> usize {
     if cap != 0 {
         return cap;
     }
-    let resolved = std::env::var("PIPESCHED_TRACE_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CAPACITY);
+    let resolved = crate::capacity_from_env("PIPESCHED_TRACE_CAP", DEFAULT_CAPACITY);
     // relaxed-ok: see above — idempotent lazy init of a plain value.
     CAP.store(resolved, Ordering::Relaxed);
     resolved

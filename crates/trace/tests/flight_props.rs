@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use pipesched_trace::flight::{self, Outcome, WideEvent, DUMP_WINDOW, OUTLIER_MIN_SAMPLES};
+use pipesched_trace::flight::{self, Cache, Outcome, WideEvent, DUMP_WINDOW, OUTLIER_MIN_SAMPLES};
 
 /// The tests in this binary share the process-wide recorder; serialize.
 fn locked() -> std::sync::MutexGuard<'static, ()> {
@@ -54,7 +54,7 @@ fn record(req: Req) -> Option<u64> {
     flight::begin(req.id);
     flight::update(|ev| {
         (ev.canon, ev.n, ev.machine_fp) = (req.id as u64, 8, 0x5eed);
-        (ev.tier, ev.backend, ev.threads, ev.cache) = ("bnb", "bnb", 2, "miss");
+        (ev.tier, ev.backend, ev.threads, ev.cache) = ("bnb", "bnb", 2, Cache::Miss);
         (ev.nops, ev.optimal) = (3, true);
         (ev.nodes, ev.omega, ev.pruned) = (u64::from(req.micros), 5, 2);
         ev.raise(req.outcome);
@@ -133,7 +133,10 @@ proptest! {
             prop_assert_eq!(last.seq, dump.trigger_seq, "trigger event is captured last");
             let anomalous = matches!(
                 last.outcome,
-                "deadline_miss" | "cert_reject" | "disagreement" | "admission_reject"
+                Outcome::DeadlineMiss
+                    | Outcome::CertReject
+                    | Outcome::Disagreement
+                    | Outcome::AdmissionReject
             ) || last.micros >= 1_000;
             prop_assert!(anomalous, "dump {} trigger {:?} is not anomalous", dump.id, last);
         }

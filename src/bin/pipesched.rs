@@ -181,9 +181,27 @@ fn usage() -> ! {
          \x20      pipesched flight [<requests.ndjson> | --tcp ADDR[:PORT]] [-n N]\n\
          \x20                [--ndjson | --flame | --dumps] [--workers N] [--nodes N]\n\
          --threads N: 1 (default) runs the serial branch-and-bound, N > 1 the work-stealing\n\
-         \x20            pool of N workers, 0 one worker per CPU"
+         \x20            pool of N workers, 0 one worker per CPU; --threads and --workers\n\
+         \x20            take at most {MAX_THREADS}"
     );
     std::process::exit(2)
+}
+
+/// The most threads `--threads` and `--workers` may ask for. Past what the
+/// OS grants, a thread that fails to start panics its scope, and the
+/// threads already started wait on their queue forever, so the command
+/// would hang instead of failing; the bound keeps every count the CLI
+/// accepts far below any usual limit.
+const MAX_THREADS: usize = 256;
+
+/// Parse `text` as a thread count for `flag`, at most [`MAX_THREADS`].
+fn thread_count(flag: &str, text: &str) -> Result<usize, String> {
+    match number(flag, text)? {
+        n if n > MAX_THREADS => Err(format!(
+            "{flag}: {n} exceeds the limit of {MAX_THREADS} threads"
+        )),
+        n => Ok(n),
+    }
 }
 
 /// Parse `text` as the value of `flag`.
@@ -219,7 +237,7 @@ fn parse_options(cmd: Cmd, mut args: impl Iterator<Item = String>) -> Result<Opt
                 o.window = Some(w);
             }
             "--proof" if on(SEARCH) => o.proof = Some(value()?),
-            "--threads" if on(SEARCH) || on(ENGINE) => o.threads = number(&a, &value()?)?,
+            "--threads" if on(SEARCH) || on(ENGINE) => o.threads = thread_count(&a, &value()?)?,
             "--backend" if cmd == Schedule || on(ENGINE) => {
                 let name = value()?;
                 o.backend = Backend::from_name(&name)
@@ -231,7 +249,7 @@ fn parse_options(cmd: Cmd, mut args: impl Iterator<Item = String>) -> Result<Opt
             "--frontend" if on(ANALYZE) => o.frontend = true,
             "--strict" if on(ANALYZE) => o.strict = true,
             "--concurrency" if on(ANALYZE) => o.concurrency = true,
-            "--workers" if on(FLEET) => o.workers = number(&a, &value()?)?,
+            "--workers" if on(FLEET) => o.workers = thread_count(&a, &value()?)?,
             "--nodes" if on(FLEET) => o.nodes = number(&a, &value()?)?,
             "--tcp" if on(FLEET) => o.tcp = Some(value()?),
             "--cache" if on(ENGINE) => o.cache = number(&a, &value()?)?,
@@ -1539,4 +1557,50 @@ fn run_flight(o: &Options) -> Result<ExitCode, String> {
         eprintln!("; warning: {torn} event(s) failed their self-checksum");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: Cmd, args: &[&str]) -> Result<Options, String> {
+        parse_options(cmd, args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn thread_counts_past_the_bound_are_refused_by_flag() {
+        let at = MAX_THREADS.to_string();
+        let past = (MAX_THREADS + 1).to_string();
+        for cmd in [Cmd::Schedule, Cmd::Prove, Cmd::Serve, Cmd::Batch] {
+            assert_eq!(
+                parse(cmd, &["--threads", &at]).unwrap().threads,
+                MAX_THREADS
+            );
+            assert_eq!(parse(cmd, &["--threads", "0"]).unwrap().threads, 0);
+            let err = parse(cmd, &["--threads", &past])
+                .err()
+                .expect("past the bound");
+            assert!(
+                err.starts_with("--threads: ") && err.contains("256"),
+                "{err}"
+            );
+        }
+        for cmd in [Cmd::Serve, Cmd::Batch, Cmd::Stats, Cmd::Flight] {
+            assert_eq!(
+                parse(cmd, &["--workers", &at]).unwrap().workers,
+                MAX_THREADS
+            );
+            let err = parse(cmd, &["--workers", &past])
+                .err()
+                .expect("past the bound");
+            assert!(
+                err.starts_with("--workers: ") && err.contains("256"),
+                "{err}"
+            );
+        }
+        let err = parse(Cmd::Serve, &["--workers", "-1"])
+            .err()
+            .expect("negative");
+        assert!(err.starts_with("--workers: "), "{err}");
+    }
 }

@@ -139,6 +139,90 @@ fn readme_wide_event_table_matches_the_flight_recorder() {
     );
 }
 
+/// Extract `(family, label, meaning)` rows from the README's `/metrics`
+/// table — the rows following the `| `/metrics` family | labels |
+/// meaning |` header, until the first non-table line. `-` means no label.
+fn readme_metric_families() -> Vec<(String, Option<String>, String)> {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md is readable");
+    let mut rows = Vec::new();
+    let mut in_table = false;
+    for line in readme.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        if cells.len() == 5 && cells[1] == "`/metrics` family" {
+            in_table = true;
+            continue;
+        }
+        if !in_table {
+            continue;
+        }
+        if cells.len() != 5 {
+            break; // table ended
+        }
+        if cells[1].starts_with("---") {
+            continue; // separator row
+        }
+        let label = (cells[2] != "-").then(|| cells[2].trim_matches('`').to_string());
+        rows.push((
+            cells[1].trim_matches('`').to_string(),
+            label,
+            cells[3].to_string(),
+        ));
+    }
+    rows
+}
+
+/// The README's `/metrics` table is a contract with the exposition: it
+/// lists exactly the families a scrape of a fresh engine prints, in
+/// order, each with the label its samples carry and its `# HELP` text,
+/// and every row of the counter table is among them.
+#[test]
+fn readme_metrics_table_matches_the_exposition() {
+    use pipesched::service::metrics::COUNTERS;
+    use pipesched::service::{EngineConfig, ServiceEngine};
+
+    let documented = readme_metric_families();
+    assert!(
+        !documented.is_empty(),
+        "no `| `/metrics` family | labels | meaning |` table found in README.md"
+    );
+
+    let scrape = ServiceEngine::new(EngineConfig::default(), 4, 1).prometheus();
+    let mut exposed: Vec<(String, Option<String>, String)> = Vec::new();
+    for line in scrape.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("HELP names its family");
+            exposed.push((name.to_string(), None, help.to_string()));
+        } else if let Some((_, labels)) = line.split_once('{') {
+            let key = labels.split('=').next().expect("a label key");
+            let family = exposed.last_mut().expect("samples follow their HELP line");
+            family.1 = Some(key.to_string());
+        }
+    }
+    let names = |rows: &[(String, Option<String>, String)]| -> Vec<String> {
+        rows.iter().map(|r| r.0.clone()).collect()
+    };
+    assert_eq!(
+        names(&documented),
+        names(&exposed),
+        "README /metrics table out of sync with the exposition (names, in order)"
+    );
+    assert_eq!(
+        documented, exposed,
+        "README /metrics rows must give each family's label and HELP text"
+    );
+
+    for row in COUNTERS {
+        let label = row.labels.values().map(|(key, _)| key.to_string());
+        let documented_row = (row.name.to_string(), label, row.help.to_string());
+        assert!(
+            documented.contains(&documented_row),
+            "counter `{}` has no matching README row",
+            row.name
+        );
+    }
+}
+
 /// The dataflow/translation-validation family (`A05xx`) specifically:
 /// every code the analyzer registers is documented, and every documented
 /// `A05` row names a registered code — in both directions, independently
